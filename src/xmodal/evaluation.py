@@ -1,7 +1,7 @@
 """Cross-modality retrieval evaluation: ranking, CMC, mAP, repeated trials."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class RankingResult:
     seed: int = 0
     protocol: str = ""
     skipped_queries: int = 0
-    per_query_order: list = field(default_factory=list)
-    per_query_relevance: list = field(default_factory=list)
 
 
 def rank_gallery(query_feature, gallery_features):
@@ -100,7 +98,6 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
     dist = pairwise_distances(query_feats, gallery_feats)
     ap_values = []
     relevance_lists = []
-    orders = []
     skipped = 0
     for qi in range(dist.shape[0]):
         order = np.argsort(dist[qi], kind="stable")
@@ -108,7 +105,6 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
         if not rel.any():
             skipped += 1
             continue
-        orders.append(order)
         relevance_lists.append(rel)
         ap_values.append(average_precision(rel))
     if skipped:
@@ -121,8 +117,6 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
         cmc=cmc,
         map_score=float(np.mean(ap_values)),
         skipped_queries=skipped,
-        per_query_order=orders,
-        per_query_relevance=relevance_lists,
     )
 
 

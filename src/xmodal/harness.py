@@ -219,7 +219,7 @@ def train(dataset, config):
             else:
                 for k, v in comp.items():
                     sums[k] += v
-        rec = {"epoch": epoch, "lr": lr, "L_backbone": 0.0}
+        rec = {"epoch": epoch, "lr": lr}
         rec.update({k: v / n_batches for k, v in sums.items()})
         report.epoch_records.append(rec)
         if frozen:
@@ -493,21 +493,26 @@ def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
 
 
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
+    """Smallest distance of a model instance from a kink: of any ReLU input
+    from zero, or of the mined triplets (see `mining_margins`)."""
     n = x.shape[0] // 2
     work = params.copy()
-    bundle_v, _ = encode(work, cfg, x[:n], "visible", mode="train")
-    bundle_t, _ = encode(work, cfg, x[n:], "thermal", mode="train")
+    bundle_v, cache_v = encode(work, cfg, x[:n], "visible", mode="train")
+    bundle_t, cache_t = encode(work, cfg, x[n:], "thermal", mode="train")
+    # cache[1] holds one (dense cache, relu cache) pair per stage
+    relu_margin = min(float(np.min(np.abs(relu_cache[0])))
+                      for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
     sel_v = bundle_v.v_fused_post if cfg.mfi_enabled else bundle_v.v_post
     sel_t = bundle_t.v_fused_post if cfg.mfi_enabled else bundle_t.v_post
     feats, _ = l2_normalize_forward(np.concatenate([sel_v, sel_t]))
     mods = np.array([L.VISIBLE] * n + [L.THERMAL] * n)
     batch = LabeledBatch(features=feats, identity=np.concatenate([labels[:n], labels[n:]]),
                          modality=mods, P=P, K=K)
-    return L.mining_margins(batch, loss_cfg.rho)
+    return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 
 def _check_full_model(rng, mfi):
-    # resample until the mined triplets are safely away from hinge kinks
+    # resample until the ReLU inputs and mined triplets are safely away from kinks
     for _ in range(50):
         cfg, params, loss_cfg, x, labels, P, K = _full_model_setup(rng, mfi)
         if _metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:

@@ -48,6 +48,8 @@ class LabeledBatch:
     K: int
 
     def validate(self):
+        if self.P < 2 or self.K < 1:
+            raise ValueError("LabeledBatch: need P >= 2 identities and K >= 1 rows each")
         n = self.features.shape[0]
         if n != 2 * self.P * self.K:
             raise ValueError(f"LabeledBatch: expected {2 * self.P * self.K} rows, got {n}")
@@ -64,125 +66,107 @@ class LabeledBatch:
                         f"LabeledBatch: identity {ident} has {count} {mod} rows, expected {self.K}")
 
 
-def _mined_hinge(features, labels, anchor_idx, cand_idx, rho):
-    """Batch-hard hinge over given anchor rows against a candidate pool.
+def _masked_rows(labels, dist, cand):
+    """Each row's positive and negative candidate distances.
 
-    Positives/negatives are candidate rows with equal/different labels.
+    Row i anchors against the columns where cand[i] holds; positives share
+    its label, negatives do not. Non-candidates read -inf among positives
+    and +inf among negatives, so they are never mined.
+    """
+    same = labels[:, None] == labels[None, :]
+    pos, neg = cand & same, cand & ~same
+    for mask, kind in ((pos, "positive"), (neg, "negative")):
+        empty = np.flatnonzero(~mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"no {kind} candidates for anchor row {empty[0]}")
+    return np.where(pos, dist, -np.inf), np.where(neg, dist, np.inf)
+
+
+def _mined_hinge(features, labels, dist, cand, rho):
+    """Batch-hard hinge summed over every row of `dist` as an anchor.
+
     Returns (loss, grad w.r.t. the full feature matrix).
     """
-    anchor_idx = np.asarray(anchor_idx, dtype=np.intp)
-    cand_idx = np.asarray(cand_idx, dtype=np.intp)
-    dist = pairwise_distances(features[anchor_idx], features[cand_idx])
-    cand_labels = labels[cand_idx]
-    loss = 0.0
+    pos, neg = _masked_rows(labels, dist, cand)
+    # argmax/argmin take the lowest index on ties
+    hp = np.argmax(pos, axis=1)
+    hn = np.argmin(neg, axis=1)
+    a = np.arange(dist.shape[0])
+    term = rho + dist[a, hp] - dist[a, hn]
+    loss = float(np.maximum(term, 0.0).sum())
+    active = term > 0.0
+    a, p, n = a[active], hp[active], hn[active]
+    # d = sqrt(||f_a - f_b||^2 + eps), so dd/df_a = (f_a - f_b) / d
+    gp = (features[a] - features[p]) / dist[a, p][:, None]
+    gn = (features[a] - features[n]) / dist[a, n][:, None]
     grad = np.zeros_like(features)
-    for ai, a in enumerate(anchor_idx):
-        same = cand_labels == labels[a]
-        if not np.any(same):
-            raise ValueError(f"no positive candidates for anchor row {a}")
-        if np.all(same):
-            raise ValueError(f"no negative candidates for anchor row {a}")
-        d = dist[ai]
-        # argmax/argmin take the lowest index on ties
-        hp = int(np.argmax(np.where(same, d, -np.inf)))
-        hn = int(np.argmin(np.where(same, np.inf, d)))
-        term = rho + d[hp] - d[hn]
-        if term <= 0.0:
-            continue
-        loss += term
-        p = cand_idx[hp]
-        n = cand_idx[hn]
-        # d = sqrt(||f_a - f_b||^2 + eps), so dd/df_a = (f_a - f_b) / d
-        gp = (features[a] - features[p]) / d[hp]
-        gn = (features[a] - features[n]) / d[hn]
-        grad[a] += gp - gn
-        grad[p] -= gp
-        grad[n] += gn
+    grad[a] = gp - gn
+    np.add.at(grad, p, -gp)
+    np.add.at(grad, n, gn)
     return loss, grad
 
 
-def _margin_of(features, labels, anchor_idx, cand_idx, rho):
-    """Distance of each anchor's hinge term and mined selections from a kink."""
-    anchor_idx = np.asarray(anchor_idx, dtype=np.intp)
-    cand_idx = np.asarray(cand_idx, dtype=np.intp)
-    dist = pairwise_distances(features[anchor_idx], features[cand_idx])
-    cand_labels = labels[cand_idx]
-    margin = np.inf
-    for ai, a in enumerate(anchor_idx):
-        same = cand_labels == labels[a]
-        d = dist[ai]
-        pos = np.sort(d[same])[::-1]
-        neg = np.sort(d[~same])
-        margin = min(margin, abs(rho + pos[0] - neg[0]))
-        if pos.size > 1:
-            margin = min(margin, pos[0] - pos[1])
-        if neg.size > 1:
-            margin = min(margin, neg[1] - neg[0])
-    return margin
+def _modality_masks(batch):
+    """Cross and intra candidate masks of a validated batch."""
+    batch.validate()
+    same = batch.modality[:, None] == batch.modality[None, :]
+    return ~same, same
 
 
 def mining_margins(batch, rho):
     """Smallest kink distance over plain, cross, and intra minings of a batch.
 
     Used by gradient checks to reject batches where the piecewise loss is
-    (nearly) nondifferentiable.
+    (nearly) nondifferentiable: a hinge at zero, or a tie for the hardest
+    positive or negative.
     """
     feats, labels = batch.features, batch.identity
-    idx = np.arange(feats.shape[0])
-    vis = np.flatnonzero(batch.modality == VISIBLE)
-    thm = np.flatnonzero(batch.modality == THERMAL)
-    margins = [
-        _margin_of(feats, labels, idx, idx, rho),
-        _margin_of(feats, labels, vis, thm, rho),
-        _margin_of(feats, labels, thm, vis, rho),
-        _margin_of(feats, labels, vis, vis, rho),
-        _margin_of(feats, labels, thm, thm, rho),
-    ]
-    return min(margins)
+    dist = pairwise_distances(feats, feats)
+    cross, intra = _modality_masks(batch)
+    margin = np.inf
+    for cand in (np.ones_like(cross), cross, intra):
+        pos, neg = _masked_rows(labels, dist, cand)
+        top = -np.partition(-pos, 1, axis=1)[:, :2]
+        low = np.partition(neg, 1, axis=1)[:, :2]
+        # with a single candidate the second pick is infinite and drops out
+        margin = min(margin, np.min(np.abs(rho + top[:, 0] - low[:, 0])),
+                     np.min(top[:, 0] - top[:, 1]), np.min(low[:, 1] - low[:, 0]))
+    return float(margin)
 
 
 def batch_hard_triplet(features, labels, rho):
     """Plain batch-hard triplet loss: every row anchors against the whole batch."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != features.shape[:1]:
+        raise ValueError("batch_hard_triplet: one label per feature row required")
     if np.unique(labels).size < 2:
         raise ValueError("batch_hard_triplet: need at least 2 identities")
-    idx = np.arange(features.shape[0])
-    return _mined_hinge(features, labels, idx, idx, rho)
+    dist = pairwise_distances(features, features)
+    return _mined_hinge(features, labels, dist, np.ones(dist.shape, dtype=bool), rho)
 
 
 def cross_modality_triplet(batch, rho):
     """Bi-directional cross-modality loss: anchors in one modality, pool in the other."""
-    batch.validate()
-    vis = np.flatnonzero(batch.modality == VISIBLE)
-    thm = np.flatnonzero(batch.modality == THERMAL)
-    if vis.size == 0 or thm.size == 0:
-        raise ValueError("cross_modality_triplet: both modalities must be present")
-    loss_vt, grad_vt = _mined_hinge(batch.features, batch.identity, vis, thm, rho)
-    loss_tv, grad_tv = _mined_hinge(batch.features, batch.identity, thm, vis, rho)
-    return loss_vt + loss_tv, grad_vt + grad_tv
+    cross, _ = _modality_masks(batch)
+    dist = pairwise_distances(batch.features, batch.features)
+    return _mined_hinge(batch.features, batch.identity, dist, cross, rho)
 
 
 def intra_modality_triplet(batch, rho):
     """Per-modality batch-hard loss, summed over the two modalities."""
-    batch.validate()
-    total = 0.0
-    grad = np.zeros_like(batch.features)
-    for mod in (VISIBLE, THERMAL):
-        idx = np.flatnonzero(batch.modality == mod)
-        if np.unique(batch.identity[idx]).size < 2:
-            raise ValueError(f"intra_modality_triplet: fewer than 2 identities in modality {mod}")
-        loss, g = _mined_hinge(batch.features, batch.identity, idx, idx, rho)
-        total += loss
-        grad += g
-    return total, grad
+    _, intra = _modality_masks(batch)
+    dist = pairwise_distances(batch.features, batch.features)
+    return _mined_hinge(batch.features, batch.identity, dist, intra, rho)
 
 
 def dual_modality_triplet(batch, config):
     """cross + lambda1 * intra, with matching gradient composition."""
     config.validate()
-    loss_c, grad_c = cross_modality_triplet(batch, config.rho)
-    loss_i, grad_i = intra_modality_triplet(batch, config.rho)
+    cross, intra = _modality_masks(batch)
+    dist = pairwise_distances(batch.features, batch.features)
+    loss_c, grad_c = _mined_hinge(batch.features, batch.identity, dist, cross, config.rho)
+    loss_i, grad_i = _mined_hinge(batch.features, batch.identity, dist, intra, config.rho)
     return loss_c + config.lambda1 * loss_i, grad_c + config.lambda1 * grad_i, loss_c, loss_i
 
 

@@ -10,6 +10,9 @@ import warnings
 import numpy as np
 
 DIST_STABILIZER = 1e-12
+# Bound on pairwise_distances' difference tensor. At D=128, 256 KiB ran
+# faster than blocks of 64 KiB to 4 MiB on both 64x64 and 1200x1200 inputs.
+DIST_BLOCK_BYTES = 1 << 18
 
 
 def _check_finite(x, what):
@@ -137,14 +140,24 @@ def pairwise_distances(a, b):
 
     A tiny stabilizer inside the sqrt keeps the gradient defined at zero
     distance, so self-distances come out near 1e-6 rather than exactly 0.
+    Memory beyond the output is bounded: the difference tensor is built in
+    blocks of at most DIST_BLOCK_BYTES.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"pairwise_distances: shapes {a.shape} and {b.shape} incompatible")
-    diff = a[:, None, :] - b[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.sqrt(np.maximum(sq, 0.0) + DIST_STABILIZER)
+    # each entry is the same einsum over one contiguous D-vector, blocked or not
+    pair_bytes = 8 * max(a.shape[1], 1)
+    cols = max(1, min(b.shape[0], DIST_BLOCK_BYTES // pair_bytes))
+    rows = max(1, DIST_BLOCK_BYTES // (pair_bytes * cols))
+    sq = np.empty((a.shape[0], b.shape[0]))
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, b.shape[0], cols):
+            diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
+            sq[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+    sq += DIST_STABILIZER
+    return np.sqrt(sq, out=sq)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -45,6 +45,28 @@ def intra_modality_oracle(batch, rho):
             + batch_hard_oracle(f, y, rho, anchors=thm, candidates=thm))
 
 
+def mining_margins_oracle(batch, rho):
+    """Per-anchor sort of each plain, cross and intra candidate pool: the
+    smallest gap between a hinge and zero, or between the two hardest
+    positives or negatives."""
+    n = len(batch.features)
+    f, y = batch.features, batch.identity
+    vis = [i for i in range(n) if batch.modality[i] == "V"]
+    thm = [i for i in range(n) if batch.modality[i] == "T"]
+    every = list(range(n))
+    margin = math.inf
+    for anchors, candidates in ((every, every), (vis, thm), (thm, vis), (vis, vis), (thm, thm)):
+        for a in anchors:
+            pos = sorted((dist_oracle(f[a], f[c]) for c in candidates if y[c] == y[a]), reverse=True)
+            neg = sorted(dist_oracle(f[a], f[c]) for c in candidates if y[c] != y[a])
+            margin = min(margin, abs(rho + pos[0] - neg[0]))
+            if len(pos) > 1:
+                margin = min(margin, pos[0] - pos[1])
+            if len(neg) > 1:
+                margin = min(margin, neg[1] - neg[0])
+    return margin
+
+
 def average_precision_oracle(relevance):
     relevant_seen = 0
     total = sum(1 for r in relevance if r)

@@ -1,6 +1,8 @@
 """Training harness, checkpoint, ablation, gradcheck, and CLI tests."""
 
 import json
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -328,6 +330,17 @@ class TestGradcheck:
         r1, _ = gradcheck(trials=4, seed=7)
         r2, _ = gradcheck(trials=4, seed=7)
         assert r1 == r2
+
+    @pytest.mark.parametrize("seed", [207, 505, 906])
+    def test_full_model_instances_avoid_relu_kinks(self, seed):
+        # these streams draw instances with a ReLU input within a
+        # finite-difference step of zero, which the kink guard must reject
+        for name in ("full_model_mfi", "full_model_backbone"):
+            rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for _ in range(harness.FULL_MODEL_TRIALS):
+                    assert harness.GRADCHECK_COMPONENTS[name](rng) < 1e-4, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal.losses import (
     LabeledBatch,
@@ -17,6 +19,7 @@ from helpers import (
     batch_hard_oracle,
     cross_modality_oracle,
     intra_modality_oracle,
+    mining_margins_oracle,
     random_pk_batch,
 )
 
@@ -60,6 +63,10 @@ class TestBatchHard:
     def test_single_identity_rejected(self):
         with pytest.raises(ValueError):
             batch_hard_triplet(np.ones((3, 2)), np.zeros(3), RHO)
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one label per feature row"):
+            batch_hard_triplet(np.ones((4, 2)), np.array([0, 1, 0]), RHO)
 
 
 class TestCrossModality:
@@ -196,6 +203,68 @@ class TestProperties:
                            modality=batch.modality, P=2, K=1)
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("P, K", [(1, 2), (0, 3)])
+    def test_too_small_batch_rejected(self, P, K):
+        batch = random_pk_batch(np.random.default_rng(0), P, K, 3)
+        for fn in (cross_modality_triplet, intra_modality_triplet):
+            with pytest.raises(ValueError, match="need P >= 2"):
+                fn(batch, RHO)
+
+
+class TestMiningMargins:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(60)
+        for _ in range(50):
+            batch = random_pk_batch(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
+            rho = float(rng.uniform(0.1, 1.0))
+            assert abs(mining_margins(batch, rho) - mining_margins_oracle(batch, rho)) < 1e-12
+
+    def test_tied_negatives_give_zero(self):
+        # t1 and v2 sit at the same distance from v1, so v1's hardest plain
+        # negative is a tie
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]])
+        batch = LabeledBatch(features=feats, identity=np.array([1, 2, 1, 2]),
+                             modality=np.array(["V", "V", "T", "T"]), P=2, K=1)
+        assert mining_margins(batch, RHO) == 0.0
+
+
+def triplet_losses(batch, rho):
+    """Plain, cross and intra (loss, grad) of one batch."""
+    return [batch_hard_triplet(batch.features, batch.identity, rho),
+            cross_modality_triplet(batch, rho),
+            intra_modality_triplet(batch, rho)]
+
+
+@st.composite
+def pk_batches(draw):
+    """A Gaussian PK batch and a permutation of its rows."""
+    P, K = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    batch = random_pk_batch(rng, P, K, draw(st.integers(1, 5)))
+    return batch, np.array(draw(st.permutations(range(2 * P * K))))
+
+
+class TestMiningInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(pk_batches(), st.floats(0.0, 2.0))
+    def test_row_permutation_equivariance(self, case, rho):
+        batch, perm = case
+        permuted = LabeledBatch(features=batch.features[perm], identity=batch.identity[perm],
+                                modality=batch.modality[perm], P=batch.P, K=batch.K)
+        for (loss, grad), (loss_p, grad_p) in zip(triplet_losses(batch, rho),
+                                                  triplet_losses(permuted, rho)):
+            assert abs(loss - loss_p) < 1e-12
+            np.testing.assert_allclose(grad_p, grad[perm], rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pk_batches(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+    def test_hinge_does_not_decrease_as_rho_grows(self, case, rho_a, rho_b):
+        batch, _ = case
+        low, high = sorted((rho_a, rho_b))
+        for (loss_low, _), (loss_high, _) in zip(triplet_losses(batch, low),
+                                                 triplet_losses(batch, high)):
+            assert loss_low <= loss_high
 
 
 class TestTotalLoss:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xmodal.numerics import (
+    DIST_BLOCK_BYTES,
+    DIST_STABILIZER,
     AdamState,
     adam_step,
     batchnorm_backward,
@@ -141,6 +144,40 @@ class TestPairwiseDistances:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.ones((2, 3)), np.ones((2, 4)))
+
+    @staticmethod
+    def _unblocked(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        return np.sqrt(np.maximum(sq, 0.0) + DIST_STABILIZER)
+
+    @pytest.mark.parametrize("dim", [1, 7, 128])
+    def test_blocked_is_bit_identical_to_unblocked(self, dim):
+        # at `per_block` pairs a difference block fills DIST_BLOCK_BYTES:
+        # cross it along the columns, and along the rows once every column
+        # fits in one block
+        per_block = DIST_BLOCK_BYTES // (8 * dim)
+        rng = np.random.default_rng(dim)
+        shapes = [(1, 1), (0, 5), (5, 0), (3, per_block - 1), (3, per_block),
+                  (3, per_block + 1), (2, 2 * per_block + 3)]
+        for cols in (per_block // 8, per_block // 2):
+            rows = per_block // cols
+            shapes += [(rows - 1, cols), (rows, cols), (rows + 1, cols), (2 * rows + 5, cols)]
+        for n, m in shapes:
+            a, b = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
+            np.testing.assert_array_equal(pairwise_distances(a, b), self._unblocked(a, b))
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((1000, 128)), rng.standard_normal((1000, 128))
+        tracemalloc.start()
+        try:
+            pairwise_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MB output plus one block
+        assert peak < 32 * 2 ** 20
 
 
 class TestSoftmaxCrossEntropy:
