@@ -156,6 +156,7 @@ def load_dataset(path):
     except ValueError:
         raise DataError(f"{path}:1: unparseable dimension in header") from None
     samples = []
+    first_line = {}  # sample_id -> line that defined it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -176,6 +177,9 @@ def load_dataset(path):
             raise DataError(f"{path}:{lineno}: unparseable feature value") from None
         if ident < 0:
             raise DataError(f"{path}:{lineno}: identity must be >= 0")
+        if sid in first_line:
+            raise DataError(f"{path}:{lineno}: duplicate sample_id {sid} (first on line {first_line[sid]})")
+        first_line[sid] = lineno
         if not np.all(np.isfinite(feature)):
             raise DataError(f"{path}:{lineno}: non-finite feature value")
         samples.append(Sample(feature, ident, modality, sid))

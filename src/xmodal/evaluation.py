@@ -7,7 +7,7 @@ import numpy as np
 
 from .encoder import encode, test_feature
 from .losses import THERMAL, VISIBLE
-from .numerics import pairwise_distances
+from .numerics import DIST_BLOCK_BYTES
 
 
 @dataclass
@@ -44,39 +44,85 @@ class RankingResult:
     skipped_queries: int = 0
 
 
+def _ranked_blocks(query_feats, gallery_feats):
+    """Gallery orders for consecutive blocks of query rows, as (start, order).
+
+    Order is by squared distance, ||g||^2 - 2 q.g from one GEMM per block:
+    ||q||^2 is constant along a row and ranking needs no sqrt. Rows are
+    centered on the gallery mean first, so that a common offset in the
+    features cannot swamp the cross term. Duplicate gallery rows share one
+    GEMM column, because BLAS may round equal columns differently; they tie
+    exactly and the stable sort puts the lowest index first. A block holds
+    at most DIST_BLOCK_BYTES of distances, never a Q x G matrix. These
+    values are neither exact nor differentiable, which is why training and
+    gradcheck keep numerics.pairwise_distances.
+    """
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
+    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
+        raise ValueError(f"evaluation: query shape {q.shape} and gallery shape {g.shape} incompatible")
+    if g.size == 0:
+        raise ValueError("evaluation: empty gallery")
+    if q.shape[0] == 0:
+        raise ValueError("evaluation: no queries")
+    mean = g.mean(axis=0)
+    unique, column = np.unique(g, axis=0, return_inverse=True)
+    column = column.reshape(-1)
+    unique -= mean
+    sq_norms = np.einsum("ij,ij->i", unique, unique)
+    unique *= -2.0
+    rows = max(1, DIST_BLOCK_BYTES // (8 * g.shape[0]))
+    for start in range(0, q.shape[0], rows):
+        dist = (q[start:start + rows] - mean) @ unique.T
+        dist += sq_norms
+        yield start, np.argsort(dist[:, column], axis=1, kind="stable")
+
+
+def _average_precisions(rel):
+    """AP of each row of a 2-D relevance block whose every row holds a hit:
+    (1/R) * sum_k Precision@k over the relevant positions k, summed in order."""
+    rows, cols = np.nonzero(rel)
+    counts = np.bincount(rows, minlength=len(rel))
+    starts = np.cumsum(counts) - counts
+    seen = np.arange(1, rows.size + 1) - np.repeat(starts, counts)
+    return np.add.reduceat(seen / (cols + 1), starts) / counts
+
+
+def _first_hits(rel):
+    """1-based position of the first relevant item in each row of a block."""
+    return np.argmax(rel, axis=1) + 1
+
+
+def _cmc_rates(first_hits, ranks):
+    return {int(r): float(np.mean(first_hits <= r)) for r in ranks}
+
+
 def rank_gallery(query_feature, gallery_features):
     """Gallery indices by ascending distance; ties break by ascending index."""
-    gallery_features = np.asarray(gallery_features, dtype=np.float64)
-    if gallery_features.size == 0 or gallery_features.shape[0] == 0:
-        raise ValueError("rank_gallery: empty gallery")
     q = np.asarray(query_feature, dtype=np.float64).reshape(1, -1)
-    d = pairwise_distances(q, gallery_features)[0]
-    return np.argsort(d, kind="stable")
+    (_, order), = _ranked_blocks(q, gallery_features)
+    return order[0]
 
 
 def average_precision(relevance):
     """AP = (1/R) * sum_k Precision@k over relevant positions k."""
-    rel = np.asarray(relevance, dtype=bool)
-    total = int(rel.sum())
-    if total == 0:
+    rel = np.asarray(relevance, dtype=bool).reshape(1, -1)
+    if not rel.any():
         raise ValueError("average_precision: no relevant items")
-    hits = np.cumsum(rel)
-    k = np.arange(1, rel.size + 1)
-    return float(np.sum((hits / k)[rel]) / total)
+    return float(_average_precisions(rel)[0])
 
 
 def cmc_curve(relevance_lists, ranks):
-    """rate(r) = fraction of queries whose first relevant hit is at position <= r."""
-    if not relevance_lists:
+    """rate(r) = fraction of queries whose first relevant hit is at position <= r.
+
+    `relevance_lists` holds one relevance row per query, all of one length.
+    """
+    rel = np.asarray(relevance_lists, dtype=bool)
+    if rel.ndim != 2 or rel.shape[0] == 0:
         raise ValueError("cmc_curve: no queries")
-    first_hits = []
-    for rel in relevance_lists:
-        rel = np.asarray(rel, dtype=bool)
-        if not rel.any():
-            raise ValueError("cmc_curve: query with no relevant gallery item")
-        first_hits.append(int(np.argmax(rel)) + 1)
-    first_hits = np.asarray(first_hits)
-    return {int(r): float(np.mean(first_hits <= r)) for r in ranks}
+    if not rel.any(axis=1).all():
+        raise ValueError("cmc_curve: query with no relevant gallery item")
+    return _cmc_rates(_first_hits(rel), ranks)
 
 
 def _encode_features(dataset, params, config, modality_tag):
@@ -94,27 +140,26 @@ def _encode_features(dataset, params, config, modality_tag):
 
 def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
                       ranks):
-    """Single-pass CMC/mAP over explicit feature matrices."""
-    dist = pairwise_distances(query_feats, gallery_feats)
-    ap_values = []
-    relevance_lists = []
+    """Single-pass CMC/mAP over explicit feature matrices, in blocks of queries."""
+    query_labels = np.asarray(query_labels)
+    gallery_labels = np.asarray(gallery_labels)
+    ap_values, first_hits = [], []
     skipped = 0
-    for qi in range(dist.shape[0]):
-        order = np.argsort(dist[qi], kind="stable")
-        rel = gallery_labels[order] == query_labels[qi]
-        if not rel.any():
-            skipped += 1
-            continue
-        relevance_lists.append(rel)
-        ap_values.append(average_precision(rel))
+    for start, order in _ranked_blocks(query_feats, gallery_feats):
+        rel = gallery_labels[order] == query_labels[start:start + len(order), None]
+        matched = rel.any(axis=1)
+        skipped += len(rel) - int(np.count_nonzero(matched))
+        rel = rel[matched]
+        ap_values.append(_average_precisions(rel))
+        first_hits.append(_first_hits(rel))
     if skipped:
         warnings.warn(f"evaluation: {skipped} query(ies) without a gallery match excluded",
                       RuntimeWarning)
-    if not ap_values:
+    ap_values = np.concatenate(ap_values)
+    if not ap_values.size:
         raise ValueError("evaluation: every query lacked a gallery match")
-    cmc = cmc_curve(relevance_lists, ranks)
     return RankingResult(
-        cmc=cmc,
+        cmc=_cmc_rates(np.concatenate(first_hits), ranks),
         map_score=float(np.mean(ap_values)),
         skipped_queries=skipped,
     )

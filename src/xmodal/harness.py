@@ -267,6 +267,7 @@ def save_checkpoint(params, enc_cfg, path):
 
 
 def load_checkpoint(path):
+    """Parameters and encoder config, validated in full before any use."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
@@ -275,17 +276,49 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    enc_cfg = EncoderConfig.from_dict(doc["encoder_config"])
-
-    def unpack(section):
-        return {k: np.array(v["values"], dtype=np.float64).reshape(v["shape"])
-                for k, v in section.items()}
-
-    params = EncoderParams(values=unpack(doc["params"]), bn_state=unpack(doc["bn_state"]))
-    expected = set(init_encoder(enc_cfg, 0).values)
-    if set(params.values) != expected:
-        raise ConfigError(f"{path}: parameter names do not match the stored encoder config")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object after the header")
+    for section in ("encoder_config", "params", "bn_state"):
+        if not isinstance(doc.get(section), dict):
+            raise ConfigError(f"{path}: missing section {section!r}")
+    try:
+        enc_cfg = EncoderConfig.from_dict(doc["encoder_config"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: encoder_config: {exc}") from None
+    expected = init_encoder(enc_cfg, 0)
+    params = EncoderParams(values=_unpack_section(path, doc, "params", expected.values),
+                           bn_state=_unpack_section(path, doc, "bn_state", expected.bn_state))
     return params, enc_cfg
+
+
+def _unpack_section(path, doc, section, expected):
+    """One checkpoint section as arrays, checked against the arrays the
+    stored encoder config defines: names, shapes, value counts, finiteness."""
+    stored = doc[section]
+    if set(stored) != set(expected):
+        raise ConfigError(
+            f"{path}: parameter names in {section!r} do not match the stored encoder config "
+            f"(missing {sorted(set(expected) - set(stored))}, "
+            f"unexpected {sorted(set(stored) - set(expected))})")
+    arrays = {}
+    for name, ref in expected.items():
+        key = f"{path}: {section}.{name}"
+        try:
+            shape = tuple(stored[name]["shape"])
+            values = np.array(stored[name]["values"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{key}: needs a numeric 'shape' and a flat 'values' list") from None
+        if shape != ref.shape:
+            raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(ref.shape)}")
+        if values.shape != (ref.size,):
+            raise ConfigError(f"{key}: {values.size} values for shape {list(shape)}, "
+                              f"which needs {ref.size}")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{key}: non-finite value")
+        arrays[name] = values.reshape(shape)
+    return arrays
 
 
 # ---------------------------------------------------------------------------

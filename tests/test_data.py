@@ -89,6 +89,12 @@ class TestFileFormat:
         with pytest.raises(DataError, match="modality"):
             load_dataset(path)
 
+    def test_duplicate_sample_id_names_line(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("# xmodal-dataset v1 dim=1\n0,0,V,1.0\n1,0,T,2.0\n0,1,V,3.0\n")
+        with pytest.raises(DataError, match=r":4: duplicate sample_id 0 \(first on line 2\)"):
+            load_dataset(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0,0,V,1.0\n")

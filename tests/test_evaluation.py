@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from xmodal.evaluation import (
     run_protocol,
 )
 from xmodal.harness import train, TrainConfig
+from xmodal.numerics import DIST_BLOCK_BYTES
 
 from helpers import average_precision_oracle, cmc_oracle, rank_oracle
 
@@ -132,6 +135,78 @@ class TestEvaluateFeatures:
                                     ranks=(1,))
         assert res.skipped_queries == 1
         assert res.cmc[1] == 1.0
+
+
+def ranking_oracle(q, ql, g, gl, ranks):
+    """Per-query brute-force sort, AP and CMC; the unmatched queries counted."""
+    aps, lists, skipped = [], [], 0
+    for f, y in zip(q, ql):
+        rel = [bool(gl[i] == y) for i in rank_oracle(f, g)]
+        if not any(rel):
+            skipped += 1
+            continue
+        aps.append(average_precision_oracle(rel))
+        lists.append(rel)
+    return sum(aps) / len(aps), cmc_oracle(lists, ranks), skipped
+
+
+class TestStreamedRanking:
+    RANKS = (1, 2, 5, 10)
+
+    def test_matches_oracle_across_block_boundaries(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            rows = int(rng.integers(600, 800))
+            per_block = DIST_BLOCK_BYTES // (8 * rows)
+            nq = 2 * per_block + int(rng.integers(1, per_block))
+            dim = int(rng.integers(2, 6))
+            g, gl = rng.standard_normal((rows, dim)), rng.integers(0, 40, rows)
+            # the last gallery rows copy earlier ones under other labels
+            for dst, src in ((rows - 1, 0), (rows - 2, 1), (rows - 3, rows // 2), (rows // 2 + 1, 1)):
+                g[dst] = g[src]
+                gl[dst] = (gl[src] + 1) % 40
+            q = rng.standard_normal((nq, dim))
+            # duplicates of gallery rows among the queries tie exactly at zero
+            q[: 4] = g[[0, 1, rows // 2, rows - 1]]
+            ql = rng.integers(0, 40, nq)
+            ql[-1] = 99  # no gallery match
+            with pytest.warns(RuntimeWarning, match="1 query"):
+                res = evaluate_features(q, ql, g, gl, ranks=self.RANKS)
+            want_map, want_cmc, want_skipped = ranking_oracle(q, ql, g, gl, self.RANKS)
+            assert res.skipped_queries == want_skipped == 1
+            assert abs(res.map_score - want_map) < 1e-12
+            for r in self.RANKS:
+                assert abs(res.cmc[r] - want_cmc[r]) < 1e-12
+
+    def test_common_translation_keeps_oracle_ranking(self):
+        rng = np.random.default_rng(13)
+        q, g = rng.standard_normal((150, 16)), rng.standard_normal((300, 16))
+        ql, gl = rng.integers(0, 30, 150), rng.integers(0, 30, 300)
+        res = evaluate_features(q + 1e6, ql, g + 1e6, gl, ranks=self.RANKS)
+        want_map, want_cmc, want_skipped = ranking_oracle(q, ql, g, gl, self.RANKS)
+        assert res.skipped_queries == want_skipped
+        assert abs(res.map_score - want_map) < 1e-12
+        assert res.cmc == pytest.approx(want_cmc, abs=1e-12)
+
+    def test_memory_bounded_without_query_gallery_matrix(self):
+        rng = np.random.default_rng(14)
+        q, g = rng.standard_normal((4000, 128)), rng.standard_normal((4000, 128))
+        labels = np.arange(4000) % 1000
+        tracemalloc.start()
+        try:
+            evaluate_features(q, labels, g, labels, ranks=self.RANKS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4000 x 4000 float64 matrix alone would take 122 MB
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_empty_gallery_and_no_queries_rejected(self):
+        feats, labels = np.eye(3), np.arange(3)
+        with pytest.raises(ValueError, match="empty gallery"):
+            evaluate_features(feats, labels, np.zeros((0, 3)), np.zeros(0, int), ranks=(1,))
+        with pytest.raises(ValueError, match="no queries"):
+            evaluate_features(np.zeros((0, 3)), np.zeros(0, int), feats, labels, ranks=(1,))
 
 
 class TestRunProtocol:

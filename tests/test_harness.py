@@ -9,7 +9,7 @@ import pytest
 
 from xmodal import cli
 from xmodal import harness
-from xmodal.data import SynthConfig, generate_synthetic, split_identity_disjoint
+from xmodal.data import SynthConfig, generate_synthetic, save_dataset, split_identity_disjoint
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import EvalProtocol
 from xmodal.harness import (
@@ -206,6 +206,15 @@ class TestEvaluate:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error names)
+    "missing_bn_state": (lambda doc: doc.pop("bn_state"), "'bn_state'"),
+    "truncated_values": (lambda doc: doc["params"]["head.fc.W"]["values"].pop(),
+                         "params.head.fc.W"),
+    "nan_weight": (lambda doc: doc["params"]["visible.stage1.W"]["values"].__setitem__(
+        3, float("nan")), "params.visible.stage1.W"),
+}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset()
@@ -240,6 +249,21 @@ class TestCheckpoint:
         path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(ConfigError, match="parameter names"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+    def test_faulty_checkpoint_rejected_at_load(self, tmp_path, capsys, fault):
+        edit, key = CHECKPOINT_FAULTS[fault]
+        data, ckpt = tmp_path / "data.txt", tmp_path / "model.ckpt"
+        save_dataset(tiny_dataset(), data)
+        enc = EncoderConfig(input_dim=6, num_classes=6, stage_dims=(8, 8), tap_stage=1, d=5)
+        save_checkpoint(init_encoder(enc, 0), enc, ckpt)
+        header, body = ckpt.read_text().split("\n", 1)
+        doc = json.loads(body)
+        edit(doc)
+        ckpt.write_text(header + "\n" + json.dumps(doc) + "\n")
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(ckpt) in err and key in err, err
 
 
 # ---------------------------------------------------------------------------
