@@ -52,6 +52,20 @@ class Dataset:
         by_id = self.by_sample_id()
         return np.stack([by_id[i].feature for i in sample_ids])
 
+    def pk_index(self):
+        """What PK sampling reads, built once: the (N, D) feature matrix, the
+        sorted identities that have rows in both modalities, and for each of
+        them its (visible, thermal) row indices into the matrix."""
+        if not hasattr(self, "_pk_index"):
+            row = {s.sample_id: i for i, s in enumerate(self.samples)}
+            eligible = sorted(i for i, (vis, thm) in self.identity_index.items() if vis and thm)
+            pools = [tuple(np.array([row[sid] for sid in ids], dtype=np.intp)
+                           for ids in self.identity_index[i])
+                     for i in eligible]
+            features = np.stack([s.feature for s in self.samples])
+            self._pk_index = (features, np.array(eligible), pools)
+        return self._pk_index
+
     def by_modality(self, modality):
         return [s for s in self.samples if s.modality == modality]
 
@@ -210,27 +224,21 @@ def sample_pk_batch(dataset, P, K, rng):
 
     Draws are without replacement unless an identity's modality pool is
     smaller than K, in which case that pool is sampled with replacement.
+    Rows come visible then thermal for each drawn identity in turn.
     """
-    eligible = [i for i, (vis, thm) in dataset.identity_index.items() if vis and thm]
+    features, eligible, pools = dataset.pk_index()
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
-    eligible.sort()
     chosen = rng.choice(len(eligible), size=P, replace=False)
-    by_id = dataset.by_sample_id()
-    rows, idents, mods = [], [], []
+    rows = []
     for ci in chosen:
-        ident = eligible[ci]
-        vis, thm = dataset.identity_index[ident]
-        for pool, mod in ((vis, VISIBLE), (thm, THERMAL)):
+        for pool in pools[ci]:
             picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
-            for p in picks:
-                rows.append(by_id[pool[p]].feature)
-                idents.append(ident)
-                mods.append(mod)
+            rows.append(pool[picks])
     return LabeledBatch(
-        features=np.stack(rows),
-        identity=np.array(idents),
-        modality=np.array(mods),
+        features=features[np.concatenate(rows)],
+        identity=np.repeat(eligible[chosen], 2 * K),
+        modality=np.tile(np.repeat(np.array([VISIBLE, THERMAL]), K), P),
         P=P,
         K=K,
     )

@@ -58,12 +58,16 @@ class LabeledBatch:
         idents = np.unique(self.identity)
         if idents.size != self.P:
             raise ValueError(f"LabeledBatch: expected {self.P} identities, got {idents.size}")
-        for ident in idents:
-            for mod in (VISIBLE, THERMAL):
-                count = int(np.sum((self.identity == ident) & (self.modality == mod)))
-                if count != self.K:
-                    raise ValueError(
-                        f"LabeledBatch: identity {ident} has {count} {mod} rows, expected {self.K}")
+        # modality codes V=0, T=1, any other tag 2: a stray tag leaves some
+        # (identity, V/T) count short of K, since there are only 2PK rows
+        mod_code = 2 - 2 * (self.modality == VISIBLE) - (self.modality == THERMAL)
+        pair = 3 * np.searchsorted(idents, self.identity) + mod_code
+        counts = np.bincount(pair, minlength=3 * self.P).reshape(self.P, 3)
+        bad = counts[:, :2] != self.K
+        if bad.any():
+            i, m = np.argwhere(bad)[0]  # row-major: lowest identity first, V before T
+            raise ValueError(f"LabeledBatch: identity {idents[i]} has {counts[i, m]} "
+                             f"{(VISIBLE, THERMAL)[m]} rows, expected {self.K}")
 
 
 def _masked_rows(labels, dist, cand):

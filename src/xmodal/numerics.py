@@ -5,6 +5,7 @@ matching *_backward consumes the cache and an upstream gradient and returns
 exact analytic gradients.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -143,21 +144,34 @@ def pairwise_distances(a, b):
     A tiny stabilizer inside the sqrt keeps the gradient defined at zero
     distance, so self-distances come out near 1e-6 rather than exactly 0.
     Memory beyond the output is bounded: the difference tensor is built in
-    blocks of at most DIST_BLOCK_BYTES.
+    blocks of at most DIST_BLOCK_BYTES. When `b is a`, only the square
+    blocks on or above the diagonal are computed and mirrored below it.
     """
+    symmetric = b is a
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = a if symmetric else np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"pairwise_distances: shapes {a.shape} and {b.shape} incompatible")
-    # each entry is the same einsum over one contiguous D-vector, blocked or not
+    # each entry is the same einsum over one contiguous D-vector, blocked or
+    # not, and a_j - a_i is exactly -(a_i - a_j), so mirrored blocks are exact
     pair_bytes = 8 * max(a.shape[1], 1)
-    cols = max(1, min(b.shape[0], DIST_BLOCK_BYTES // pair_bytes))
-    rows = max(1, DIST_BLOCK_BYTES // (pair_bytes * cols))
     sq = np.empty((a.shape[0], b.shape[0]))
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, b.shape[0], cols):
-            diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
-            sq[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+    if symmetric:
+        side = max(1, math.isqrt(DIST_BLOCK_BYTES // pair_bytes))
+        for i in range(0, a.shape[0], side):
+            for j in range(i, a.shape[0], side):
+                diff = a[i:i + side, None, :] - a[None, j:j + side, :]
+                block = np.einsum("ijk,ijk->ij", diff, diff)
+                sq[i:i + side, j:j + side] = block
+                if j != i:
+                    sq[j:j + side, i:i + side] = block.T
+    else:
+        cols = max(1, min(b.shape[0], DIST_BLOCK_BYTES // pair_bytes))
+        rows = max(1, DIST_BLOCK_BYTES // (pair_bytes * cols))
+        for i in range(0, a.shape[0], rows):
+            for j in range(0, b.shape[0], cols):
+                diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
+                sq[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)
 
@@ -190,7 +204,11 @@ def softmax_cross_entropy(logits, labels):
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Moment buffers and hyperparameters for one set of named parameters."""
+    """Moment buffers and hyperparameters for one set of named parameters.
+
+    The moments are flat vectors over the parameters in the order of
+    `params` at construction; `slices` maps each name to its span.
+    """
 
     def __init__(self, params, *, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
@@ -203,31 +221,52 @@ class AdamState:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.first_moment = {k: np.zeros_like(v) for k, v in params.items()}
-        self.second_moment = {k: np.zeros_like(v) for k, v in params.items()}
+        self.slices = {}
+        size = 0
+        for name, p in params.items():
+            self.slices[name] = (slice(size, size + p.size), p.shape)
+            size += p.size
+        self.first_moment = np.zeros(size)
+        self.second_moment = np.zeros(size)
+        self.scratch = np.empty(size)
 
 
 def adam_step(params, grads, state):
-    """Bias-corrected Adam update, applied to `params` in place."""
-    if set(grads) != set(params):
+    """Bias-corrected Adam update, applied to `params` in place.
+
+    One elementwise pass over the flat gradient, with the same operations
+    in the same order as a per-array update, so the result is bit-identical.
+    """
+    if set(grads) != set(params) or set(params) != set(state.slices):
         raise ValueError("adam_step: parameter/gradient name mismatch")
+    for name, (_, shape) in state.slices.items():
+        if grads[name].shape != shape or params[name].shape != shape:
+            raise ValueError(f"adam_step: shape mismatch for {name}")
+    g = np.concatenate([grads[name].reshape(-1) for name in state.slices])
+    if not np.all(np.isfinite(g)):
+        bad = next(n for n, (span, _) in state.slices.items() if not np.all(np.isfinite(g[span])))
+        raise ValueError(f"adam_step: non-finite gradient for {bad}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"adam_step: non-finite gradient for {name}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    m, v, tmp = state.first_moment, state.second_moment, state.scratch
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    # step = lr * (m / bc1) / (sqrt(v / bc2) + eps); g is free to hold the denominator
+    np.divide(m, bc1, out=tmp)
+    tmp *= state.learning_rate
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.epsilon
+    tmp /= g
+    for name, (span, shape) in state.slices.items():
+        params[name] -= tmp[span].reshape(shape)
     return params, state
 
 
@@ -256,8 +295,33 @@ def finite_diff_grad(f, x, h=1e-5):
     return grad
 
 
-def max_relative_error(analytic, numeric, floor=1e-4):
-    """Elementwise |a - b| / max(|a|, |b|, floor), maximized.
+def finite_diff_entries(f, x, entries, h=1e-5):
+    """Fourth-order central-difference estimates at the flat indices `entries`.
+
+    Each is (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / 12h, whose
+    truncation error is O(h^4) against the two-point form's O(h^2), at
+    twice the function evaluations.
+    """
+    if h <= 0.0:
+        raise ValueError("finite_diff_entries: h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty(len(entries))
+    for k, i in enumerate(entries):
+        orig = flat[i]
+        vals = []
+        for step in (2.0 * h, h, -h, -2.0 * h):
+            flat[i] = orig + step
+            vals.append(f(x))
+        flat[i] = orig
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("finite_diff_entries: non-finite function evaluation")
+        out[k] = (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h)
+    return out
+
+
+def relative_errors(analytic, numeric, floor=1e-4):
+    """Elementwise |a - b| / max(|a|, |b|, floor), flattened.
 
     The floor keeps finite-difference roundoff (~1e-10 absolute) from
     dominating entries whose true gradient is exactly zero, e.g. bias
@@ -265,7 +329,10 @@ def max_relative_error(analytic, numeric, floor=1e-4):
     """
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     b = np.asarray(numeric, dtype=np.float64).reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / denom))
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def max_relative_error(analytic, numeric, floor=1e-4):
+    """The largest of `relative_errors`, 0 for empty arrays."""
+    errors = relative_errors(analytic, numeric, floor)
+    return float(errors.max()) if errors.size else 0.0

@@ -103,3 +103,101 @@ def random_pk_batch(rng, P, K, dim, scale=1.0):
     idents = np.repeat(np.arange(P), 2 * K)
     mods = np.array((["V"] * K + ["T"] * K) * P)
     return LabeledBatch(features=feats, identity=idents, modality=mods, P=P, K=K)
+
+
+# ---------------------------------------------------------------------------
+# Per-array and per-row forms of kernels that now run over flat arrays. The
+# library's forms must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+class AdamReference:
+    """Per-array Adam: one moment pair per named parameter."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.epsilon = learning_rate, beta1, beta2, epsilon
+        self.step_count = 0
+        self.first_moment = {k: np.zeros_like(v) for k, v in params.items()}
+        self.second_moment = {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def adam_step_reference(params, grads, state):
+    if set(grads) != set(params):
+        raise ValueError("adam_step: parameter/gradient name mismatch")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"adam_step: shape mismatch for {name}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"adam_step: non-finite gradient for {name}")
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    return params, state
+
+
+def sample_pk_batch_reference(dataset, P, K, rng):
+    """PK sampling row by row through `identity_index` and sample ids."""
+    from xmodal.losses import LabeledBatch
+
+    eligible = [i for i, (vis, thm) in dataset.identity_index.items() if vis and thm]
+    if len(eligible) < P:
+        raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
+    eligible.sort()
+    chosen = rng.choice(len(eligible), size=P, replace=False)
+    by_id = {s.sample_id: s for s in dataset.samples}
+    rows, idents, mods = [], [], []
+    for ci in chosen:
+        ident = eligible[ci]
+        vis, thm = dataset.identity_index[ident]
+        for pool, mod in ((vis, "V"), (thm, "T")):
+            picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
+            for p in picks:
+                rows.append(by_id[pool[p]].feature)
+                idents.append(ident)
+                mods.append(mod)
+    return LabeledBatch(features=np.stack(rows), identity=np.array(idents),
+                        modality=np.array(mods), P=P, K=K)
+
+
+def validate_reference(batch):
+    """`LabeledBatch.validate` as one count per (identity, modality)."""
+    if batch.P < 2 or batch.K < 1:
+        raise ValueError("LabeledBatch: need P >= 2 identities and K >= 1 rows each")
+    n = batch.features.shape[0]
+    if n != 2 * batch.P * batch.K:
+        raise ValueError(f"LabeledBatch: expected {2 * batch.P * batch.K} rows, got {n}")
+    if batch.identity.shape != (n,) or batch.modality.shape != (n,):
+        raise ValueError("LabeledBatch: label arrays must match row count")
+    idents = np.unique(batch.identity)
+    if idents.size != batch.P:
+        raise ValueError(f"LabeledBatch: expected {batch.P} identities, got {idents.size}")
+    for ident in idents:
+        for mod in ("V", "T"):
+            count = int(np.sum((batch.identity == ident) & (batch.modality == mod)))
+            if count != batch.K:
+                raise ValueError(
+                    f"LabeledBatch: identity {ident} has {count} {mod} rows, expected {batch.K}")
+
+
+def pairwise_distances_reference(a, b):
+    """Distances from one unblocked difference tensor."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + STAB)
+
+
+def split_batch_reference(batch, idents):
+    """`harness._split_batch` with class labels from a dict lookup per row."""
+    label_map = {ident: i for i, ident in enumerate(idents)}
+    vis = np.flatnonzero(batch.modality == "V")
+    thm = np.flatnonzero(batch.modality == "T")
+    return (batch.features[vis], batch.features[thm],
+            np.array([label_map[i] for i in batch.identity[vis]]),
+            np.array([label_map[i] for i in batch.identity[thm]]))

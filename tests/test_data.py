@@ -14,6 +14,8 @@ from xmodal.data import (
     split_identity_disjoint,
 )
 
+from helpers import sample_pk_batch_reference
+
 
 def small_synth(**kw):
     base = dict(num_identities=6, per_identity_per_modality=4, input_dim=3,
@@ -162,3 +164,29 @@ class TestPKSampler:
         for _ in range(1000):
             seen |= set(sample_pk_batch(ds, 8, 2, rng).identity.tolist())
         assert seen == set(range(20))
+
+    def test_matches_row_by_row_reference(self):
+        # shuffled rows, sparse sample ids, one identity with no thermal rows
+        # (never eligible), and pools of 1 and 2 rows, which K=3 draws with
+        # replacement
+        base = generate_synthetic(small_synth(num_identities=9, per_identity_per_modality=4))
+        order = np.random.default_rng(3).permutation(len(base.samples))
+        samples = []
+        for rank, i in enumerate(order):
+            s = base.samples[i]
+            if s.identity == 0 and s.modality == "T":
+                continue
+            if s.identity in (1, 2) and s.sample_id % 4 >= s.identity:
+                continue
+            samples.append(Sample(s.feature, s.identity, s.modality, 7 * rank + 5))
+        ds = Dataset(samples)
+        for K in (1, 3, 4):
+            rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
+            for _ in range(200):
+                batch = sample_pk_batch(ds, 5, K, rng)
+                ref = sample_pk_batch_reference(ds, 5, K, ref_rng)
+                for got, want in ((batch.features, ref.features), (batch.identity, ref.identity),
+                                  (batch.modality, ref.modality)):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

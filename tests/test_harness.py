@@ -7,8 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from xmodal import cli
-from xmodal import harness
+from xmodal import cli, encoder, harness, losses
 from xmodal.data import SynthConfig, generate_synthetic, save_dataset, split_identity_disjoint
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import EvalProtocol
@@ -26,7 +25,17 @@ from xmodal.harness import (
     split_hash,
     train,
 )
-from xmodal.losses import LossConfig, THERMAL, VISIBLE
+from xmodal.losses import LabeledBatch, LossConfig, THERMAL, VISIBLE
+from xmodal.numerics import batchnorm_backward
+
+from helpers import (
+    AdamReference,
+    adam_step_reference,
+    pairwise_distances_reference,
+    sample_pk_batch_reference,
+    split_batch_reference,
+    validate_reference,
+)
 
 
 def tiny_dataset(seed=0, num_identities=6, per=3, dim=6):
@@ -166,6 +175,27 @@ class TestTrain:
         p2, _, _ = train(ds, tiny_config())
         for name, v in p1.values.items():
             assert np.array_equal(v, p2.values[name]), name
+
+    def test_reference_kernels_give_byte_identical_training(self, monkeypatch):
+        # 24 rows of 128 metric features cross the 16-row distance blocks
+        ds = tiny_dataset(num_identities=8, per=3)
+        enc = EncoderConfig(input_dim=6, num_classes=0, stage_dims=(8, 8), tap_stage=1, d=64)
+        cfg = tiny_config(encoder=enc, P=4, K=3, epochs=3)
+        p1, _, r1 = train(ds, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "sample_pk_batch", sample_pk_batch_reference)
+            m.setattr(harness, "_split_batch", split_batch_reference)
+            m.setattr(harness, "AdamState", AdamReference)
+            m.setattr(harness, "adam_step", adam_step_reference)
+            m.setattr(losses, "pairwise_distances", pairwise_distances_reference)
+            m.setattr(LabeledBatch, "validate", validate_reference)
+            p2, _, r2 = train(ds, cfg)
+        assert r1.to_json() == r2.to_json()
+        for section in ("values", "bn_state"):
+            a, b = getattr(p1, section), getattr(p2, section)
+            assert set(a) == set(b)
+            for name in a:
+                assert np.array_equal(a[name], b[name]), (section, name)
 
     def test_loss_decreases_over_training(self):
         ds = tiny_dataset(num_identities=8, per=4)
@@ -365,6 +395,32 @@ class TestGradcheck:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 for _ in range(harness.FULL_MODEL_TRIALS):
                     assert harness.GRADCHECK_COMPONENTS[name](rng) < 1e-4, name
+
+
+    def test_full_model_backbone_seed_27_passes(self):
+        # a correct gradient whose two-point estimate on one small entry
+        # carries 6.7e-4 relative truncation error; the four-point stencil
+        # re-estimates it
+        name = "full_model_backbone"
+        rng = np.random.default_rng([27, zlib.crc32(name.encode())])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(harness.FULL_MODEL_TRIALS):
+                assert harness.GRADCHECK_COMPONENTS[name](rng) < 1e-4
+
+    def test_detects_a_batchnorm_dx_off_by_a_thousandth(self, monkeypatch):
+        def skewed(cache, g):
+            dx, dgamma, dbeta = batchnorm_backward(cache, g)
+            return dx * (1.0 + 1e-3), dgamma, dbeta
+
+        monkeypatch.setattr(harness, "batchnorm_backward", skewed)
+        monkeypatch.setattr(encoder, "batchnorm_backward", skewed)
+        monkeypatch.setattr(harness, "FULL_MODEL_TRIALS", 1)
+        report, ok = gradcheck(trials=3, seed=0)
+        assert not ok
+        failed = {name for name, rec in report.items() if not rec["ok"]}
+        assert failed == {"batchnorm", "full_model_mfi", "full_model_backbone"}
+        assert "FAIL" in gradcheck_text(report)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from helpers import (
     intra_modality_oracle,
     mining_margins_oracle,
     random_pk_batch,
+    validate_reference,
 )
 
 RHO = 0.5
@@ -203,6 +204,45 @@ class TestProperties:
                            modality=batch.modality, P=2, K=1)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_validate_matches_per_identity_reference(self):
+        # every rejection, in the reference's order and wording, and a pass
+        def case(ident, mod, P=3, K=2, n=None, labels=None):
+            n = len(ident) if n is None else n
+            ident = np.array(ident) if labels is None else labels
+            return LabeledBatch(features=np.zeros((n, 2)), identity=ident,
+                                modality=np.array(list(mod)), P=P, K=K)
+
+        ok_ids, ok_mods = [5, 5, 5, 5, 2, 2, 2, 2, 9, 9, 9, 9], "VVTTVVTTVVTT"
+        cases = [
+            case(ok_ids, ok_mods),
+            case(ok_ids[::-1], ok_mods[::-1]),
+            case(ok_ids, ok_mods, P=1, K=6),
+            case(ok_ids, ok_mods, P=6, K=0),
+            case(ok_ids, ok_mods, n=11),
+            case(ok_ids, ok_mods, labels=np.array(ok_ids[:-1])),
+            case([5] * 8 + [2] * 4, ok_mods),
+            case([5, 5, 5, 5, 2, 2, 2, 2, 9, 9, 9, 1], ok_mods),
+            case(ok_ids, "VVTTVVVTVVTT"),
+            case(ok_ids, "VVTTVVTTVTTT"),
+            case(ok_ids, "VVTTVXTTVVTT"),
+            case(ok_ids, "VVTTVVTTVVTX"),
+            case(ok_ids, "TTVVVVTTVVTT"),
+            case([5, 2, 5, 2, 2, 5, 9, 9, 2, 9, 5, 9], "VVTTVXTTVVTT"),
+            case([5, 5, 5, 5, 2, 2, 2, 2, 9, 9, 9, 9], "VVTTVVTTVVTv"),
+        ]
+        for batch in cases:
+            try:
+                validate_reference(batch)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            if expected is None:
+                batch.validate()
+            else:
+                with pytest.raises(ValueError) as err:
+                    batch.validate()
+                assert str(err.value) == expected
 
     @pytest.mark.parametrize("P, K", [(1, 2), (0, 3)])
     def test_too_small_batch_rejected(self, P, K):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.numerics import (
     DIST_BLOCK_BYTES,
     DIST_STABILIZER,
@@ -13,6 +14,7 @@ from xmodal.numerics import (
     batchnorm_forward,
     dense_backward,
     dense_forward,
+    finite_diff_entries,
     finite_diff_grad,
     l2_normalize_backward,
     l2_normalize_forward,
@@ -23,7 +25,7 @@ from xmodal.numerics import (
     softmax_cross_entropy,
 )
 
-from helpers import dist_oracle
+from helpers import AdamReference, adam_step_reference, dist_oracle
 
 
 class TestLayerForward:
@@ -167,17 +169,29 @@ class TestPairwiseDistances:
             a, b = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
             np.testing.assert_array_equal(pairwise_distances(a, b), self._unblocked(a, b))
 
+    @pytest.mark.parametrize("dim", [1, 7, 128])
+    def test_symmetric_is_bit_identical_to_unblocked(self, dim):
+        # `side` rows make one square block of DIST_BLOCK_BYTES (16 at D=128)
+        side = math.isqrt(DIST_BLOCK_BYTES // (8 * dim))
+        rng = np.random.default_rng(100 + dim)
+        for n in (0, 1, side - 1, side, side + 1, 2 * side + 1, 4 * side):
+            a = rng.standard_normal((n, dim))
+            d = pairwise_distances(a, a)
+            np.testing.assert_array_equal(d, self._unblocked(a, a))
+            np.testing.assert_array_equal(d, pairwise_distances(a, a.copy()))
+
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(9)
         a, b = rng.standard_normal((1000, 128)), rng.standard_normal((1000, 128))
-        tracemalloc.start()
-        try:
-            pairwise_distances(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 8 MB output plus one block
-        assert peak < 32 * 2 ** 20
+        for other in (b, a):
+            tracemalloc.start()
+            try:
+                pairwise_distances(a, other)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the 8 MB output plus one block
+            assert peak < 32 * 2 ** 20
 
 
 class TestSoftmaxCrossEntropy:
@@ -246,6 +260,46 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.array([np.inf])}, state)
 
+    def test_non_finite_gradient_names_it_and_moves_nothing(self):
+        params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.ones(1)}
+        state = AdamState(params, learning_rate=0.1)
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        grads["b"][1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient for b"):
+            adam_step(params, grads, state)
+        for v in params.values():
+            np.testing.assert_array_equal(v, 1.0)
+        assert state.step_count == 0
+
+    def test_shape_mismatch_rejected(self):
+        params = {"w": np.ones(3)}
+        state = AdamState(params)
+        with pytest.raises(ValueError, match="shape mismatch for w"):
+            adam_step(params, {"w": np.ones(4)}, state)
+
+    def test_flat_update_is_bit_identical_to_per_array(self):
+        # the 24 arrays of the reference encoder; a learning-rate decay and
+        # zeroed stream gradients, as in a training run's frozen epochs
+        cfg = EncoderConfig(input_dim=32, num_classes=25, stage_dims=(64, 64, 64),
+                            tap_stage=2, d=64, fusion="cat")
+        params = init_encoder(cfg, 0).values
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state = AdamState(params, learning_rate=1e-3)
+        ref_state = AdamReference(ref_params, learning_rate=1e-3)
+        rng = np.random.default_rng(11)
+        for step in range(20):
+            if step == 10:
+                state.learning_rate = ref_state.learning_rate = 1e-4
+            grads = {k: 1e-2 * rng.standard_normal(v.shape) for k, v in params.items()}
+            if step < 5:
+                for k in grads:
+                    if k.startswith(("visible.", "thermal.")):
+                        grads[k][...] = 0.0
+            adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
+            adam_step_reference(ref_params, grads, ref_state)
+            for k in params:
+                assert np.array_equal(params[k], ref_params[k]), (step, k)
+
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):
@@ -265,3 +319,15 @@ class TestFiniteDiff:
     def test_bad_h(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda x: 0.0, np.ones(2), h=0.0)
+        with pytest.raises(ValueError):
+            finite_diff_entries(lambda x: 0.0, np.ones(2), [0], h=0.0)
+
+    def test_four_point_stencil_is_exact_on_quartics(self):
+        # the two-point form reads 4 + 4h^2 for d/dx x^4 at x = 1
+        x = np.array([[2.0, 1.0]])
+        f = lambda v: float(v[0, 1] ** 4 + 3.0 * v[0, 0])
+        two_point = finite_diff_grad(f, x, h=1e-2)
+        assert abs(two_point[0, 1] - 4.0004) < 1e-9
+        est = finite_diff_entries(f, x, [1, 0], h=1e-2)
+        np.testing.assert_allclose(est, [4.0, 3.0], rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(x, [[2.0, 1.0]])
