@@ -144,7 +144,7 @@ def pairwise_distances(a, b):
     A tiny stabilizer inside the sqrt keeps the gradient defined at zero
     distance, so self-distances come out near 1e-6 rather than exactly 0.
     Memory beyond the output is bounded: the difference tensor is built in
-    blocks of at most DIST_BLOCK_BYTES. When `b is a`, only the square
+    square blocks of at most DIST_BLOCK_BYTES. When `b is a`, only the
     blocks on or above the diagonal are computed and mirrored below it.
     """
     symmetric = b is a
@@ -154,24 +154,15 @@ def pairwise_distances(a, b):
         raise ValueError(f"pairwise_distances: shapes {a.shape} and {b.shape} incompatible")
     # each entry is the same einsum over one contiguous D-vector, blocked or
     # not, and a_j - a_i is exactly -(a_i - a_j), so mirrored blocks are exact
-    pair_bytes = 8 * max(a.shape[1], 1)
+    side = max(1, math.isqrt(DIST_BLOCK_BYTES // (8 * max(a.shape[1], 1))))
     sq = np.empty((a.shape[0], b.shape[0]))
-    if symmetric:
-        side = max(1, math.isqrt(DIST_BLOCK_BYTES // pair_bytes))
-        for i in range(0, a.shape[0], side):
-            for j in range(i, a.shape[0], side):
-                diff = a[i:i + side, None, :] - a[None, j:j + side, :]
-                block = np.einsum("ijk,ijk->ij", diff, diff)
-                sq[i:i + side, j:j + side] = block
-                if j != i:
-                    sq[j:j + side, i:i + side] = block.T
-    else:
-        cols = max(1, min(b.shape[0], DIST_BLOCK_BYTES // pair_bytes))
-        rows = max(1, DIST_BLOCK_BYTES // (pair_bytes * cols))
-        for i in range(0, a.shape[0], rows):
-            for j in range(0, b.shape[0], cols):
-                diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
-                sq[i:i + rows, j:j + cols] = np.einsum("ijk,ijk->ij", diff, diff)
+    for i in range(0, a.shape[0], side):
+        for j in range(i if symmetric else 0, b.shape[0], side):
+            diff = a[i:i + side, None, :] - b[None, j:j + side, :]
+            block = np.einsum("ijk,ijk->ij", diff, diff)
+            sq[i:i + side, j:j + side] = block
+            if symmetric and j != i:
+                sq[j:j + side, i:i + side] = block.T
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)
 
@@ -274,25 +265,42 @@ def adam_step(params, grads, state):
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
+# (steps in units of h, their weights, the denominator in units of h)
+_TWO_POINT = ((1.0, -1.0), (1.0, -1.0), 2.0)
+_FOUR_POINT = ((2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
+
+
+def _finite_differences(f, x, entries, stencil, h):
+    """Estimates of df/dx at the flat indices `entries` of x, in that order.
+
+    Each is sum(weight * f(x + step * h * e_i)) / (denominator * h) over
+    the stencil; x is perturbed in place and restored after every entry.
+    """
+    if h <= 0.0:
+        raise ValueError("finite differences: h must be positive")
+    steps, weights, denominator = stencil
+    flat = x.reshape(-1)
+    out = np.empty(len(entries))
+    for k, i in enumerate(entries):
+        orig = flat[i]
+        vals = []
+        for step in steps:
+            flat[i] = orig + step * h
+            vals.append(f(x))
+        flat[i] = orig
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("finite differences: non-finite function evaluation")
+        total = weights[0] * vals[0]
+        for weight, val in zip(weights[1:], vals[1:]):
+            total += weight * val
+        out[k] = total / (denominator * h)
+    return out
+
+
 def finite_diff_grad(f, x, h=1e-5):
     """Central-difference gradient estimate of a scalar function."""
-    if h <= 0.0:
-        raise ValueError("finite_diff_grad: h must be positive")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        if not np.isfinite(fp) or not np.isfinite(fm):
-            raise ValueError("finite_diff_grad: non-finite function evaluation")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    return _finite_differences(f, x, range(x.size), _TWO_POINT, h).reshape(x.shape)
 
 
 def finite_diff_entries(f, x, entries, h=1e-5):
@@ -302,22 +310,7 @@ def finite_diff_entries(f, x, entries, h=1e-5):
     truncation error is O(h^4) against the two-point form's O(h^2), at
     twice the function evaluations.
     """
-    if h <= 0.0:
-        raise ValueError("finite_diff_entries: h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    out = np.empty(len(entries))
-    for k, i in enumerate(entries):
-        orig = flat[i]
-        vals = []
-        for step in (2.0 * h, h, -h, -2.0 * h):
-            flat[i] = orig + step
-            vals.append(f(x))
-        flat[i] = orig
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("finite_diff_entries: non-finite function evaluation")
-        out[k] = (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h)
-    return out
+    return _finite_differences(f, np.asarray(x, dtype=np.float64), entries, _FOUR_POINT, h)
 
 
 def relative_errors(analytic, numeric, floor=1e-4):

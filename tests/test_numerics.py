@@ -155,9 +155,10 @@ class TestPairwiseDistances:
 
     @pytest.mark.parametrize("dim", [1, 7, 128])
     def test_blocked_is_bit_identical_to_unblocked(self, dim):
-        # at `per_block` pairs a difference block fills DIST_BLOCK_BYTES:
-        # cross it along the columns, and along the rows once every column
-        # fits in one block
+        # `side` x `side` pairs make one difference block of DIST_BLOCK_BYTES:
+        # cross it along the rows, the columns and both; `per_block` pairs
+        # would fill one block in a single row
+        side = math.isqrt(DIST_BLOCK_BYTES // (8 * dim))
         per_block = DIST_BLOCK_BYTES // (8 * dim)
         rng = np.random.default_rng(dim)
         shapes = [(1, 1), (0, 5), (5, 0), (3, per_block - 1), (3, per_block),
@@ -165,6 +166,8 @@ class TestPairwiseDistances:
         for cols in (per_block // 8, per_block // 2):
             rows = per_block // cols
             shapes += [(rows - 1, cols), (rows, cols), (rows + 1, cols), (2 * rows + 5, cols)]
+        shapes += [(side + 1, 2), (side - 1, side + 1), (2 * side + 1, side),
+                   (side, 2 * side + 1)]
         for n, m in shapes:
             a, b = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
             np.testing.assert_array_equal(pairwise_distances(a, b), self._unblocked(a, b))
