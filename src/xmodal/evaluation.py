@@ -52,10 +52,14 @@ def _ranked_blocks(query_feats, gallery_feats):
     centered on the gallery mean first, so that a common offset in the
     features cannot swamp the cross term. Duplicate gallery rows share one
     GEMM column, because BLAS may round equal columns differently; they tie
-    exactly and the stable sort puts the lowest index first. A block holds
-    at most DIST_BLOCK_BYTES of distances, never a Q x G matrix. These
-    values are neither exact nor differentiable, which is why training and
-    gradcheck keep numerics.pairwise_distances.
+    exactly. Each block is ranked by numpy's default (unstable, SIMD)
+    argsort. A row whose sorted distances increase strictly has one
+    ascending order, so any sort returns it; every other row holds an exact
+    tie and is sorted again with the stable sort, which puts the lowest
+    index first. Features must be finite, so a tie is exact equality. A
+    block holds at most DIST_BLOCK_BYTES of distances, never a Q x G matrix.
+    These values are neither exact nor differentiable, which is why training
+    and gradcheck keep numerics.pairwise_distances.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -65,6 +69,10 @@ def _ranked_blocks(query_feats, gallery_feats):
         raise ValueError("evaluation: empty gallery")
     if q.shape[0] == 0:
         raise ValueError("evaluation: no queries")
+    if not np.isfinite(q).all():
+        raise ValueError("evaluation: non-finite query feature")
+    if not np.isfinite(g).all():
+        raise ValueError("evaluation: non-finite gallery feature")
     mean = g.mean(axis=0)
     unique, column = np.unique(g, axis=0, return_inverse=True)
     column = column.reshape(-1)
@@ -75,7 +83,12 @@ def _ranked_blocks(query_feats, gallery_feats):
     for start in range(0, q.shape[0], rows):
         dist = (q[start:start + rows] - mean) @ unique.T
         dist += sq_norms
-        yield start, np.argsort(dist[:, column], axis=1, kind="stable")
+        dist = dist[:, column]
+        order = np.argsort(dist, axis=1)
+        ranked = np.take_along_axis(dist, order, axis=1)
+        tied = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        yield start, order
 
 
 def _average_precisions(rel):
@@ -98,7 +111,12 @@ def _cmc_rates(first_hits, ranks):
 
 
 def rank_gallery(query_feature, gallery_features):
-    """Gallery indices by ascending distance; ties break by ascending index."""
+    """Gallery indices by ascending distance; ties break by ascending index.
+
+    Ranks through the same path as evaluate_features: a fast sort, and a
+    stable one for a row that holds an exact tie. Non-finite features
+    raise ValueError.
+    """
     q = np.asarray(query_feature, dtype=np.float64).reshape(1, -1)
     (_, order), = _ranked_blocks(q, gallery_features)
     return order[0]

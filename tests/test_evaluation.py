@@ -7,6 +7,7 @@ from xmodal.data import SynthConfig, generate_synthetic
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import (
     EvalProtocol,
+    _ranked_blocks,
     average_precision,
     cmc_curve,
     evaluate_features,
@@ -200,6 +201,47 @@ class TestStreamedRanking:
             tracemalloc.stop()
         # one 4000 x 4000 float64 matrix alone would take 122 MB
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_every_tied_row_keeps_the_lowest_index_first(self):
+        # an integer grid centered on 0: the gallery mean is exactly 0 and
+        # every squared distance from an integer query is an exact integer,
+        # so each integer query row holds ties; Gaussian query rows hold none
+        rng = np.random.default_rng(15)
+        axis = np.arange(-2.0, 3.0)
+        g = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        g = g[rng.permutation(len(g))]
+        gl = rng.integers(0, 5, len(g))
+        per_block = DIST_BLOCK_BYTES // (8 * len(g))
+        q = rng.integers(-3, 4, (2 * per_block + per_block // 2, 3)).astype(float)
+        untied = np.arange(per_block + 1, len(q), 4)  # the first block is all ties
+        q[untied] = rng.standard_normal((len(untied), 3))
+        ql = rng.integers(0, 5, len(q))
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        ranked = np.sort(sq, axis=1)
+        has_tie = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        assert has_tie.sum() == len(q) - len(untied) and not has_tie[untied].any()
+
+        want = np.array([rank_oracle(f, g) for f in q])
+        blocks = list(_ranked_blocks(q, g))
+        assert len(blocks) == 3
+        np.testing.assert_array_equal(np.concatenate([order for _, order in blocks]), want)
+        for f, row in zip(q[::7], want[::7]):
+            np.testing.assert_array_equal(rank_gallery(f, g), row)
+        res = evaluate_features(q, ql, g, gl, ranks=self.RANKS)
+        want_map, want_cmc, want_skipped = ranking_oracle(q, ql, g, gl, self.RANKS)
+        assert res.skipped_queries == want_skipped == 0
+        assert abs(res.map_score - want_map) < 1e-12
+        assert res.cmc == pytest.approx(want_cmc, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats, labels = np.eye(3), np.arange(3)
+        broken = feats.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite query feature"):
+            evaluate_features(broken, labels, feats, labels, ranks=(1,))
+        with pytest.raises(ValueError, match="non-finite gallery feature"):
+            evaluate_features(feats, labels, broken, labels, ranks=(1,))
 
     def test_empty_gallery_and_no_queries_rejected(self):
         feats, labels = np.eye(3), np.arange(3)

@@ -26,7 +26,7 @@ from xmodal.harness import (
     train,
 )
 from xmodal.losses import LabeledBatch, LossConfig, THERMAL, VISIBLE
-from xmodal.numerics import batchnorm_backward
+from xmodal.numerics import batchnorm_backward, l2_normalize_backward
 
 from helpers import (
     AdamReference,
@@ -357,6 +357,15 @@ class TestAblation:
 # Gradcheck harness behaviour (full sweep lives in the acceptance suite)
 # ---------------------------------------------------------------------------
 
+def failing_components(monkeypatch):
+    """Names of the components a short gradcheck run (seed 0) reports as FAIL."""
+    monkeypatch.setattr(harness, "FULL_MODEL_TRIALS", 1)
+    report, ok = gradcheck(trials=3, seed=0)
+    assert not ok
+    assert "FAIL" in gradcheck_text(report)
+    return {name for name, rec in report.items() if not rec["ok"]}
+
+
 class TestGradcheck:
     def test_smoke_on_fast_components(self, monkeypatch):
         fast = {k: v for k, v in harness.GRADCHECK_COMPONENTS.items()
@@ -415,12 +424,34 @@ class TestGradcheck:
 
         monkeypatch.setattr(harness, "batchnorm_backward", skewed)
         monkeypatch.setattr(encoder, "batchnorm_backward", skewed)
-        monkeypatch.setattr(harness, "FULL_MODEL_TRIALS", 1)
-        report, ok = gradcheck(trials=3, seed=0)
-        assert not ok
-        failed = {name for name, rec in report.items() if not rec["ok"]}
-        assert failed == {"batchnorm", "full_model_mfi", "full_model_backbone"}
-        assert "FAIL" in gradcheck_text(report)
+        assert failing_components(monkeypatch) == {"batchnorm", "full_model_mfi",
+                                                   "full_model_backbone"}
+
+    def test_detects_a_mined_hinge_scatter_off_by_a_thousandth(self, monkeypatch):
+        class ScaledScatter:
+            """numpy as losses sees it, except that add.at scatters 1 + 1e-3 times its values."""
+
+            class add:
+                @staticmethod
+                def at(a, indices, b):
+                    np.add.at(a, indices, b * (1.0 + 1e-3))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(losses, "np", ScaledScatter())
+        assert failing_components(monkeypatch) == {
+            "batch_hard_triplet", "cross_modality_triplet", "intra_modality_triplet",
+            "full_model_mfi", "full_model_backbone"}
+
+    def test_detects_an_l2_normalize_dx_off_by_a_thousandth(self, monkeypatch):
+        def skewed(cache, g):
+            return l2_normalize_backward(cache, g) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(harness, "l2_normalize_backward", skewed)
+        monkeypatch.setattr(losses, "l2_normalize_backward", skewed)
+        assert failing_components(monkeypatch) == {"l2_normalize", "full_model_mfi",
+                                                   "full_model_backbone"}
 
 
 # ---------------------------------------------------------------------------
