@@ -167,7 +167,8 @@ def encode(params, config, x, modality, mode="train"):
 
     Returns (FeatureBundle, cache). Train mode uses batch statistics in the
     batchnorm layers and updates their running stats in place; eval mode is
-    pure and reads running stats only.
+    pure and reads running stats only. Non-finite input is rejected here,
+    since the layers themselves do not check.
     """
     if modality not in MODALITIES:
         raise ValueError(f"encode: unknown modality {modality!r}")
@@ -176,6 +177,8 @@ def encode(params, config, x, modality, mode="train"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"encode: input shape {x.shape} does not match input_dim {config.input_dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("encode: non-finite input")
     train = mode == "train"
     v = params.values
 

@@ -526,25 +526,44 @@ def _full_model_setup(rng, mfi, fusion="cat"):
     return cfg, params, loss_cfg, x, labels, P, K
 
 
-def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
+def _encode_pair(params, cfg, x):
+    """Train-mode encodings of the visible (first) and thermal halves of x.
+
+    Reads `params.values` as they are and works on a copy of the running
+    stats, the only state train-mode `encode` changes, so `params` is left
+    as it was.
+    """
     n = x.shape[0] // 2
-    work = params.copy()  # keep running stats out of the finite-difference loop
+    work = EncoderParams(values=params.values,
+                         bn_state={k: v.copy() for k, v in params.bn_state.items()})
     bundle_v, cache_v = encode(work, cfg, x[:n], "visible", mode="train")
     bundle_t, cache_t = encode(work, cfg, x[n:], "thermal", mode="train")
+    return bundle_v, cache_v, bundle_t, cache_t
+
+
+def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
+    """Total loss of one model instance and its gradient for every parameter."""
+    n = x.shape[0] // 2
+    bundle_v, cache_v, bundle_t, cache_t = _encode_pair(params, cfg, x)
     breakdown, gv, gt = total_loss(bundle_v, bundle_t, labels[:n], labels[n:], loss_cfg, P, K)
     grads = zero_grads(params)
-    encode_backward(work, cfg, cache_v, gv, out=grads)
-    encode_backward(work, cfg, cache_t, gt, out=grads)
+    encode_backward(params, cfg, cache_v, gv, out=grads)
+    encode_backward(params, cfg, cache_t, gt, out=grads)
     return breakdown.total, grads
+
+
+def _model_loss(params, cfg, loss_cfg, x, labels, P, K):
+    """`_model_forward`'s total loss alone, without the backward pass."""
+    n = x.shape[0] // 2
+    bundle_v, _, bundle_t, _ = _encode_pair(params, cfg, x)
+    return total_loss(bundle_v, bundle_t, labels[:n], labels[n:], loss_cfg, P, K)[0].total
 
 
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     """Smallest distance of a model instance from a kink: of any ReLU input
     from zero, or of the mined triplets (see `mining_margins`)."""
     n = x.shape[0] // 2
-    work = params.copy()
-    bundle_v, cache_v = encode(work, cfg, x[:n], "visible", mode="train")
-    bundle_t, cache_t = encode(work, cfg, x[n:], "thermal", mode="train")
+    bundle_v, cache_v, bundle_t, cache_t = _encode_pair(params, cfg, x)
     # cache[1] holds one (dense cache, relu cache) pair per stage
     relu_margin = min(float(np.min(np.abs(relu_cache[0])))
                       for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
@@ -570,9 +589,8 @@ def _check_full_model(rng, mfi):
     worst = 0.0
     for name in sorted(params.values):
         def f(v, name=name):
-            trial = params.copy()
-            trial.values[name] = v
-            return _model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+            trial = EncoderParams(values={**params.values, name: v}, bn_state=params.bn_state)
+            return _model_loss(trial, cfg, loss_cfg, x, labels, P, K)
 
         worst = max(worst, _gradient_error(grads[name], f, params.values[name].copy()))
     return worst
@@ -602,6 +620,8 @@ def gradcheck(trials=100, seed=0):
     error and trial count. A component passes below GRADCHECK_THRESHOLD,
     the same bound that picks the entries to estimate again.
     """
+    if trials < 1:
+        raise ConfigError(f"gradcheck: trials must be >= 1, got {trials}")
     report = {}
     all_ok = True
     with warnings.catch_warnings():

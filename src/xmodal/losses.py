@@ -7,6 +7,7 @@ the selected pair of anchors whose hinge is strictly active. Ties in the
 hardest-pair selection break toward the lowest row index.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,30 @@ def _mined_hinge(features, labels, dist, cand, rho):
     # d = sqrt(||f_a - f_b||^2 + eps), so dd/df_a = (f_a - f_b) / d
     gp = (features[a] - features[p]) / dist[a, p][:, None]
     gn = (features[a] - features[n]) / dist[a, n][:, None]
-    grad = np.zeros_like(features)
+    grad = np.zeros(features.shape)
     grad[a] = gp - gn
-    np.add.at(grad, p, -gp)
-    np.add.at(grad, n, gn)
+    _scatter_pairs(grad, p, n, gp, gn)
     return loss, grad
+
+
+def _scatter_pairs(grad, p, n, gp, gn):
+    """grad[p] -= gp, then grad[n] += gn, with repeated rows accumulated.
+
+    One np.add.at over the flat C-ordered grad, the positive rows' entries
+    before the negative rows': each element receives its additions in the
+    order of two row-wise np.add.at calls, so the sums are bit-identical.
+    """
+    d = grad.shape[1]
+    rows = np.concatenate([p, n])
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(grad.reshape(-1), flat, np.concatenate([-gp, gn]).reshape(-1))
 
 
 def _modality_masks(batch):
     """Cross and intra candidate masks of a validated batch."""
     batch.validate()
-    same = batch.modality[:, None] == batch.modality[None, :]
+    visible = batch.modality == VISIBLE  # a validated row that is not VISIBLE is THERMAL
+    same = visible[:, None] == visible[None, :]
     return ~same, same
 
 
@@ -242,6 +256,8 @@ def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, P, K):
         logits_bb = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
         loss_bb, d_logits_bb = softmax_cross_entropy(logits_bb, labels)
         total += loss_bb
+    if not math.isfinite(total):
+        raise ValueError(f"total_loss: non-finite loss {total}")
 
     zeros_v = np.zeros_like(bundle_v.v_post)
     zeros_t = np.zeros_like(bundle_t.v_post)

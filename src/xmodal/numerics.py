@@ -2,7 +2,9 @@
 
 All arithmetic is float64. Every *_forward returns (output, cache); the
 matching *_backward consumes the cache and an upstream gradient and returns
-exact analytic gradients.
+exact analytic gradients. The layers do not check for non-finite values;
+that happens at the boundaries: `encoder.encode` rejects non-finite input,
+`losses.total_loss` a non-finite loss and `adam_step` a non-finite gradient.
 """
 
 import math
@@ -18,11 +20,6 @@ DIST_STABILIZER = 1e-12
 DIST_BLOCK_BYTES = 1 << 18
 
 
-def _check_finite(x, what):
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite values in {what}")
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -32,7 +29,6 @@ def dense_forward(x, w, b):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"dense: input shape {x.shape} incompatible with weight {w.shape}")
-    _check_finite(x, "dense input")
     y = x @ w + b
     return y, (x, w)
 
@@ -50,7 +46,6 @@ def dense_backward(cache, g):
 
 def relu_forward(x):
     x = np.asarray(x, dtype=np.float64)
-    _check_finite(x, "relu input")
     y = np.maximum(x, 0.0)
     return y, (x,)
 
@@ -73,7 +68,6 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
         raise ValueError(f"batchnorm: input shape {x.shape} incompatible with dim {gamma.shape[0]}")
-    _check_finite(x, "batchnorm input")
     if train:
         if x.shape[0] < 2:
             raise ValueError("batchnorm: train mode requires batch size >= 2")
@@ -113,7 +107,6 @@ def l2_normalize_forward(x, *, min_norm=1e-6):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("l2_normalize expects a 2-d array")
-    _check_finite(x, "l2_normalize input")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     small = norms[:, 0] < min_norm
     if np.any(small):

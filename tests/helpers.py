@@ -201,3 +201,32 @@ def split_batch_reference(batch, idents):
     return (batch.features[vis], batch.features[thm],
             np.array([label_map[i] for i in batch.identity[vis]]),
             np.array([label_map[i] for i in batch.identity[thm]]))
+
+
+def scatter_pairs_reference(grad, p, n, gp, gn):
+    """The mined-hinge scatter as two row-wise np.add.at calls, in place."""
+    np.add.at(grad, p, -gp)
+    np.add.at(grad, n, gn)
+
+
+def check_full_model_reference(rng, mfi):
+    """`harness._check_full_model` whose sweep closure copies every parameter
+    array and runs the forward and backward pass for each evaluation."""
+    from xmodal import harness
+
+    for _ in range(50):
+        cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
+        if harness._metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:
+            break
+    else:
+        raise RuntimeError("could not build a kink-free model instance")
+    _, grads = harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)
+    worst = 0.0
+    for name in sorted(params.values):
+        def f(v, name=name):
+            trial = params.copy()
+            trial.values[name] = v
+            return harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+
+        worst = max(worst, harness._gradient_error(grads[name], f, params.values[name].copy()))
+    return worst

@@ -97,6 +97,18 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(p, cfg, np.ones((1, 5)), "visible", mode="train")
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad, mode):
+        # the boundary check: the layers below encode do not check
+        cfg = small_config()
+        p = init_encoder(cfg, 0)
+        x = np.random.default_rng(4).standard_normal((4, 5))
+        x[2, 3] = bad
+        with pytest.raises(ValueError, match="encode: non-finite input"):
+            encode(p, cfg, x, "thermal", mode=mode)
+        np.testing.assert_array_equal(p.bn_state["head.bn.running_mean"], np.zeros(4))
+
     def test_fused_dims(self):
         for fusion, dim in (("cat", 8), ("sum", 4)):
             cfg = small_config(fusion=fusion)

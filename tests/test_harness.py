@@ -31,6 +31,7 @@ from xmodal.numerics import batchnorm_backward, l2_normalize_backward
 from helpers import (
     AdamReference,
     adam_step_reference,
+    check_full_model_reference,
     pairwise_distances_reference,
     sample_pk_batch_reference,
     split_batch_reference,
@@ -417,6 +418,11 @@ class TestGradcheck:
             for _ in range(harness.FULL_MODEL_TRIALS):
                 assert harness.GRADCHECK_COMPONENTS[name](rng) < 1e-4
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            gradcheck(trials=trials, seed=0)
+
     def test_detects_a_batchnorm_dx_off_by_a_thousandth(self, monkeypatch):
         def skewed(cache, g):
             dx, dgamma, dbeta = batchnorm_backward(cache, g)
@@ -452,6 +458,52 @@ class TestGradcheck:
         monkeypatch.setattr(losses, "l2_normalize_backward", skewed)
         assert failing_components(monkeypatch) == {"l2_normalize", "full_model_mfi",
                                                    "full_model_backbone"}
+
+
+class TestLossOnlySweep:
+    """The full-model sweep evaluates `_model_loss`, not `_model_forward`."""
+
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_loss_matches_model_forward_and_leaves_params(self, mfi):
+        rng = np.random.default_rng(61)
+        cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
+        values = {k: v.copy() for k, v in params.values.items()}
+        bn_state = {k: v.copy() for k, v in params.bn_state.items()}
+        loss = harness._model_loss(params, cfg, loss_cfg, x, labels, P, K)
+        for name in params.values:
+            np.testing.assert_array_equal(params.values[name], values[name])
+        for name in params.bn_state:
+            np.testing.assert_array_equal(params.bn_state[name], bn_state[name])
+        assert loss == harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)[0]
+
+    # (seed, component, instances): seed 27's second backbone instance takes
+    # the four-point re-estimate
+    @pytest.mark.parametrize("seed, name, instances", [
+        (27, "full_model_backbone", 2), (0, "full_model_mfi", 1),
+        (207, "full_model_mfi", 1), (505, "full_model_backbone", 1)])
+    def test_same_estimates_as_copying_sweep(self, seed, name, instances, monkeypatch):
+        # the worst error alone hides small changes: it is often set by
+        # round-off on entries whose gradient is zero, so every
+        # finite-difference estimate is compared as well
+        estimates = []
+        for fn in ("finite_diff_grad", "finite_diff_entries"):
+            def recorded(*args, fn=getattr(harness, fn)):
+                estimates.append(fn(*args))
+                return estimates[-1].copy()  # the caller overwrites re-estimated entries
+            monkeypatch.setattr(harness, fn, recorded)
+
+        mfi = name == "full_model_mfi"
+        stream = [seed, zlib.crc32(name.encode())]
+        rng, ref_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(instances):
+                worst = harness._check_full_model(rng, mfi)
+                ours, estimates[:] = estimates[:], []
+                assert worst == check_full_model_reference(ref_rng, mfi)
+                assert len(ours) == len(estimates) > 0
+                assert all(np.array_equal(a, b) for a, b in zip(ours, estimates))
+                estimates.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +589,13 @@ class TestCli:
         assert cli.main(["gradcheck", "--trials", "1"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_without_trials_exits_1(self, trials, capsys):
+        assert cli.main(["gradcheck", "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "trials must be >= 1" in err
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

@@ -11,6 +11,7 @@ from xmodal.losses import (
     dual_modality_triplet,
     intra_modality_triplet,
     mining_margins,
+    _scatter_pairs,
     total_loss,
 )
 from xmodal.numerics import finite_diff_grad, max_relative_error
@@ -21,6 +22,7 @@ from helpers import (
     intra_modality_oracle,
     mining_margins_oracle,
     random_pk_batch,
+    scatter_pairs_reference,
     validate_reference,
 )
 
@@ -354,3 +356,43 @@ class TestTotalLoss:
         bd, gv, gt = total_loss(bv, bt, yv, yt, cfg, 3, 2)
         assert np.any(gv.d_logits_skip != 0.0)
         np.testing.assert_array_equal(gv.d_logits_backbone, np.zeros_like(gv.d_logits_backbone))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected(self, bad):
+        rng = np.random.default_rng(53)
+        bv, bt, yv, yt = self._bundles(rng, mfi=True)
+        bt.logits_skip[1, 0] = bad
+        cfg = LossConfig(rho=RHO, mfi_enabled=True)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="total_loss: non-finite loss"):
+            total_loss(bv, bt, yv, yt, cfg, 3, 2)
+
+
+class TestHingeScatter:
+    """The flat scatter of `_mined_hinge` against two row-wise np.add.at calls."""
+
+    @staticmethod
+    def _both(grad, p, n, gp, gn):
+        want, got = grad.copy(), grad.copy()
+        scatter_pairs_reference(want, p, n, gp, gn)
+        _scatter_pairs(got, p, n, gp, gn)
+        return want, got
+
+    @pytest.mark.parametrize("rows, dim", [(12, 5), (64, 128)])
+    def test_bit_identical_with_repeated_and_shared_rows(self, rows, dim):
+        rng = np.random.default_rng(rows * dim)
+        for active in (1, rows, 3 * rows):  # 3 * rows draws must repeat targets
+            p = rng.integers(0, rows, active)
+            n = rng.integers(0, rows, active)
+            n[: active // 2 + 1] = p[: active // 2 + 1]  # rows that are both a positive and a negative
+            gp, gn = rng.standard_normal((2, active, dim))
+            want, got = self._both(rng.standard_normal((rows, dim)), p, n, gp, gn)
+            assert np.bincount(np.concatenate([p, n])).max() > 1
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("rows, dim", [(12, 5), (64, 128)])
+    def test_empty_active_set_leaves_grad(self, rows, dim):
+        grad = np.random.default_rng(0).standard_normal((rows, dim))
+        none = np.zeros(0, dtype=np.intp)
+        want, got = self._both(grad, none, none, np.zeros((0, dim)), np.zeros((0, dim)))
+        assert np.array_equal(got, grad) and np.array_equal(want, got)

@@ -57,10 +57,6 @@ class TestLayerForward:
         with pytest.raises(ValueError):
             dense_forward(np.ones((2, 3)), np.eye(2), np.zeros(2))
 
-    def test_dense_non_finite(self):
-        with pytest.raises(ValueError):
-            dense_forward(np.array([[np.nan, 1.0]]), np.eye(2), np.zeros(2))
-
     def test_batchnorm_train_single_row_rejected(self):
         with pytest.raises(ValueError):
             batchnorm_forward(np.ones((1, 3)), np.ones(3), np.zeros(3),
