@@ -94,6 +94,8 @@ class SynthConfig:
             raise ValueError("SynthConfig: counts and dims must be positive")
         if self.cluster_std < 0.0 or self.noise_std < 0.0:
             raise ValueError("SynthConfig: stds must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
 
 
 def random_rotation(dim, rng):

@@ -28,6 +28,8 @@ class EvalProtocol:
             raise ValueError("EvalProtocol: trials must be >= 1")
         if any(r < 1 for r in self.ranks_reported):
             raise ValueError("EvalProtocol: ranks must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"EvalProtocol: seed must be >= 0, got {self.seed}")
 
     def describe(self):
         names = {VISIBLE: "Visible", THERMAL: "Thermal"}

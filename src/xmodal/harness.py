@@ -19,6 +19,7 @@ from .data import (
     split_identity_disjoint,
 )
 from .encoder import (
+    MODALITIES,
     EncoderConfig,
     EncoderParams,
     encode,
@@ -44,6 +45,7 @@ from .numerics import (
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
+    softmax_cross_entropy_forward,
 )
 
 CHECKPOINT_HEADER = "xmodal-checkpoint v1"
@@ -83,6 +85,8 @@ class TrainConfig:
             raise ConfigError("TrainConfig: freeze_stage_epochs must be < epochs")
         if self.P < 2 or self.K < 1:
             raise ConfigError("TrainConfig: need P >= 2 and K >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
         self.loss.validate()
 
     def to_dict(self):
@@ -354,6 +358,9 @@ def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5, ranks=(1, 10
     """Train all four arms per seed on identical data/splits; report rank-1 and mAP."""
     if not seeds:
         raise ConfigError("run_ablation: need at least one seed")
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"run_ablation: seed must be >= 0, got {seed}")
     arms = {arm: {"rank1": [], "map": []} for arm in ABLATION_ARMS}
     per_seed = []
     for seed in seeds:
@@ -476,7 +483,7 @@ def _check_softmax(rng):
     logits = rng.standard_normal((n, c))
     labels = rng.integers(0, c, size=n)
     _, grad = softmax_cross_entropy(logits, labels)
-    return _gradient_error(grad, lambda v: softmax_cross_entropy(v, labels)[0], logits)
+    return _gradient_error(grad, lambda v: softmax_cross_entropy_forward(v, labels)[0], logits)
 
 
 def _stable_pk_features(rng, P, K, dim, rho, *, tol=1e-3, max_tries=50):
@@ -497,18 +504,14 @@ def _check_triplet(rng, kind):
     dim = int(rng.integers(2, 6))
     rho = 0.5
     batch = _stable_pk_features(rng, P, K, dim, rho)
-
-    def loss_of(feats):
-        b = LabeledBatch(features=feats, identity=batch.identity,
-                         modality=batch.modality, P=P, K=K)
-        if kind == "batch_hard":
-            return L.batch_hard_triplet(feats, batch.identity, rho)
-        if kind == "cross":
-            return L.cross_modality_triplet(b, rho)
-        return L.intra_modality_triplet(b, rho)
-
-    loss, grad = loss_of(batch.features)
-    return _gradient_error(grad, lambda v: loss_of(v)[0], batch.features)
+    if kind == "batch_hard":
+        _, grad = L.batch_hard_triplet(batch.features, batch.identity, rho)
+    elif kind == "cross":
+        _, grad = L.cross_modality_triplet(batch, rho)
+    else:
+        _, grad = L.intra_modality_triplet(batch, rho)
+    pools = L.triplet_pools(batch, kind)
+    return _gradient_error(grad, lambda v: L.triplet_loss(v, pools, rho), batch.features)
 
 
 def _full_model_setup(rng, mfi, fusion="cat"):
@@ -526,25 +529,25 @@ def _full_model_setup(rng, mfi, fusion="cat"):
     return cfg, params, loss_cfg, x, labels, P, K
 
 
-def _encode_pair(params, cfg, x):
-    """Train-mode encodings of the visible (first) and thermal halves of x.
+def _encode_streams(params, cfg, x, streams=MODALITIES):
+    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
+    visible stream encodes the first half of x, the thermal stream the second.
 
     Reads `params.values` as they are and works on a copy of the running
     stats, the only state train-mode `encode` changes, so `params` is left
     as it was.
     """
     n = x.shape[0] // 2
+    halves = dict(zip(MODALITIES, (x[:n], x[n:])))
     work = EncoderParams(values=params.values,
                          bn_state={k: v.copy() for k, v in params.bn_state.items()})
-    bundle_v, cache_v = encode(work, cfg, x[:n], "visible", mode="train")
-    bundle_t, cache_t = encode(work, cfg, x[n:], "thermal", mode="train")
-    return bundle_v, cache_v, bundle_t, cache_t
+    return {mod: encode(work, cfg, halves[mod], mod, mode="train") for mod in streams}
 
 
 def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
     """Total loss of one model instance and its gradient for every parameter."""
     n = x.shape[0] // 2
-    bundle_v, cache_v, bundle_t, cache_t = _encode_pair(params, cfg, x)
+    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, cfg, x).values()
     breakdown, gv, gt = total_loss(bundle_v, bundle_t, labels[:n], labels[n:], loss_cfg, P, K)
     grads = zero_grads(params)
     encode_backward(params, cfg, cache_v, gv, out=grads)
@@ -552,18 +555,43 @@ def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
     return breakdown.total, grads
 
 
-def _model_loss(params, cfg, loss_cfg, x, labels, P, K):
-    """`_model_forward`'s total loss alone, without the backward pass."""
+def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
+    """`loss_of(name)`: `_model_forward`'s total loss as a function of
+    `params.values[name]` alone, by the forward steps only.
+
+    The targets are checked once here. A `visible.*` or `thermal.*` array
+    feeds only its own stream, so only that stream is encoded again; the
+    other stream's bundle is the unperturbed one, encoded once here. That
+    is exact: train-mode batchnorm output depends only on its own batch's
+    statistics. Each evaluation encodes on its own copy of the running
+    stats, so `params` is left as it was.
+    """
     n = x.shape[0] // 2
-    bundle_v, _, bundle_t, _ = _encode_pair(params, cfg, x)
-    return total_loss(bundle_v, bundle_t, labels[:n], labels[n:], loss_cfg, P, K)[0].total
+    targets = L.loss_targets(labels[:n], labels[n:], P, K)
+    unperturbed = {mod: bundle for mod, (bundle, _) in _encode_streams(params, cfg, x).items()}
+
+    def loss_of(name):
+        stream = name.partition(".")[0]
+        streams = (stream,) if stream in MODALITIES else MODALITIES
+
+        def loss(v):
+            trial = EncoderParams(values={**params.values, name: v}, bn_state=params.bn_state)
+            bundles = dict(unperturbed)
+            for mod, (bundle, _) in _encode_streams(trial, cfg, x, streams).items():
+                bundles[mod] = bundle
+            return L.total_loss_forward(bundles["visible"], bundles["thermal"],
+                                        targets, loss_cfg)[0].total
+
+        return loss
+
+    return loss_of
 
 
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     """Smallest distance of a model instance from a kink: of any ReLU input
     from zero, or of the mined triplets (see `mining_margins`)."""
     n = x.shape[0] // 2
-    bundle_v, cache_v, bundle_t, cache_t = _encode_pair(params, cfg, x)
+    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, cfg, x).values()
     # cache[1] holds one (dense cache, relu cache) pair per stage
     relu_margin = min(float(np.min(np.abs(relu_cache[0])))
                       for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
@@ -586,13 +614,10 @@ def _check_full_model(rng, mfi):
         raise RuntimeError("could not build a kink-free model instance")
 
     _, grads = _model_forward(params, cfg, loss_cfg, x, labels, P, K)
+    loss_of = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
     worst = 0.0
     for name in sorted(params.values):
-        def f(v, name=name):
-            trial = EncoderParams(values={**params.values, name: v}, bn_state=params.bn_state)
-            return _model_loss(trial, cfg, loss_cfg, x, labels, P, K)
-
-        worst = max(worst, _gradient_error(grads[name], f, params.values[name].copy()))
+        worst = max(worst, _gradient_error(grads[name], loss_of(name), params.values[name].copy()))
     return worst
 
 
@@ -622,6 +647,8 @@ def gradcheck(trials=100, seed=0):
     """
     if trials < 1:
         raise ConfigError(f"gradcheck: trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck: seed must be >= 0, got {seed}")
     report = {}
     all_ok = True
     with warnings.catch_warnings():

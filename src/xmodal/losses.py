@@ -5,6 +5,11 @@ All triplet losses are sums over anchors, each term
 with hardest pairs mined inside the batch. Gradients flow only through
 the selected pair of anchors whose hinge is strictly active. Ties in the
 hardest-pair selection break toward the lowest row index.
+
+Each loss is a forward step, which computes the loss value and keeps what
+the gradient needs, and a gradient step. The (loss, grad) functions run
+both; a finite-difference sweep runs the forward step alone, on labels and
+candidate pools checked once per batch.
 """
 
 import math
@@ -16,7 +21,8 @@ from .numerics import (
     l2_normalize_backward,
     l2_normalize_forward,
     pairwise_distances,
-    softmax_cross_entropy,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
 )
 
 VISIBLE = "V"
@@ -71,28 +77,38 @@ class LabeledBatch:
                              f"{(VISIBLE, THERMAL)[m]} rows, expected {self.K}")
 
 
-def _masked_rows(labels, dist, cand):
-    """Each row's positive and negative candidate distances.
+def _pools(labels, cand):
+    """Each anchor row's (positive, negative) candidate masks.
 
     Row i anchors against the columns where cand[i] holds; positives share
-    its label, negatives do not. Non-candidates read -inf among positives
-    and +inf among negatives, so they are never mined.
+    its label, negatives do not. Every row needs at least one of each.
     """
     same = labels[:, None] == labels[None, :]
-    pos, neg = cand & same, cand & ~same
-    for mask, kind in ((pos, "positive"), (neg, "negative")):
+    pools = cand & same, cand & ~same
+    for mask, kind in zip(pools, ("positive", "negative")):
         empty = np.flatnonzero(~mask.any(axis=1))
         if empty.size:
             raise ValueError(f"no {kind} candidates for anchor row {empty[0]}")
+    return pools
+
+
+def _masked_rows(dist, pools):
+    """Each row's positive and negative candidate distances.
+
+    Non-candidates read -inf among positives and +inf among negatives, so
+    they are never mined.
+    """
+    pos, neg = pools
     return np.where(pos, dist, -np.inf), np.where(neg, dist, np.inf)
 
 
-def _mined_hinge(features, labels, dist, cand, rho):
+def _hinge_forward(dist, pools, rho):
     """Batch-hard hinge summed over every row of `dist` as an anchor.
 
-    Returns (loss, grad w.r.t. the full feature matrix).
+    Returns (loss, mined): the anchor, hardest-positive and hardest-negative
+    rows of each strictly active hinge, all that `_hinge_backward` needs.
     """
-    pos, neg = _masked_rows(labels, dist, cand)
+    pos, neg = _masked_rows(dist, pools)
     # argmax/argmin take the lowest index on ties
     hp = np.argmax(pos, axis=1)
     hn = np.argmin(neg, axis=1)
@@ -100,14 +116,19 @@ def _mined_hinge(features, labels, dist, cand, rho):
     term = rho + dist[a, hp] - dist[a, hn]
     loss = float(np.maximum(term, 0.0).sum())
     active = term > 0.0
-    a, p, n = a[active], hp[active], hn[active]
+    return loss, (a[active], hp[active], hn[active])
+
+
+def _hinge_backward(features, dist, mined):
+    """Gradient of `_hinge_forward`'s loss w.r.t. the full feature matrix."""
+    a, p, n = mined
     # d = sqrt(||f_a - f_b||^2 + eps), so dd/df_a = (f_a - f_b) / d
     gp = (features[a] - features[p]) / dist[a, p][:, None]
     gn = (features[a] - features[n]) / dist[a, n][:, None]
     grad = np.zeros(features.shape)
     grad[a] = gp - gn
     _scatter_pairs(grad, p, n, gp, gn)
-    return loss, grad
+    return grad
 
 
 def _scatter_pairs(grad, p, n, gp, gn):
@@ -131,6 +152,15 @@ def _modality_masks(batch):
     return ~same, same
 
 
+def _plain_pools(features, labels):
+    """Pools of the plain batch-hard loss: every row against the whole batch."""
+    if labels.shape != features.shape[:1]:
+        raise ValueError("batch_hard_triplet: one label per feature row required")
+    if np.unique(labels).size < 2:
+        raise ValueError("batch_hard_triplet: need at least 2 identities")
+    return _pools(labels, np.ones((labels.size, labels.size), dtype=bool))
+
+
 def mining_margins(batch, rho):
     """Smallest kink distance over plain, cross, and intra minings of a batch.
 
@@ -143,7 +173,7 @@ def mining_margins(batch, rho):
     cross, intra = _modality_masks(batch)
     margin = np.inf
     for cand in (np.ones_like(cross), cross, intra):
-        pos, neg = _masked_rows(labels, dist, cand)
+        pos, neg = _masked_rows(dist, _pools(labels, cand))
         top = -np.partition(-pos, 1, axis=1)[:, :2]
         low = np.partition(neg, 1, axis=1)[:, :2]
         # with a single candidate the second pick is infinite and drops out
@@ -152,40 +182,78 @@ def mining_margins(batch, rho):
     return float(margin)
 
 
+def _triplet(features, pools, rho):
+    """(loss, grad) of the hinge over `pools`: the forward step, then the gradient step."""
+    dist = pairwise_distances(features, features)
+    loss, mined = _hinge_forward(dist, pools, rho)
+    return loss, _hinge_backward(features, dist, mined)
+
+
 def batch_hard_triplet(features, labels, rho):
     """Plain batch-hard triplet loss: every row anchors against the whole batch."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != features.shape[:1]:
-        raise ValueError("batch_hard_triplet: one label per feature row required")
-    if np.unique(labels).size < 2:
-        raise ValueError("batch_hard_triplet: need at least 2 identities")
-    dist = pairwise_distances(features, features)
-    return _mined_hinge(features, labels, dist, np.ones(dist.shape, dtype=bool), rho)
+    return _triplet(features, _plain_pools(features, np.asarray(labels)), rho)
 
 
 def cross_modality_triplet(batch, rho):
     """Bi-directional cross-modality loss: anchors in one modality, pool in the other."""
     cross, _ = _modality_masks(batch)
-    dist = pairwise_distances(batch.features, batch.features)
-    return _mined_hinge(batch.features, batch.identity, dist, cross, rho)
+    return _triplet(batch.features, _pools(batch.identity, cross), rho)
 
 
 def intra_modality_triplet(batch, rho):
     """Per-modality batch-hard loss, summed over the two modalities."""
     _, intra = _modality_masks(batch)
-    dist = pairwise_distances(batch.features, batch.features)
-    return _mined_hinge(batch.features, batch.identity, dist, intra, rho)
+    return _triplet(batch.features, _pools(batch.identity, intra), rho)
+
+
+def triplet_pools(batch, kind):
+    """Checked pools of one triplet loss over the rows of `batch`.
+
+    `kind` names the loss: "batch_hard", "cross" or "intra". The labels are
+    checked here, once, so that `triplet_loss` can evaluate the loss at many
+    feature matrices for the same rows, as a finite-difference sweep does.
+    """
+    if kind == "batch_hard":
+        return _plain_pools(batch.features, np.asarray(batch.identity))
+    if kind not in ("cross", "intra"):
+        raise ValueError(f"triplet_pools: unknown kind {kind!r}")
+    cross, intra = _modality_masks(batch)
+    return _pools(batch.identity, cross if kind == "cross" else intra)
+
+
+def triplet_loss(features, pools, rho):
+    """Forward step alone: the loss value of the triplet loss whose checked
+    pools (`triplet_pools`) are given, with no gradient."""
+    return _hinge_forward(pairwise_distances(features, features), pools, rho)[0]
+
+
+def _dual_forward(features, cross, intra, config):
+    """Forward step of the dual loss over cross and intra pools.
+
+    Returns (loss, cross loss, intra loss, cache for `_dual_backward`).
+    """
+    dist = pairwise_distances(features, features)
+    loss_c, mined_c = _hinge_forward(dist, cross, config.rho)
+    loss_i, mined_i = _hinge_forward(dist, intra, config.rho)
+    return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, dist, mined_c, mined_i, config)
+
+
+def _dual_backward(cache):
+    """Gradient of `_dual_forward`'s loss w.r.t. the features."""
+    features, dist, mined_c, mined_i, config = cache
+    grad_c = _hinge_backward(features, dist, mined_c)
+    grad_i = _hinge_backward(features, dist, mined_i)
+    return grad_c + config.lambda1 * grad_i
 
 
 def dual_modality_triplet(batch, config):
     """cross + lambda1 * intra, with matching gradient composition."""
     config.validate()
     cross, intra = _modality_masks(batch)
-    dist = pairwise_distances(batch.features, batch.features)
-    loss_c, grad_c = _mined_hinge(batch.features, batch.identity, dist, cross, config.rho)
-    loss_i, grad_i = _mined_hinge(batch.features, batch.identity, dist, intra, config.rho)
-    return loss_c + config.lambda1 * loss_i, grad_c + config.lambda1 * grad_i, loss_c, loss_i
+    loss, loss_c, loss_i, cache = _dual_forward(
+        batch.features, _pools(batch.identity, cross), _pools(batch.identity, intra), config)
+    return loss, _dual_backward(cache), loss_c, loss_i
 
 
 @dataclass
@@ -218,21 +286,47 @@ class LossBreakdown:
         }
 
 
-def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, P, K):
-    """Final training loss over one PK batch encoded per modality.
+@dataclass(frozen=True)
+class LossTargets:
+    """Class labels of one PK batch encoded per modality, visible rows
+    first, with the cross and intra pools of its rows (`loss_targets`)."""
 
-    Metric features for the triplet terms are the L2-normalized selected
-    features (skip branch when MFI is on, backbone otherwise); the softmax
-    term uses the matching classifier logits. Returns the breakdown plus
-    per-modality gradients on the encoder outputs.
+    labels: np.ndarray
+    n_visible: int
+    cross: tuple
+    intra: tuple
+
+
+def loss_targets(labels_v, labels_t, P, K):
+    """Checked `LossTargets` for rows with these per-modality labels.
+
+    A finite-difference sweep builds them once and evaluates
+    `total_loss_forward` at many encodings of the same rows.
     """
-    config.validate()
-    nv = bundle_v.v_post.shape[0]
-    nt = bundle_t.v_post.shape[0]
     labels_v = np.asarray(labels_v, dtype=np.intp)
     labels_t = np.asarray(labels_t, dtype=np.intp)
     labels = np.concatenate([labels_v, labels_t])
+    modality = np.array([VISIBLE] * labels_v.size + [THERMAL] * labels_t.size)
+    # the batch checks read only the row count of the features
+    batch = LabeledBatch(features=labels[:, None], identity=labels, modality=modality, P=P, K=K)
+    cross, intra = _modality_masks(batch)
+    return LossTargets(labels=labels, n_visible=labels_v.size,
+                       cross=_pools(labels, cross), intra=_pools(labels, intra))
 
+
+def total_loss_forward(bundle_v, bundle_t, targets, config):
+    """Forward step of `total_loss`: (LossBreakdown, cache).
+
+    Metric features for the triplet terms are the L2-normalized selected
+    features (skip branch when MFI is on, backbone otherwise); the softmax
+    term uses the matching classifier logits. The cache holds what
+    `total_loss_backward` needs; a caller that wants the loss alone drops it.
+    """
+    config.validate()
+    nv, nt = bundle_v.v_post.shape[0], bundle_t.v_post.shape[0]
+    if (nv, nv + nt) != (targets.n_visible, targets.labels.size):
+        raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "
+                         f"{targets.n_visible} and {targets.labels.size - targets.n_visible} labels")
     if config.mfi_enabled:
         sel_v, sel_t = bundle_v.v_fused_post, bundle_t.v_fused_post
         logits = np.concatenate([bundle_v.logits_skip, bundle_t.logits_skip])
@@ -240,47 +334,54 @@ def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, P, K):
         sel_v, sel_t = bundle_v.v_post, bundle_t.v_post
         logits = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
 
-    sel = np.concatenate([sel_v, sel_t])
-    metric, norm_cache = l2_normalize_forward(sel)
-    modality = np.array([VISIBLE] * nv + [THERMAL] * nt)
-    batch = LabeledBatch(features=metric, identity=labels, modality=modality, P=P, K=K)
-
-    loss_sm, d_logits = softmax_cross_entropy(logits, labels)
-    loss_d, d_metric, loss_c, loss_i = dual_modality_triplet(batch, config)
-    d_sel = l2_normalize_backward(norm_cache, config.lambda2 * d_metric)
+    metric, norm_cache = l2_normalize_forward(np.concatenate([sel_v, sel_t]))
+    loss_sm, sm_cache = softmax_cross_entropy_forward(logits, targets.labels)
+    loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.cross, targets.intra, config)
 
     total = loss_sm + config.lambda2 * loss_d
     loss_bb = 0.0
-    d_logits_bb = None
+    bb_cache = None
     if config.mfi_enabled and config.backbone_loss_enabled:
         logits_bb = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
-        loss_bb, d_logits_bb = softmax_cross_entropy(logits_bb, labels)
+        loss_bb, bb_cache = softmax_cross_entropy_forward(logits_bb, targets.labels)
         total += loss_bb
     if not math.isfinite(total):
         raise ValueError(f"total_loss: non-finite loss {total}")
 
-    zeros_v = np.zeros_like(bundle_v.v_post)
-    zeros_t = np.zeros_like(bundle_t.v_post)
-    zl_v = np.zeros_like(bundle_v.logits_backbone)
-    zl_t = np.zeros_like(bundle_t.logits_backbone)
-    if config.mfi_enabled:
-        grads_v = BundleGrads(
-            d_v_post=zeros_v,
-            d_logits_backbone=d_logits_bb[:nv] if d_logits_bb is not None else zl_v,
-            d_v_fused_post=d_sel[:nv],
-            d_logits_skip=d_logits[:nv],
-        )
-        grads_t = BundleGrads(
-            d_v_post=zeros_t,
-            d_logits_backbone=d_logits_bb[nv:] if d_logits_bb is not None else zl_t,
-            d_v_fused_post=d_sel[nv:],
-            d_logits_skip=d_logits[nv:],
-        )
-    else:
-        grads_v = BundleGrads(d_v_post=d_sel[:nv], d_logits_backbone=d_logits[:nv])
-        grads_t = BundleGrads(d_v_post=d_sel[nv:], d_logits_backbone=d_logits[nv:])
-
     breakdown = LossBreakdown(
         softmax=loss_sm, backbone=loss_bb, cross=loss_c, intra=loss_i,
         dual=loss_d, total=total)
-    return breakdown, grads_v, grads_t
+    return breakdown, (config, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache)
+
+
+def total_loss_backward(cache):
+    """Gradient step of `total_loss`: per-modality gradients on the encoder outputs."""
+    config, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache = cache
+    nv = bundle_v.v_post.shape[0]
+    d_logits = softmax_cross_entropy_backward(sm_cache)
+    d_sel = l2_normalize_backward(norm_cache, config.lambda2 * _dual_backward(dual_cache))
+
+    if not config.mfi_enabled:
+        return (BundleGrads(d_v_post=d_sel[:nv], d_logits_backbone=d_logits[:nv]),
+                BundleGrads(d_v_post=d_sel[nv:], d_logits_backbone=d_logits[nv:]))
+    if bb_cache is None:
+        d_bb_v = np.zeros_like(bundle_v.logits_backbone)
+        d_bb_t = np.zeros_like(bundle_t.logits_backbone)
+    else:
+        d_logits_bb = softmax_cross_entropy_backward(bb_cache)
+        d_bb_v, d_bb_t = d_logits_bb[:nv], d_logits_bb[nv:]
+    return (BundleGrads(d_v_post=np.zeros_like(bundle_v.v_post), d_logits_backbone=d_bb_v,
+                        d_v_fused_post=d_sel[:nv], d_logits_skip=d_logits[:nv]),
+            BundleGrads(d_v_post=np.zeros_like(bundle_t.v_post), d_logits_backbone=d_bb_t,
+                        d_v_fused_post=d_sel[nv:], d_logits_skip=d_logits[nv:]))
+
+
+def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, P, K):
+    """Final training loss over one PK batch encoded per modality.
+
+    The forward step, then the gradient step: returns the breakdown plus
+    per-modality gradients (BundleGrads) on the encoder outputs.
+    """
+    targets = loss_targets(labels_v, labels_t, P, K)
+    breakdown, cache = total_loss_forward(bundle_v, bundle_t, targets, config)
+    return (breakdown, *total_loss_backward(cache))

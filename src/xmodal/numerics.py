@@ -160,8 +160,8 @@ def pairwise_distances(a, b):
     return np.sqrt(sq, out=sq)
 
 
-def softmax_cross_entropy(logits, labels):
-    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
+def softmax_cross_entropy_forward(logits, labels):
+    """Mean negative log-likelihood of the labels: (loss, cache)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n, c = logits.shape
@@ -173,14 +173,25 @@ def softmax_cross_entropy(logits, labels):
         raise ValueError(f"softmax_cross_entropy: label out of range [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
     log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -log_probs[rows, labels].mean()
-    grad = probs
-    grad[rows, labels] -= 1.0
+    loss = -log_probs[np.arange(n), labels].mean()
+    return loss, (exp, labels)
+
+
+def softmax_cross_entropy_backward(cache):
+    """Gradient of the forward's loss w.r.t. the logits."""
+    exp, labels = cache
+    n = exp.shape[0]
+    grad = exp / exp.sum(axis=1, keepdims=True)
+    grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, grad
+    return grad
+
+
+def softmax_cross_entropy(logits, labels):
+    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
+    loss, cache = softmax_cross_entropy_forward(logits, labels)
+    return loss, softmax_cross_entropy_backward(cache)
 
 
 # ---------------------------------------------------------------------------

@@ -461,20 +461,38 @@ class TestGradcheck:
 
 
 class TestLossOnlySweep:
-    """The full-model sweep evaluates `_model_loss`, not `_model_forward`."""
+    """The full-model sweep evaluates `_loss_sweep`'s forward-only closures,
+    not `_model_forward`."""
 
     @pytest.mark.parametrize("mfi", [True, False])
     def test_loss_matches_model_forward_and_leaves_params(self, mfi):
+        # every parameter name: the visible.* and thermal.* closures re-encode
+        # one stream, the shared head's both
         rng = np.random.default_rng(61)
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
         values = {k: v.copy() for k, v in params.values.items()}
         bn_state = {k: v.copy() for k, v in params.bn_state.items()}
-        loss = harness._model_loss(params, cfg, loss_cfg, x, labels, P, K)
+        loss_of = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+        at_instance = harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)[0]
+        prefixes = set()
+        for name in sorted(params.values):
+            prefixes.add(name.partition(".")[0])
+            loss = loss_of(name)
+            assert loss(params.values[name].copy()) == at_instance, name
+            for entry in (0, params.values[name].size - 1):
+                for step in (1e-5, -1e-5):
+                    v = params.values[name].copy()
+                    v.reshape(-1)[entry] += step
+                    trial = params.copy()
+                    trial.values[name] = v.copy()
+                    want = harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+                    assert loss(v) == want, (name, entry, step)
+        assert prefixes == ({"visible", "thermal", "head", "mid"} if mfi
+                            else {"visible", "thermal", "head"})
         for name in params.values:
             np.testing.assert_array_equal(params.values[name], values[name])
         for name in params.bn_state:
             np.testing.assert_array_equal(params.bn_state[name], bn_state[name])
-        assert loss == harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)[0]
 
     # (seed, component, instances): seed 27's second backbone instance takes
     # the four-point re-estimate
@@ -596,6 +614,37 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert "trials must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["gradcheck", "eval", "train", "synth", "ablation"])
+    def test_negative_seed_is_named_and_exits_1(self, command, workdir, capsys):
+        synth, train_cfg = workdir / "synth.json", workdir / "train.json"
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
+                         "--out", str(ckpt)]) == 0
+        for path, seed in ((synth, -3), (train_cfg, -1)):
+            doc = json.loads(path.read_text())
+            doc["seed"] = seed
+            write_json(workdir / f"bad_{path.name}", doc)
+        capsys.readouterr()
+        argv, message = {
+            "gradcheck": (["gradcheck", "--seed", "-1"], "gradcheck: seed must be >= 0, got -1"),
+            "eval": (["eval", "--checkpoint", str(ckpt), "--data", str(data), "--seed", "-2"],
+                     "EvalProtocol: seed must be >= 0, got -2"),
+            "train": (["train", "--data", str(data), "--config", str(workdir / "bad_train.json"),
+                       "--out", str(workdir / "other.ckpt")],
+                      "TrainConfig: seed must be >= 0, got -1"),
+            "synth": (["synth", "--config", str(workdir / "bad_synth.json"),
+                       "--out", str(workdir / "other.txt")],
+                      "SynthConfig: seed must be >= 0, got -3"),
+            "ablation": (["ablation", "--data-config", str(synth), "--config", str(train_cfg),
+                          "--seeds", "-1"],
+                         "run_ablation: seed must be >= 0, got -1"),
+        }[command]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

@@ -10,9 +10,13 @@ from xmodal.losses import (
     cross_modality_triplet,
     dual_modality_triplet,
     intra_modality_triplet,
+    loss_targets,
     mining_margins,
     _scatter_pairs,
     total_loss,
+    total_loss_forward,
+    triplet_loss,
+    triplet_pools,
 )
 from xmodal.numerics import finite_diff_grad, max_relative_error
 
@@ -160,6 +164,95 @@ class TestDualAndComposition:
 
         _, grad, _, _ = dual_modality_triplet(batch, cfg)
         assert max_relative_error(grad, finite_diff_grad(f, batch.features)) < 1e-4
+
+
+def loss_bundles(rng, mfi, num_classes=3, P=3, K=2, d=4):
+    """Random per-modality encoder outputs and labels for `total_loss`."""
+    from xmodal.encoder import FeatureBundle
+
+    def one(n):
+        b = FeatureBundle(
+            v_pre=rng.standard_normal((n, d)),
+            v_post=rng.standard_normal((n, d)),
+            logits_backbone=rng.standard_normal((n, num_classes)),
+        )
+        if mfi:
+            b.v_fused_post = rng.standard_normal((n, 2 * d))
+            b.logits_skip = rng.standard_normal((n, num_classes))
+        return b
+
+    n = P * K
+    labels = np.repeat(np.arange(P), K)
+    return one(n), one(n), labels, labels
+
+
+def perturbations(x, rng, entries=3, h=1e-5):
+    """x itself, then copies of x with a few entries moved by +h and by -h."""
+    yield x
+    for i in rng.choice(x.size, size=min(entries, x.size), replace=False):
+        for step in (h, -h):
+            v = x.copy()
+            v.reshape(-1)[i] += step
+            yield v
+
+
+class TestForwardStep:
+    """The forward step that finite-difference sweeps evaluate, on pools
+    checked once, gives the (loss, grad) functions' loss bit for bit."""
+
+    def test_triplet_losses(self):
+        rng = np.random.default_rng(70)
+        for P, K, dim in ((2, 1, 2), (3, 2, 4), (4, 3, 5)):
+            batch = random_pk_batch(rng, P, K, dim)
+            pools = {kind: triplet_pools(batch, kind) for kind in ("batch_hard", "cross", "intra")}
+            for v in perturbations(batch.features, rng):
+                b = LabeledBatch(features=v, identity=batch.identity,
+                                 modality=batch.modality, P=P, K=K)
+                assert triplet_loss(v, pools["batch_hard"], RHO) == \
+                    batch_hard_triplet(v, batch.identity, RHO)[0]
+                assert triplet_loss(v, pools["cross"], RHO) == cross_modality_triplet(b, RHO)[0]
+                assert triplet_loss(v, pools["intra"], RHO) == intra_modality_triplet(b, RHO)[0]
+                loss_d, _, loss_c, loss_i = dual_modality_triplet(b, LossConfig(rho=RHO, lambda1=0.1))
+                assert loss_c == triplet_loss(v, pools["cross"], RHO)
+                assert loss_i == triplet_loss(v, pools["intra"], RHO)
+                assert loss_d == loss_c + 0.1 * loss_i
+
+    def test_triplet_pools_check_the_batch_once(self):
+        batch = four_point_batch()
+        with pytest.raises(ValueError, match="unknown kind"):
+            triplet_pools(batch, "plain")
+        single = LabeledBatch(features=batch.features, identity=np.zeros(4, dtype=int),
+                              modality=batch.modality, P=2, K=1)
+        with pytest.raises(ValueError, match="at least 2 identities"):
+            triplet_pools(single, "batch_hard")
+        for kind in ("cross", "intra"):
+            with pytest.raises(ValueError, match="LabeledBatch"):
+                triplet_pools(single, kind)
+
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_total_loss(self, mfi):
+        rng = np.random.default_rng(71)
+        bv, bt, yv, yt = loss_bundles(rng, mfi)
+        cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0, mfi_enabled=mfi)
+        targets = loss_targets(yv, yt, 3, 2)
+        fields = ("v_fused_post", "logits_skip", "logits_backbone") if mfi else ("v_post", "logits_backbone")
+        for bundle in (bv, bt):
+            for field in fields:
+                original = getattr(bundle, field)
+                for v in perturbations(original, rng):
+                    setattr(bundle, field, v)
+                    forward, _ = total_loss_forward(bv, bt, targets, cfg)
+                    assert forward == total_loss(bv, bt, yv, yt, cfg, 3, 2)[0]
+                setattr(bundle, field, original)
+
+    def test_targets_checked(self):
+        rng = np.random.default_rng(72)
+        bv, bt, yv, yt = loss_bundles(rng, mfi=False)
+        with pytest.raises(ValueError, match="LabeledBatch: identity 1 has 3 V rows"):
+            loss_targets(np.array([0, 0, 1, 1, 2, 1]), yt, 3, 2)
+        targets = loss_targets(yv[:4], yt[:4], 2, 2)
+        with pytest.raises(ValueError, match="total_loss: 6 visible and 6 thermal rows for 4 and 4"):
+            total_loss_forward(bv, bt, targets, LossConfig(rho=RHO, mfi_enabled=False))
 
 
 class TestProperties:
@@ -310,27 +403,9 @@ class TestMiningInvariants:
 
 
 class TestTotalLoss:
-    def _bundles(self, rng, mfi, num_classes=3, P=3, K=2, d=4):
-        from xmodal.encoder import FeatureBundle
-
-        def one(n):
-            b = FeatureBundle(
-                v_pre=rng.standard_normal((n, d)),
-                v_post=rng.standard_normal((n, d)),
-                logits_backbone=rng.standard_normal((n, num_classes)),
-            )
-            if mfi:
-                b.v_fused_post = rng.standard_normal((n, 2 * d))
-                b.logits_skip = rng.standard_normal((n, num_classes))
-            return b
-
-        n = P * K
-        labels = np.repeat(np.arange(P), K)
-        return one(n), one(n), labels, labels
-
     def test_composition_identity(self):
         rng = np.random.default_rng(50)
-        bv, bt, yv, yt = self._bundles(rng, mfi=False)
+        bv, bt, yv, yt = loss_bundles(rng, mfi=False)
         for lam2 in (0.0, 0.1, 1.0, 2.0, 5.0):
             cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=lam2, mfi_enabled=False)
             bd, _, _ = total_loss(bv, bt, yv, yt, cfg, 3, 2)
@@ -339,7 +414,7 @@ class TestTotalLoss:
 
     def test_backbone_term_added_when_enabled(self):
         rng = np.random.default_rng(51)
-        bv, bt, yv, yt = self._bundles(rng, mfi=True)
+        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
         on = LossConfig(rho=RHO, lambda2=1.0, mfi_enabled=True, backbone_loss_enabled=True)
         off = LossConfig(rho=RHO, lambda2=1.0, mfi_enabled=True, backbone_loss_enabled=False)
         bd_on, _, _ = total_loss(bv, bt, yv, yt, on, 3, 2)
@@ -351,7 +426,7 @@ class TestTotalLoss:
     def test_branch_selection(self):
         # with MFI on, the softmax term reads the skip logits
         rng = np.random.default_rng(52)
-        bv, bt, yv, yt = self._bundles(rng, mfi=True)
+        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
         cfg = LossConfig(rho=RHO, lambda2=0.0, mfi_enabled=True, backbone_loss_enabled=False)
         bd, gv, gt = total_loss(bv, bt, yv, yt, cfg, 3, 2)
         assert np.any(gv.d_logits_skip != 0.0)
@@ -360,7 +435,7 @@ class TestTotalLoss:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected(self, bad):
         rng = np.random.default_rng(53)
-        bv, bt, yv, yt = self._bundles(rng, mfi=True)
+        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
         bt.logits_skip[1, 0] = bad
         cfg = LossConfig(rho=RHO, mfi_enabled=True)
         with np.errstate(invalid="ignore"), \
