@@ -53,7 +53,7 @@ def _cmd_synth(args):
     cfg, _ = parse_synth_config(_load_json(args.config))
     dataset = generate_synthetic(cfg)
     save_dataset(dataset, args.out)
-    print(f"wrote {len(dataset.samples)} samples to {args.out}")
+    print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
 

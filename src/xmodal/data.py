@@ -6,7 +6,8 @@ Dataset text format (UTF-8):
 with modality in {V, T}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,63 +20,59 @@ class DataError(Exception):
     """Malformed or inconsistent dataset input."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
+    """One row of a `Dataset`, as its `samples` and `by_modality` views give it."""
     feature: np.ndarray
     identity: int
     modality: str
     sample_id: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list
-    identity_index: dict = field(default_factory=dict)
+    """N rows as arrays: `features` (N, D) and `identity`, `modality`,
+    `sample_id` (N,). What PK sampling reads is built once, here: `eligible`,
+    the sorted identities with rows in both modalities, and `pools`, each
+    one's (visible, thermal) row indices in row order."""
+    features: np.ndarray
+    identity: np.ndarray
+    modality: np.ndarray
+    sample_id: np.ndarray
 
     def __post_init__(self):
-        if not self.identity_index:
-            self.identity_index = build_identity_index(self.samples)
+        labels = (self.identity, self.modality, self.sample_id)
+        if self.features.ndim != 2 or any(v.shape != (len(self),) for v in labels):
+            raise ValueError("Dataset: features must be (N, D) and each label vector (N,)")
+        thermal = self.modality == THERMAL
+        # one stable sort: rows grouped by identity, visible before thermal,
+        # in row order within each group
+        order = np.lexsort((thermal, self.identity))
+        ident, therm = self.identity[order], thermal[order]
+        starts = np.flatnonzero(np.r_[True, (ident[1:] != ident[:-1]) | (therm[1:] != therm[:-1])])
+        groups = np.split(order, starts[1:])
+        # an identity with both modalities has a visible group, then a thermal one
+        pairs = np.flatnonzero(ident[starts[1:]] == ident[starts[:-1]])
+        self.eligible = ident[starts[pairs]]
+        self.pools = [(groups[j], groups[j + 1]) for j in pairs]
+
+    def __len__(self):
+        return len(self.features)
 
     @property
     def input_dim(self):
-        return self.samples[0].feature.shape[0]
+        return self.features.shape[1]
 
     def identities(self):
-        return sorted(self.identity_index)
+        return np.unique(self.identity).tolist()
 
-    def by_sample_id(self):
-        if not hasattr(self, "_by_id"):
-            self._by_id = {s.sample_id: s for s in self.samples}
-        return self._by_id
-
-    def feature_matrix(self, sample_ids):
-        by_id = self.by_sample_id()
-        return np.stack([by_id[i].feature for i in sample_ids])
-
-    def pk_index(self):
-        """What PK sampling reads, built once: the (N, D) feature matrix, the
-        sorted identities that have rows in both modalities, and for each of
-        them its (visible, thermal) row indices into the matrix."""
-        if not hasattr(self, "_pk_index"):
-            row = {s.sample_id: i for i, s in enumerate(self.samples)}
-            eligible = sorted(i for i, (vis, thm) in self.identity_index.items() if vis and thm)
-            pools = [tuple(np.array([row[sid] for sid in ids], dtype=np.intp)
-                           for ids in self.identity_index[i])
-                     for i in eligible]
-            features = np.stack([s.feature for s in self.samples])
-            self._pk_index = (features, np.array(eligible), pools)
-        return self._pk_index
+    @property
+    def samples(self):
+        """The rows as `Sample`s, built on each access; the package reads the arrays."""
+        return [Sample(*row) for row in zip(self.features, self.identity.tolist(),
+                                            self.modality.tolist(), self.sample_id.tolist())]
 
     def by_modality(self, modality):
         return [s for s in self.samples if s.modality == modality]
-
-
-def build_identity_index(samples):
-    index = {}
-    for s in samples:
-        vis, thm = index.setdefault(s.identity, ([], []))
-        (vis if s.modality == VISIBLE else thm).append(s.sample_id)
-    return index
 
 
 @dataclass
@@ -129,40 +126,38 @@ def generate_synthetic(config):
     if transform.shape != (dim, dim) or offset.shape != (dim,):
         raise ValueError("SynthConfig: transform/offset dims do not match input_dim")
 
-    samples = []
-    sid = 0
-    k = config.per_identity_per_modality
-    for ident in range(config.num_identities):
+    n_ids, k = config.num_identities, config.per_identity_per_modality
+    features = np.empty((n_ids * 2 * k, dim))
+    for ident in range(n_ids):
         center = rng.standard_normal(dim)
         thermal_center = transform @ center + offset
-        vis = center + config.cluster_std * rng.standard_normal((k, dim))
-        thm = (thermal_center
-               + config.cluster_std * rng.standard_normal((k, dim))
-               + config.noise_std * rng.standard_normal((k, dim)))
-        for row in vis:
-            samples.append(Sample(row, ident, VISIBLE, sid))
-            sid += 1
-        for row in thm:
-            samples.append(Sample(row, ident, THERMAL, sid))
-            sid += 1
-    return Dataset(samples)
+        rows = features[ident * 2 * k:(ident + 1) * 2 * k]
+        rows[:k] = center + config.cluster_std * rng.standard_normal((k, dim))
+        rows[k:] = (thermal_center
+                    + config.cluster_std * rng.standard_normal((k, dim))
+                    + config.noise_std * rng.standard_normal((k, dim)))
+    return Dataset(features=features, identity=np.repeat(np.arange(n_ids), 2 * k),
+                   modality=np.tile(np.repeat(np.array([VISIBLE, THERMAL]), k), n_ids),
+                   sample_id=np.arange(len(features)))
 
 
 def save_dataset(dataset, path):
-    dim = dataset.input_dim
+    rows = zip(dataset.sample_id.tolist(), dataset.identity.tolist(),
+               dataset.modality.tolist(), dataset.features.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{HEADER_PREFIX}{dim}\n")
-        for s in dataset.samples:
-            values = ",".join(repr(float(v)) for v in s.feature)
-            fh.write(f"{s.sample_id},{s.identity},{s.modality},{values}\n")
+        fh.write(f"{HEADER_PREFIX}{dataset.input_dim}\n")
+        for sid, ident, modality, values in rows:
+            fh.write(f"{sid},{ident},{modality},{','.join(map(repr, values))}\n")
 
 
 def load_dataset(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    commas, lines = text.count(","), text.splitlines()
+    del text  # one copy of the file at a time
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     if not lines[0].startswith(HEADER_PREFIX):
@@ -171,7 +166,11 @@ def load_dataset(path):
         dim = int(lines[0][len(HEADER_PREFIX):])
     except ValueError:
         raise DataError(f"{path}:1: unparseable dimension in header") from None
-    samples = []
+    if dim < 1:
+        raise DataError(f"{path}:1: dimension must be >= 1, got {dim}")
+    # a row holds dim + 2 commas, so the file's commas bound the row count
+    features = np.empty((min(len(lines) - 1, commas // (dim + 2)), dim))
+    labels = []  # (identity, modality, sample_id) per row
     first_line = {}  # sample_id -> line that defined it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -184,11 +183,14 @@ def load_dataset(path):
             ident = int(parts[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad sample_id or identity") from None
+        if not (-2 ** 63 <= sid < 2 ** 63 and ident < 2 ** 63):
+            raise DataError(f"{path}:{lineno}: sample_id or identity outside the 64-bit range")
         modality = parts[2]
         if modality not in (VISIBLE, THERMAL):
             raise DataError(f"{path}:{lineno}: unknown modality tag {modality!r}")
+        row = features[len(labels)]
         try:
-            feature = np.array([float(v) for v in parts[3:]], dtype=np.float64)
+            row[:] = np.array(parts[3:], dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparseable feature value") from None
         if ident < 0:
@@ -196,12 +198,12 @@ def load_dataset(path):
         if sid in first_line:
             raise DataError(f"{path}:{lineno}: duplicate sample_id {sid} (first on line {first_line[sid]})")
         first_line[sid] = lineno
-        if not np.all(np.isfinite(feature)):
+        if not np.isfinite(row).all():
             raise DataError(f"{path}:{lineno}: non-finite feature value")
-        samples.append(Sample(feature, ident, modality, sid))
-    if not samples:
+        labels.append((ident, modality, sid))
+    if not labels:
         raise DataError(f"{path}: dataset contains no samples")
-    return Dataset(samples)
+    return Dataset(features[:len(labels)], *(np.array(column) for column in zip(*labels)))
 
 
 def split_identity_disjoint(dataset, train_fraction, seed):
@@ -215,10 +217,13 @@ def split_identity_disjoint(dataset, train_fraction, seed):
     perm = rng.permutation(len(idents))
     n_train = int(round(train_fraction * len(idents)))
     n_train = min(max(n_train, 1), len(idents) - 1)
-    train_ids = {idents[i] for i in perm[:n_train]}
-    train = [s for s in dataset.samples if s.identity in train_ids]
-    test = [s for s in dataset.samples if s.identity not in train_ids]
-    return Dataset(train), Dataset(test)
+    in_train = np.isin(dataset.identity, np.array(idents)[perm[:n_train]])
+    return _subset(dataset, in_train), _subset(dataset, ~in_train)
+
+
+def _subset(dataset, rows):
+    return Dataset(dataset.features[rows], dataset.identity[rows], dataset.modality[rows],
+                   dataset.sample_id[rows])
 
 
 def sample_pk_batch(dataset, P, K, rng):
@@ -228,7 +233,7 @@ def sample_pk_batch(dataset, P, K, rng):
     smaller than K, in which case that pool is sampled with replacement.
     Rows come visible then thermal for each drawn identity in turn.
     """
-    features, eligible, pools = dataset.pk_index()
+    eligible, pools = dataset.eligible, dataset.pools
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     chosen = rng.choice(len(eligible), size=P, replace=False)
@@ -238,7 +243,7 @@ def sample_pk_batch(dataset, P, K, rng):
             picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
             rows.append(pool[picks])
     return LabeledBatch(
-        features=features[np.concatenate(rows)],
+        features=dataset.features[np.concatenate(rows)],
         identity=np.repeat(eligible[chosen], 2 * K),
         modality=np.tile(np.repeat(np.array([VISIBLE, THERMAL]), K), P),
         P=P,
@@ -247,4 +252,4 @@ def sample_pk_batch(dataset, P, K, rng):
 
 
 def batches_per_epoch(dataset, P, K):
-    return max(1, -(-len(dataset.samples) // (2 * P * K)))
+    return max(1, -(-len(dataset) // (2 * P * K)))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
 from .encoder import encode, test_feature
 from .losses import THERMAL, VISIBLE
 from .numerics import DIST_BLOCK_BYTES
@@ -148,14 +149,11 @@ def cmc_curve(relevance_lists, ranks):
 def _encode_features(dataset, params, config, modality_tag):
     """Eval-mode test features for all samples of one modality, plus labels."""
     stream = "visible" if modality_tag == VISIBLE else "thermal"
-    samples = dataset.by_modality(modality_tag)
-    if not samples:
-        raise ValueError(f"evaluation: no samples with modality {modality_tag}")
-    x = np.stack([s.feature for s in samples])
-    bundle, _ = encode(params, config, x, stream, mode="eval")
-    feats = test_feature(bundle, config)
-    labels = np.array([s.identity for s in samples])
-    return feats, labels
+    rows = dataset.modality == modality_tag
+    if not rows.any():
+        raise DataError(f"evaluation: the dataset has no samples with modality {modality_tag}")
+    bundle, _ = encode(params, config, dataset.features[rows], stream, mode="eval")
+    return test_feature(bundle, config), dataset.identity[rows]
 
 
 def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,

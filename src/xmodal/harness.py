@@ -11,7 +11,6 @@ import numpy as np
 
 from . import losses as L
 from .data import (
-    Dataset,
     SynthConfig,
     batches_per_epoch,
     generate_synthetic,
@@ -174,7 +173,7 @@ def _split_batch(batch, idents):
 def train(dataset, config):
     """Single-threaded deterministic training run."""
     config.validate()
-    idents = dataset.identities()
+    idents = np.unique(dataset.identity)
     enc_cfg = config.encoder
     if enc_cfg.num_classes < 2:
         enc_cfg = replace(enc_cfg, num_classes=len(idents))
@@ -185,7 +184,6 @@ def train(dataset, config):
         raise ConfigError(
             f"input_dim {enc_cfg.input_dim} does not match dataset dim {dataset.input_dim}")
     enc_cfg.validate()
-    ident_array = np.array(idents)
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -204,7 +202,7 @@ def train(dataset, config):
         sums = None
         for _ in range(n_batches):
             batch = sample_pk_batch(dataset, config.P, config.K, rng)
-            xv, xt, yv, yt = _split_batch(batch, ident_array)
+            xv, xt, yv, yt = _split_batch(batch, idents)
             bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
             bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
             breakdown, gv, gt = total_loss(bundle_v, bundle_t, yv, yt,
@@ -422,30 +420,38 @@ def _gradient_error(analytic, f, x):
     return max_relative_error(analytic, fd)
 
 
+def _layer_error(forward, backward, args, proj):
+    """Worst error, over the arguments of a layer, of its analytic gradient
+    of sum(forward(*args)[0] * proj) against finite differences."""
+    _, cache = forward(*args)
+    grads = backward(cache, proj)
+    grads = grads if len(args) > 1 else (grads,)
+    errs = []
+    for i, (arg, grad) in enumerate(zip(args, grads)):
+        trial = list(args)
+
+        def f(v):
+            trial[i] = v
+            return float((forward(*trial)[0] * proj).sum())
+
+        errs.append(_gradient_error(grad, f, arg))
+    return max(errs)
+
+
 def _check_dense(rng):
     n, din, dout = int(rng.integers(2, 8)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
     x = rng.standard_normal((n, din))
     w = rng.standard_normal((din, dout))
     b = rng.standard_normal(dout)
     proj = rng.standard_normal((n, dout))
-
-    y, cache = dense_forward(x, w, b)
-    dx, dw, db = dense_backward(cache, proj)
-    errs = [
-        _gradient_error(dx, lambda v: float((dense_forward(v, w, b)[0] * proj).sum()), x),
-        _gradient_error(dw, lambda v: float((dense_forward(x, v, b)[0] * proj).sum()), w),
-        _gradient_error(db, lambda v: float((dense_forward(x, w, v)[0] * proj).sum()), b),
-    ]
-    return max(errs)
+    return _layer_error(dense_forward, dense_backward, (x, w, b), proj)
 
 
 def _check_relu(rng):
     x = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 8))))
     x = x + np.sign(x) * 0.05  # keep away from the kink at 0
     proj = rng.standard_normal(x.shape)
-    _, cache = relu_forward(x)
-    dx = relu_backward(cache, proj)
-    return _gradient_error(dx, lambda v: float((relu_forward(v)[0] * proj).sum()), x)
+    return _layer_error(relu_forward, relu_backward, (x,), proj)
 
 
 def _check_batchnorm(rng):
@@ -455,27 +461,17 @@ def _check_batchnorm(rng):
     beta = rng.standard_normal(d)
     proj = rng.standard_normal((n, d))
 
-    def run(xx, gg, bb):
-        rm, rv = np.zeros(d), np.ones(d)
-        return batchnorm_forward(xx, gg, bb, rm, rv, train=True)
+    def forward(xx, gg, bb):
+        return batchnorm_forward(xx, gg, bb, np.zeros(d), np.ones(d), train=True)
 
-    _, cache = run(x, gamma, beta)
-    dx, dgamma, dbeta = batchnorm_backward(cache, proj)
-    errs = [
-        _gradient_error(dx, lambda v: float((run(v, gamma, beta)[0] * proj).sum()), x),
-        _gradient_error(dgamma, lambda v: float((run(x, v, beta)[0] * proj).sum()), gamma),
-        _gradient_error(dbeta, lambda v: float((run(x, gamma, v)[0] * proj).sum()), beta),
-    ]
-    return max(errs)
+    return _layer_error(forward, batchnorm_backward, (x, gamma, beta), proj)
 
 
 def _check_l2_normalize(rng):
     x = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(2, 8))))
     x += np.sign(x) * 0.1
     proj = rng.standard_normal(x.shape)
-    _, cache = l2_normalize_forward(x)
-    dx = l2_normalize_backward(cache, proj)
-    return _gradient_error(dx, lambda v: float((l2_normalize_forward(v)[0] * proj).sum()), x)
+    return _layer_error(l2_normalize_forward, l2_normalize_backward, (x,), proj)
 
 
 def _check_softmax(rng):

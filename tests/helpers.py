@@ -144,19 +144,24 @@ def adam_step_reference(params, grads, state):
 
 
 def sample_pk_batch_reference(dataset, P, K, rng):
-    """PK sampling row by row through `identity_index` and sample ids."""
+    """PK sampling row by row from the `samples` view: per identity, the
+    visible and thermal sample ids in row order, gathered one at a time."""
     from xmodal.losses import LabeledBatch
 
-    eligible = [i for i, (vis, thm) in dataset.identity_index.items() if vis and thm]
+    index, by_id = {}, {}
+    for s in dataset.samples:
+        vis, thm = index.setdefault(s.identity, ([], []))
+        (vis if s.modality == "V" else thm).append(s.sample_id)
+        by_id[s.sample_id] = s
+    eligible = [i for i, (vis, thm) in index.items() if vis and thm]
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     eligible.sort()
     chosen = rng.choice(len(eligible), size=P, replace=False)
-    by_id = {s.sample_id: s for s in dataset.samples}
     rows, idents, mods = [], [], []
     for ci in chosen:
         ident = eligible[ci]
-        vis, thm = dataset.identity_index[ident]
+        vis, thm = index[ident]
         for pool, mod in ((vis, "V"), (thm, "T")):
             picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
             for p in picks:

@@ -28,7 +28,7 @@ from helpers import (
     random_pk_batch,
 )
 from xmodal import cli
-from xmodal.data import Dataset, Sample, SynthConfig, generate_synthetic, sample_pk_batch
+from xmodal.data import Dataset, SynthConfig, generate_synthetic, sample_pk_batch
 from xmodal.encoder import EncoderConfig, encode, init_encoder
 from xmodal.evaluation import EvalProtocol, average_precision, cmc_curve
 from xmodal.harness import (
@@ -258,14 +258,15 @@ def test_criterion_6_ablation_trend():
 def test_criterion_7_bidirectional_symmetry(tmp_path):
     # modality-symmetric corpus: each thermal sample mirrors a visible sample
     rng = np.random.default_rng(7)
-    samples, sid = [], 0
+    feats = []
     for ident in range(10):
         center = rng.standard_normal(16)
         for _ in range(4):
-            feat = center + 0.2 * rng.standard_normal(16)
-            samples.append(Sample(feat.copy(), ident, VISIBLE, sid)); sid += 1
-            samples.append(Sample(feat.copy(), ident, THERMAL, sid)); sid += 1
-    dataset = Dataset(samples)
+            feats.append(center + 0.2 * rng.standard_normal(16))
+    dataset = Dataset(features=np.repeat(np.array(feats), 2, axis=0),
+                      identity=np.repeat(np.arange(10), 8),
+                      modality=np.tile(np.array([VISIBLE, THERMAL]), 40),
+                      sample_id=np.arange(80))
 
     # tie the thermal stream to the visible one so the encoder itself is
     # modality-symmetric as well

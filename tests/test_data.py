@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from xmodal.data import (
     DataError,
     Dataset,
-    Sample,
     SynthConfig,
     generate_synthetic,
     load_dataset,
@@ -16,6 +17,8 @@ from xmodal.data import (
 
 from helpers import sample_pk_batch_reference
 
+COLUMNS = ("features", "identity", "modality", "sample_id")
+
 
 def small_synth(**kw):
     base = dict(num_identities=6, per_identity_per_modality=4, input_dim=3,
@@ -24,33 +27,72 @@ def small_synth(**kw):
     return SynthConfig(**base)
 
 
+def rows_of(ds, ident, modality):
+    return ds.features[(ds.identity == ident) & (ds.modality == modality)]
+
+
+def assert_same_rows(a, b):
+    for column in COLUMNS:
+        got, want = getattr(a, column), getattr(b, column)
+        assert got.dtype == want.dtype, column
+        np.testing.assert_array_equal(got, want)
+
+
 class TestGenerate:
     def test_identity_transform_zero_noise_matches_modalities(self):
         cfg = small_synth(cluster_std=0.0, noise_std=0.0,
                           modality_transform=np.eye(3), modality_offset=np.zeros(3))
         ds = generate_synthetic(cfg)
-        for ident, (vis, thm) in ds.identity_index.items():
-            np.testing.assert_array_equal(ds.feature_matrix(vis), ds.feature_matrix(thm))
+        assert ds.identities() == list(range(6))
+        for ident in ds.identities():
+            vis = rows_of(ds, ident, "V")
+            assert vis.shape == (4, 3)
+            np.testing.assert_array_equal(vis, rows_of(ds, ident, "T"))
 
     def test_same_seed_bit_identical(self):
-        a, b = generate_synthetic(small_synth()), generate_synthetic(small_synth())
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.feature, sb.feature)
-            assert (sa.identity, sa.modality, sa.sample_id) == (sb.identity, sb.modality, sb.sample_id)
+        assert_same_rows(generate_synthetic(small_synth()), generate_synthetic(small_synth()))
+
+    # sha256 of the saved file, as generated before the dataset was held as
+    # arrays: fixes the RNG draw order, the row order and the file format
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "92b14ff13296976180fb0e14eb51c1088e91712b7f91ad7a389102f2ec46b844"),
+        (2, "abe2e0897193bdb265fbdc837df42073b2eb2b92cc43714e2663d65e38a2274e"),
+    ])
+    def test_saved_bytes_are_pinned(self, seed, digest, tmp_path):
+        path = tmp_path / "ds.txt"
+        save_dataset(generate_synthetic(small_synth(seed=seed)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_row_layout(self):
+        ds = generate_synthetic(small_synth(num_identities=3, per_identity_per_modality=2))
+        assert len(ds) == 12 and ds.input_dim == 3
+        assert ds.identity.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert ds.modality.tolist() == ["V", "V", "T", "T"] * 3
+        assert ds.sample_id.tolist() == list(range(12))
+
+    def test_sample_views_follow_the_arrays(self):
+        ds = generate_synthetic(small_synth())
+        for view, rows in ((ds.samples, np.arange(len(ds))),
+                           (ds.by_modality("T"), np.flatnonzero(ds.modality == "T"))):
+            assert len(view) == len(rows)
+            for s, i in zip(view, rows):
+                np.testing.assert_array_equal(s.feature, ds.features[i])
+                assert (s.identity, s.modality, s.sample_id) == (
+                    ds.identity[i], ds.modality[i], ds.sample_id[i])
 
     def test_law_of_large_numbers(self):
         cfg = SynthConfig(num_identities=50, per_identity_per_modality=20, input_dim=8,
                           cluster_std=0.3, noise_std=0.0,
                           modality_transform=np.eye(8), modality_offset=np.zeros(8), seed=3)
         ds = generate_synthetic(cfg)
-        assert len(ds.samples) == 2000
+        assert len(ds) == 2000
         # recover each center from the thermal mean (identity transform, no noise)
         bound = 3 * cfg.cluster_std / np.sqrt(20)
         within = 0
         total = 0
-        for ident, (vis, thm) in ds.identity_index.items():
-            vis_mean = ds.feature_matrix(vis).mean(axis=0)
-            thm_mean = ds.feature_matrix(thm).mean(axis=0)
+        for ident in ds.identities():
+            vis_mean = rows_of(ds, ident, "V").mean(axis=0)
+            thm_mean = rows_of(ds, ident, "T").mean(axis=0)
             # both means estimate the same center; their gap is within 2x the bound
             within += int(np.sum(np.abs(vis_mean - thm_mean) < 2 * bound))
             total += 8
@@ -67,11 +109,51 @@ class TestFileFormat:
         ds = generate_synthetic(small_synth())
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert len(loaded.samples) == len(ds.samples)
-        for a, b in zip(ds.samples, loaded.samples):
-            np.testing.assert_array_equal(a.feature, b.feature)
-            assert (a.identity, a.modality, a.sample_id) == (b.identity, b.modality, b.sample_id)
+        assert_same_rows(load_dataset(path), ds)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("# xmodal-dataset v1 dim=2\n\n5,1,T,1.5,-2.0\n  \n3,0,V,0.25,4e-3\n\n")
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.25, 4e-3]])
+        assert ds.identity.tolist() == [1, 0]
+        assert ds.modality.tolist() == ["T", "V"]
+        assert ds.sample_id.tolist() == [5, 3]
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_rejected_at_header(self, dim, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# xmodal-dataset v1 dim={dim}\n0,0,V,1.0\n")
+        with pytest.raises(DataError, match=f":1: dimension must be >= 1, got {dim}$"):
+            load_dataset(path)
+
+    def test_huge_dimension_fails_on_field_count(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# xmodal-dataset v1 dim=1000000000000\n0,0,V,1.0\n")
+        with pytest.raises(DataError, match=":2: expected 1000000000003 fields, got 4"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "unparseable feature value"),
+        ("", "unparseable feature value"),
+        ("nan", "non-finite feature value"),
+        ("-inf", "non-finite feature value"),
+        ("1e400", "non-finite feature value"),
+    ])
+    def test_bad_value_on_a_later_line_names_it(self, value, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# xmodal-dataset v1 dim=2\n0,0,V,1.0,2.0\n1,0,T,3.0,4.0\n\n"
+                        f"2,1,V,5.0,{value}\n3,1,T,7.0,8.0\n")
+        with pytest.raises(DataError, match=f":5: {message}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("ids", ["9223372036854775808,0", "1,9223372036854775808",
+                                     "-9223372036854775809,0"])
+    def test_ids_outside_64_bits_name_line(self, ids, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# xmodal-dataset v1 dim=1\n0,0,V,1.0\n{ids},T,2.0\n")
+        with pytest.raises(DataError, match=":3: sample_id or identity outside the 64-bit range"):
+            load_dataset(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -106,11 +188,10 @@ class TestFileFormat:
 
 class TestSplit:
     def _dataset(self, n_idents):
-        samples = []
-        for i in range(n_idents):
-            samples.append(Sample(np.array([float(i)]), i, "V", 2 * i))
-            samples.append(Sample(np.array([float(i)]), i, "T", 2 * i + 1))
-        return Dataset(samples)
+        identity = np.repeat(np.arange(n_idents), 2)
+        return Dataset(features=identity[:, None].astype(np.float64), identity=identity,
+                       modality=np.tile(np.array(["V", "T"]), n_idents),
+                       sample_id=np.arange(2 * n_idents))
 
     def test_regdb_sizing(self):
         train, test = split_identity_disjoint(self._dataset(412), 0.5, seed=0)
@@ -129,6 +210,25 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             split_identity_disjoint(self._dataset(4), 1.0, seed=0)
+
+    # split_hash values as computed before the dataset was held as arrays
+    @pytest.mark.parametrize("seed, hashes", [(0, ("c25f0797fcd2ff6b", "2c936161cfa3dc70")),
+                                              (3, ("abb086e1d7d3f65c", "c15592937d0abcf3"))])
+    def test_keeps_row_order_and_split_hash(self, seed, hashes):
+        from xmodal.harness import split_hash
+
+        base = generate_synthetic(small_synth(num_identities=10))
+        assert tuple(split_hash(part) for part in split_identity_disjoint(base, 0.5, seed)) == hashes
+        # rows shuffled, so row order differs from sample-id order
+        order = np.random.default_rng(seed).permutation(len(base))
+        ds = Dataset(**{column: getattr(base, column)[order] for column in COLUMNS})
+        parts = split_identity_disjoint(ds, 0.5, seed)
+        assert tuple(split_hash(part) for part in parts) == hashes
+        for part in parts:
+            keep = set(part.identities())
+            rows = [i for i in range(len(ds)) if ds.identity[i] in keep]
+            assert_same_rows(part, Dataset(**{column: getattr(ds, column)[rows]
+                                               for column in COLUMNS}))
 
 
 class TestPKSampler:
@@ -170,16 +270,18 @@ class TestPKSampler:
         # (never eligible), and pools of 1 and 2 rows, which K=3 draws with
         # replacement
         base = generate_synthetic(small_synth(num_identities=9, per_identity_per_modality=4))
-        order = np.random.default_rng(3).permutation(len(base.samples))
-        samples = []
+        order = np.random.default_rng(3).permutation(len(base))
+        rows, sample_ids = [], []
         for rank, i in enumerate(order):
-            s = base.samples[i]
-            if s.identity == 0 and s.modality == "T":
+            ident, modality = base.identity[i], base.modality[i]
+            if ident == 0 and modality == "T":
                 continue
-            if s.identity in (1, 2) and s.sample_id % 4 >= s.identity:
+            if ident in (1, 2) and base.sample_id[i] % 4 >= ident:
                 continue
-            samples.append(Sample(s.feature, s.identity, s.modality, 7 * rank + 5))
-        ds = Dataset(samples)
+            rows.append(i)
+            sample_ids.append(7 * rank + 5)
+        ds = Dataset(features=base.features[rows], identity=base.identity[rows],
+                     modality=base.modality[rows], sample_id=np.array(sample_ids))
         for K in (1, 3, 4):
             rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
             for _ in range(200):

@@ -663,6 +663,33 @@ class TestCli:
                          "--out", str(workdir / "m.ckpt")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_exits_2(self, dim, workdir, capsys):
+        data = workdir / "bad.txt"
+        fields = ",1.0" * max(int(dim), 0)
+        data.write_text(f"# xmodal-dataset v1 dim={dim}\n0,0,V{fields}\n1,0,T{fields}\n")
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(workdir / "m.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: {data}:1: dimension must be >= 1, got {dim}\n"
+
+    @pytest.mark.parametrize("query", [VISIBLE, THERMAL])
+    def test_eval_without_thermal_rows_exits_2(self, query, workdir, capsys):
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        lines = data.read_text().splitlines(keepends=True)
+        visible_only = workdir / "visible.txt"
+        visible_only.write_text("".join(line for line in lines if ",T," not in line))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(visible_only),
+                         "--query-modality", query]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "data error: evaluation: the dataset has no samples with modality T\n"
+
     def test_unknown_synth_key_exits_1(self, workdir, capsys):
         bad = workdir / "synth_bad.json"
         write_json(bad, {"num_identities": 6, "pixels": 9})
