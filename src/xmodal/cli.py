@@ -90,7 +90,13 @@ def _cmd_eval(args):
 def _cmd_ablation(args):
     synth_cfg, train_fraction = parse_synth_config(_load_json(args.data_config))
     base = TrainConfig.from_dict(_load_json(args.config))
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    seeds = []
+    for token in args.seeds.split(","):
+        if token:
+            try:
+                seeds.append(int(token))
+            except ValueError:
+                raise ConfigError(f"--seeds: {token!r} is not an integer") from None
     table = run_ablation(synth_cfg, base, seeds, train_fraction=train_fraction)
     if args.report:
         _write(args.report, json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -61,8 +61,9 @@ def _ranked_blocks(query_feats, gallery_feats):
     tie and is sorted again with the stable sort, which puts the lowest
     index first. Features must be finite, so a tie is exact equality. A
     block holds at most DIST_BLOCK_BYTES of distances, never a Q x G matrix.
-    These values are neither exact nor differentiable, which is why training
-    and gradcheck keep numerics.pairwise_distances.
+    Unlike the dual loss's mining, which certifies its GEMM picks with
+    numerics.gemm_score_bound, this order is not checked against the exact
+    distances, so near-duplicate gallery rows may rank out of that order.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)

@@ -69,9 +69,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the encoder flags are authoritative for branch selection
-        self.loss.mfi_enabled = self.encoder.mfi_enabled
-        self.loss.backbone_loss_enabled = self.encoder.backbone_loss_enabled
+        # the encoder flags are authoritative for branch selection; a copy,
+        # so that a LossConfig shared with another TrainConfig is left as it is
+        self.loss = replace(self.loss, mfi_enabled=self.encoder.mfi_enabled,
+                            backbone_loss_enabled=self.encoder.backbone_loss_enabled)
 
     def validate(self):
         if self.epochs < 1:
@@ -193,6 +194,10 @@ def train(dataset, config):
     n_batches = batches_per_epoch(dataset, config.P, config.K)
 
     report = RunReport(config_echo=_config_echo(config, enc_cfg), seed=config.seed)
+    # sample_pk_batch draws P distinct identities and K rows of each per
+    # modality, so after _split_batch the pools depend on (P, K) alone
+    layout = np.repeat(np.arange(config.P), config.K)
+    targets = L.loss_targets(layout, layout, config.P, config.K)
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate
         if epoch > config.lr_decay_epoch:
@@ -205,8 +210,9 @@ def train(dataset, config):
             xv, xt, yv, yt = _split_batch(batch, idents)
             bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
             bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
-            breakdown, gv, gt = total_loss(bundle_v, bundle_t, yv, yt,
-                                           config.loss, config.P, config.K)
+            breakdown, cache = L.total_loss_forward(
+                bundle_v, bundle_t, replace(targets, labels=np.concatenate([yv, yt])), config.loss)
+            gv, gt = L.total_loss_backward(cache)
             grads = zero_grads(params)
             encode_backward(params, enc_cfg, cache_v, gv, out=grads)
             encode_backward(params, enc_cfg, cache_t, gt, out=grads)
@@ -510,8 +516,8 @@ def _check_triplet(rng, kind):
     return _gradient_error(grad, lambda v: L.triplet_loss(v, pools, rho), batch.features)
 
 
-def _full_model_setup(rng, mfi, fusion="cat"):
-    cfg = EncoderConfig(input_dim=5, num_classes=3, stage_dims=(6, 5), tap_stage=2,
+def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5)):
+    cfg = EncoderConfig(input_dim=5, num_classes=3, stage_dims=stage_dims, tap_stage=2,
                         d=4, fusion=fusion, mfi_enabled=mfi, backbone_loss_enabled=True)
     params = init_encoder(cfg, int(rng.integers(0, 2 ** 31)))
     for k in params.values:
@@ -600,10 +606,10 @@ def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 
-def _check_full_model(rng, mfi):
+def _check_full_model(rng, mfi, **setup):
     # resample until the ReLU inputs and mined triplets are safely away from kinks
     for _ in range(50):
-        cfg, params, loss_cfg, x, labels, P, K = _full_model_setup(rng, mfi)
+        cfg, params, loss_cfg, x, labels, P, K = _full_model_setup(rng, mfi, **setup)
         if _metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:
             break
     else:

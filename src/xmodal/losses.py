@@ -10,6 +10,13 @@ Each loss is a forward step, which computes the loss value and keeps what
 the gradient needs, and a gradient step. The (loss, grad) functions run
 both; a finite-difference sweep runs the forward step alone, on labels and
 candidate pools checked once per batch.
+
+The single triplet losses and `mining_margins` mine on the exact
+`pairwise_distances` matrix. The dual loss, which training runs, mines on
+one GEMM and certifies every pick with `gemm_score_bound`; a pick it cannot
+certify is made again on exact distances. Either way the picks are those of
+`pairwise_distances`' values, ties to the lowest index, and the hinges and
+gradients use the mined pairs' exact distances.
 """
 
 import math
@@ -18,8 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    gemm_score_bound,
+    gemm_sq_distances,
     l2_normalize_backward,
     l2_normalize_forward,
+    pair_distances,
     pairwise_distances,
     softmax_cross_entropy_backward,
     softmax_cross_entropy_forward,
@@ -102,29 +112,35 @@ def _masked_rows(dist, pools):
     return np.where(pos, dist, -np.inf), np.where(neg, dist, np.inf)
 
 
-def _hinge_forward(dist, pools, rho):
-    """Batch-hard hinge summed over every row of `dist` as an anchor.
+def _hinge(d_pos, d_neg, hp, hn, rho):
+    """Batch-hard hinge summed over anchor rows 0..n-1, given each row's
+    hardest positive and negative rows and its distances to them.
 
-    Returns (loss, mined): the anchor, hardest-positive and hardest-negative
-    rows of each strictly active hinge, all that `_hinge_backward` needs.
+    Returns (loss, mined), where mined is all that `_hinge_backward` needs.
     """
+    term = rho + d_pos - d_neg
+    return float(np.maximum(term, 0.0).sum()), (term, hp, hn, d_pos, d_neg)
+
+
+def _hinge_forward(dist, pools, rho):
+    """`_hinge` mined on the exact distance matrix, over every row of `dist`."""
     pos, neg = _masked_rows(dist, pools)
     # argmax/argmin take the lowest index on ties
     hp = np.argmax(pos, axis=1)
     hn = np.argmin(neg, axis=1)
     a = np.arange(dist.shape[0])
-    term = rho + dist[a, hp] - dist[a, hn]
-    loss = float(np.maximum(term, 0.0).sum())
+    return _hinge(dist[a, hp], dist[a, hn], hp, hn, rho)
+
+
+def _hinge_backward(features, mined):
+    """Gradient of `_hinge`'s loss w.r.t. the full feature matrix: only the
+    strictly active hinges contribute."""
+    term, hp, hn, d_pos, d_neg = mined
     active = term > 0.0
-    return loss, (a[active], hp[active], hn[active])
-
-
-def _hinge_backward(features, dist, mined):
-    """Gradient of `_hinge_forward`'s loss w.r.t. the full feature matrix."""
-    a, p, n = mined
+    a, p, n = np.flatnonzero(active), hp[active], hn[active]
     # d = sqrt(||f_a - f_b||^2 + eps), so dd/df_a = (f_a - f_b) / d
-    gp = (features[a] - features[p]) / dist[a, p][:, None]
-    gn = (features[a] - features[n]) / dist[a, n][:, None]
+    gp = (features[a] - features[p]) / d_pos[active][:, None]
+    gn = (features[a] - features[n]) / d_neg[active][:, None]
     grad = np.zeros(features.shape)
     grad[a] = gp - gn
     _scatter_pairs(grad, p, n, gp, gn)
@@ -184,9 +200,8 @@ def mining_margins(batch, rho):
 
 def _triplet(features, pools, rho):
     """(loss, grad) of the hinge over `pools`: the forward step, then the gradient step."""
-    dist = pairwise_distances(features, features)
-    loss, mined = _hinge_forward(dist, pools, rho)
-    return loss, _hinge_backward(features, dist, mined)
+    loss, mined = _hinge_forward(pairwise_distances(features, features), pools, rho)
+    return loss, _hinge_backward(features, mined)
 
 
 def batch_hard_triplet(features, labels, rho):
@@ -228,31 +243,81 @@ def triplet_loss(features, pools, rho):
     return _hinge_forward(pairwise_distances(features, features), pools, rho)[0]
 
 
-def _dual_forward(features, cross, intra, config):
-    """Forward step of the dual loss over cross and intra pools.
+# The dual loss's four pools, stacked: cross positives and negatives, then
+# intra positives and negatives. A positive pool's hardest candidate is the
+# farthest, a negative pool's the nearest: the largest of sign * distance.
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+
+
+def _dual_offsets(batch):
+    """The validated batch's stacked pools as score offsets: 0 where a column
+    is a candidate of the row, -inf where it is not."""
+    cross, intra = _modality_masks(batch)
+    pools = np.stack([*_pools(batch.identity, cross), *_pools(batch.identity, intra)])
+    return np.where(pools, 0.0, -np.inf)
+
+
+def _certified_picks(features, offsets):
+    """Each row's hardest candidate in each stacked pool, as (picks, redone).
+
+    The picks are those an argmax on `pairwise_distances`' values makes,
+    ties to the lowest index. They are made on GEMM scores by one argmax;
+    a pick is certified when it leads the runner-up of its pool by more
+    than twice `gemm_score_bound` and every score is finite. `redone`
+    marks the picks that were not, and were made again on their rows'
+    exact distances.
+    """
+    n = features.shape[0]
+    scores, sq = gemm_sq_distances(features)
+    cand = scores * _SIGNS
+    cand += offsets
+    rows, flat = cand.reshape(-1, n), cand.reshape(-1)
+    picks = rows.argmax(axis=1)
+    at = np.arange(0, flat.size, n) + picks
+    lead = flat[at]
+    flat[at] = -np.inf  # the runner-up is the best of the rest
+    lead -= flat[at - picks + rows.argmax(axis=1)]
+    # a NaN lead or limit fails the test, and so takes the exact path
+    limit = 2.0 * gemm_score_bound(2.0 * float(sq.max()), features.shape[1])
+    redone = ~(lead.reshape(offsets.shape[:2]) > limit)
+    if not np.isfinite(scores).all():
+        redone |= ~np.isfinite(scores).all(axis=1)
+    picks = picks.reshape(offsets.shape[:2])
+    if redone.any():
+        k, i = np.nonzero(redone)
+        anchors, row = np.unique(i, return_inverse=True)
+        exact = pairwise_distances(features[anchors], features)[row]
+        masked = np.where(offsets[k, i] == 0.0, exact * _SIGNS[k, 0], -np.inf)
+        picks[k, i] = masked.argmax(axis=1)
+    return picks, redone
+
+
+def _dual_forward(features, offsets, config):
+    """Forward step of the dual loss over the stacked pools `offsets`
+    (`_dual_offsets`).
 
     Returns (loss, cross loss, intra loss, cache for `_dual_backward`).
     """
-    dist = pairwise_distances(features, features)
-    loss_c, mined_c = _hinge_forward(dist, cross, config.rho)
-    loss_i, mined_i = _hinge_forward(dist, intra, config.rho)
-    return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, dist, mined_c, mined_i, config)
+    picks, _ = _certified_picks(features, offsets)
+    dist = pair_distances(features, picks)
+    loss_c, mined_c = _hinge(dist[0], dist[1], picks[0], picks[1], config.rho)
+    loss_i, mined_i = _hinge(dist[2], dist[3], picks[2], picks[3], config.rho)
+    return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, mined_c, mined_i, config)
 
 
 def _dual_backward(cache):
     """Gradient of `_dual_forward`'s loss w.r.t. the features."""
-    features, dist, mined_c, mined_i, config = cache
-    grad_c = _hinge_backward(features, dist, mined_c)
-    grad_i = _hinge_backward(features, dist, mined_i)
+    features, mined_c, mined_i, config = cache
+    grad_c = _hinge_backward(features, mined_c)
+    grad_i = _hinge_backward(features, mined_i)
     return grad_c + config.lambda1 * grad_i
 
 
 def dual_modality_triplet(batch, config):
     """cross + lambda1 * intra, with matching gradient composition."""
     config.validate()
-    cross, intra = _modality_masks(batch)
     loss, loss_c, loss_i, cache = _dual_forward(
-        batch.features, _pools(batch.identity, cross), _pools(batch.identity, intra), config)
+        np.asarray(batch.features, dtype=np.float64), _dual_offsets(batch), config)
     return loss, _dual_backward(cache), loss_c, loss_i
 
 
@@ -289,12 +354,12 @@ class LossBreakdown:
 @dataclass(frozen=True)
 class LossTargets:
     """Class labels of one PK batch encoded per modality, visible rows
-    first, with the cross and intra pools of its rows (`loss_targets`)."""
+    first, with the stacked cross and intra pools of its rows as score
+    offsets (`loss_targets`)."""
 
     labels: np.ndarray
     n_visible: int
-    cross: tuple
-    intra: tuple
+    offsets: np.ndarray
 
 
 def loss_targets(labels_v, labels_t, P, K):
@@ -309,9 +374,7 @@ def loss_targets(labels_v, labels_t, P, K):
     modality = np.array([VISIBLE] * labels_v.size + [THERMAL] * labels_t.size)
     # the batch checks read only the row count of the features
     batch = LabeledBatch(features=labels[:, None], identity=labels, modality=modality, P=P, K=K)
-    cross, intra = _modality_masks(batch)
-    return LossTargets(labels=labels, n_visible=labels_v.size,
-                       cross=_pools(labels, cross), intra=_pools(labels, intra))
+    return LossTargets(labels=labels, n_visible=labels_v.size, offsets=_dual_offsets(batch))
 
 
 def total_loss_forward(bundle_v, bundle_t, targets, config):
@@ -336,7 +399,7 @@ def total_loss_forward(bundle_v, bundle_t, targets, config):
 
     metric, norm_cache = l2_normalize_forward(np.concatenate([sel_v, sel_t]))
     loss_sm, sm_cache = softmax_cross_entropy_forward(logits, targets.labels)
-    loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.cross, targets.intra, config)
+    loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.offsets, config)
 
     total = loss_sm + config.lambda2 * loss_d
     loss_bb = 0.0

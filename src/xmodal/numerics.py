@@ -18,6 +18,8 @@ DIST_STABILIZER = 1e-12
 # 64 KiB to 4 MiB for pairwise_distances on both 64x64 and 1200x1200 inputs;
 # ranking a 1200x1200 gallery ran within 10% from 256 KiB to 16 MiB.
 DIST_BLOCK_BYTES = 1 << 18
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,73 @@ def pairwise_distances(a, b):
                 sq[j:j + side, i:i + side] = block.T
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)
+
+
+def pair_distances(x, idx):
+    """Distance of each row of x to the row `idx` names for it along its last
+    axis: out[..., i] = ||x[i] - x[idx[..., i]]||.
+
+    Each is one difference row's einsum, the arithmetic of
+    `pairwise_distances`, so it equals pairwise_distances(x, x)[i, idx[..., i]]
+    bit for bit. The difference rows are formed in place, by one gather and
+    one broadcast subtraction.
+    """
+    diff = x[idx]
+    np.subtract(x, diff, out=diff)
+    sq = np.einsum("...k,...k->...", diff, diff)
+    sq += DIST_STABILIZER
+    return np.sqrt(sq, out=sq)
+
+
+def gemm_sq_distances(x):
+    """Scores ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j for every pair of rows of x,
+    from one GEMM, and the squared row norms.
+
+    A score approximates the squared distance `pairwise_distances` takes the
+    root of; `gemm_score_bound` says when an order of scores is certain to
+    be the order of those distances.
+    """
+    sq = np.einsum("ij,ij->i", x, x)
+    scores = x @ x.T
+    scores *= -2.0
+    scores += sq[:, None]
+    scores += sq
+    return scores, sq
+
+
+def gemm_score_bound(norm_sum, dim):
+    """Half the lead one `gemm_sq_distances` score needs over another for the
+    order to be certain.
+
+    Take two pairs of `dim`-wide rows, each pair's squared norms summing to
+    at most `norm_sum`, with scores s_a and s_b. If s_a - s_b > 2 * bound,
+    then `pairwise_distances` computes d_a > d_b: the same order, strict,
+    so no tie can appear after a pick. Derivation (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 3), with unit roundoff
+    u = 2**-53, gamma_n = nu / (1 - nu), N = ||x||^2 + ||y||^2 and the
+    exact e = ||x - y||^2 <= 2N; a length-D dot product in any summation
+    order, GEMM included, lies within gamma_D * sum |x_k y_k| of its value:
+
+    - GEMM score s: each norm lies within gamma_D of its value and the
+      cross term 2x.y within 2 gamma_D ||x|| ||y|| <= gamma_D N; the two
+      final adds round partial sums below 2N and 3N. So
+      |s - e| <= (2 gamma_D + 5u) N.
+    - exact path q, the einsum of rounded differences: every term carries
+      at most D + 2 roundings, so |q - e| <= gamma_{D+2} e <= 2 gamma_{D+2} N.
+    - stabilizer and sqrt: if q_a - q_b > 7u (q_a + eps), then
+      fl(q + eps) keeps a gap above 4u fl(q_a + eps), which survives the
+      correctly rounded sqrt. With q_a <= 3N that takes 21uN + 7u eps.
+
+    A lead above 2 (|s - e| + |q - e|) + 21uN + 7u eps is thus enough,
+    which is 2 ((4D + 19.5) uN + 3.5u eps) to first order in u. A product
+    that underflows adds an absolute error of at most 2**-1075, which adds
+    at most 2.5D 2**-1074 inside those parentheses. The bound returned is
+    2 ((4D + 20) uN + 4u eps + 4D 2**-1074); its factor 2 covers the
+    second-order terms, norms summed from computed values, and the
+    rounding of the lead and of this bound.
+    """
+    return 2.0 * ((4 * dim + 20) * _UNIT_ROUNDOFF * norm_sum
+                  + 4 * _UNIT_ROUNDOFF * DIST_STABILIZER + 4 * dim * _SMALLEST_SUBNORMAL)
 
 
 def softmax_cross_entropy_forward(logits, labels):

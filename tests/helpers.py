@@ -198,6 +198,19 @@ def pairwise_distances_reference(a, b):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + STAB)
 
 
+def certified_picks_reference(features, offsets):
+    """`losses._certified_picks` with every pick made on the unblocked exact
+    matrix, candidate by candidate, ties to the lowest index."""
+    dist = pairwise_distances_reference(features, features)
+    pools, n = offsets.shape[:2]
+    picks = np.empty((pools, n), dtype=np.intp)
+    for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):  # positive, negative, positive, negative
+        for i in range(n):
+            cands = [j for j in range(n) if offsets[k, i, j] == 0.0]
+            picks[k, i] = max(cands, key=lambda j: (sign * dist[i, j], -j))
+    return picks, np.ones((pools, n), dtype=bool)
+
+
 def split_batch_reference(batch, idents):
     """`harness._split_batch` with class labels from a dict lookup per row."""
     label_map = {ident: i for i, ident in enumerate(idents)}

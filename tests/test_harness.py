@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from xmodal import cli, encoder, harness, losses
-from xmodal.data import SynthConfig, generate_synthetic, save_dataset, split_identity_disjoint
+from xmodal.data import (
+    SynthConfig,
+    generate_synthetic,
+    sample_pk_batch,
+    save_dataset,
+    split_identity_disjoint,
+)
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import EvalProtocol
 from xmodal.harness import (
@@ -31,6 +37,7 @@ from xmodal.numerics import batchnorm_backward, l2_normalize_backward
 from helpers import (
     AdamReference,
     adam_step_reference,
+    certified_picks_reference,
     check_full_model_reference,
     pairwise_distances_reference,
     sample_pk_batch_reference,
@@ -70,6 +77,17 @@ class TestTrainConfig:
         cfg = TrainConfig(encoder=enc, loss=LossConfig(mfi_enabled=True))
         assert cfg.loss.mfi_enabled is False
         assert cfg.loss.backbone_loss_enabled is True
+
+    def test_configs_sharing_a_loss_config_keep_their_own_flags(self):
+        loss = LossConfig()
+        on = EncoderConfig(input_dim=6, num_classes=4, mfi_enabled=True)
+        off = EncoderConfig(input_dim=6, num_classes=4, mfi_enabled=False,
+                            backbone_loss_enabled=False)
+        a = TrainConfig(encoder=on, loss=loss)
+        b = TrainConfig(encoder=off, loss=loss)
+        assert (a.loss.mfi_enabled, a.loss.backbone_loss_enabled) == (True, True)
+        assert (b.loss.mfi_enabled, b.loss.backbone_loss_enabled) == (False, False)
+        assert loss == LossConfig()
 
     def test_unknown_key_rejected(self):
         d = tiny_config().to_dict()
@@ -189,6 +207,7 @@ class TestTrain:
             m.setattr(harness, "AdamState", AdamReference)
             m.setattr(harness, "adam_step", adam_step_reference)
             m.setattr(losses, "pairwise_distances", pairwise_distances_reference)
+            m.setattr(losses, "_certified_picks", certified_picks_reference)
             m.setattr(LabeledBatch, "validate", validate_reference)
             p2, _, r2 = train(ds, cfg)
         assert r1.to_json() == r2.to_json()
@@ -197,6 +216,42 @@ class TestTrain:
             assert set(a) == set(b)
             for name in a:
                 assert np.array_equal(a[name], b[name]), (section, name)
+
+    def test_every_sampled_batch_has_the_run_pools(self):
+        # train builds the pools once per run from (P, K); they must be the
+        # pools of each batch sample_pk_batch draws, also when a pool is
+        # smaller than K and is sampled with replacement
+        ds = tiny_dataset(num_identities=7, per=2)
+        rng = np.random.default_rng(3)
+        idents = np.unique(ds.identity)
+        for P, K in ((2, 1), (3, 2), (7, 3)):
+            layout = np.repeat(np.arange(P), K)
+            want = losses.loss_targets(layout, layout, P, K).offsets
+            for _ in range(20):
+                _, _, yv, yt = harness._split_batch(sample_pk_batch(ds, P, K, rng), idents)
+                assert np.array_equal(losses.loss_targets(yv, yt, P, K).offsets, want)
+
+    def test_reference_run_certifies_every_pick(self, monkeypatch):
+        # acceptance criterion 6's configuration and corpus, two epochs:
+        # no hardest pick needs the exact distances
+        redone = []
+
+        def counted(features, offsets):
+            picks, mask = certified_picks(features, offsets)
+            redone.append(int(mask.sum()))
+            return picks, mask
+
+        certified_picks = losses._certified_picks
+        monkeypatch.setattr(losses, "_certified_picks", counted)
+        enc = EncoderConfig(input_dim=32, num_classes=0, stage_dims=(64, 64, 64),
+                            tap_stage=2, d=64, fusion="cat")
+        cfg = TrainConfig(encoder=enc, loss=LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0),
+                          P=8, K=4, epochs=2, freeze_stage_epochs=1, learning_rate=1e-3, seed=0)
+        synth = SynthConfig(num_identities=50, per_identity_per_modality=20, input_dim=32,
+                            cluster_std=0.3, noise_std=0.1, seed=0)
+        train_ds, _ = split_identity_disjoint(generate_synthetic(synth), 0.5, 0)
+        train(train_ds, cfg)
+        assert len(redone) == 2 * 16 and sum(redone) == 0
 
     def test_loss_decreases_over_training(self):
         ds = tiny_dataset(num_identities=8, per=4)
@@ -417,6 +472,17 @@ class TestGradcheck:
             warnings.simplefilter("ignore", RuntimeWarning)
             for _ in range(harness.FULL_MODEL_TRIALS):
                 assert harness.GRADCHECK_COMPONENTS[name](rng) < 1e-4
+
+    @pytest.mark.parametrize("fusion", ["cat", "sum"])
+    def test_full_model_with_an_inner_skip_tap(self, fusion):
+        # the tap is stage 2 of 3, as in the reference model; the last stage
+        # is as wide as the tap, so a skip gradient added at the wrong stage
+        # still fits the shapes and must be caught by the values
+        rng = np.random.default_rng([11, zlib.crc32(fusion.encode())])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            worst = harness._check_full_model(rng, True, fusion=fusion, stage_dims=(6, 5, 5))
+        assert worst < harness.GRADCHECK_THRESHOLD
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
@@ -645,6 +711,13 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {message}\n"
+
+    def test_ablation_seed_that_is_not_an_integer_is_named(self, workdir, capsys):
+        assert cli.main(["ablation", "--data-config", str(workdir / "synth.json"),
+                         "--config", str(workdir / "train.json"), "--seeds", "0,x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: --seeds: 'x' is not an integer\n"
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

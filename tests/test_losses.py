@@ -12,13 +12,21 @@ from xmodal.losses import (
     intra_modality_triplet,
     loss_targets,
     mining_margins,
+    _certified_picks,
+    _dual_offsets,
+    _hinge_forward,
     _scatter_pairs,
     total_loss,
     total_loss_forward,
     triplet_loss,
     triplet_pools,
 )
-from xmodal.numerics import finite_diff_grad, max_relative_error
+from xmodal.numerics import (
+    finite_diff_grad,
+    gemm_score_bound,
+    max_relative_error,
+    pairwise_distances,
+)
 
 from helpers import (
     batch_hard_oracle,
@@ -164,6 +172,84 @@ class TestDualAndComposition:
 
         _, grad, _, _ = dual_modality_triplet(batch, cfg)
         assert max_relative_error(grad, finite_diff_grad(f, batch.features)) < 1e-4
+
+
+def as_exact_path(batch, lambda1=0.1):
+    """Check the dual loss's certified picks, loss and gradient against the
+    exact path, bit for bit; return which picks were made again exactly.
+
+    The exact path mines on `pairwise_distances` (lowest index on ties) and
+    is what the single cross and intra losses compute.
+    """
+    picks, redone = _certified_picks(batch.features, _dual_offsets(batch))
+    dist = pairwise_distances(batch.features, batch.features)
+    want = []
+    for kind in ("cross", "intra"):
+        _, (_, hp, hn, _, _) = _hinge_forward(dist, triplet_pools(batch, kind), RHO)
+        want += [hp, hn]
+    np.testing.assert_array_equal(picks, want)
+    loss, grad, loss_c, loss_i = dual_modality_triplet(batch, LossConfig(rho=RHO, lambda1=lambda1))
+    lc, gc = cross_modality_triplet(batch, RHO)
+    li, gi = intra_modality_triplet(batch, RHO)
+    assert (loss_c, loss_i, loss) == (lc, li, lc + lambda1 * li)
+    np.testing.assert_array_equal(grad, gc + lambda1 * gi)
+    return redone
+
+
+def near_duplicate_batch(eps, seed=0, P=4, K=3, dim=16):
+    """A PK batch whose rows are copies of two unit rows, each moved by eps
+    times a Gaussian row: every pool holds candidates nearly tied."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((2, dim))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    batch = random_pk_batch(rng, P, K, dim)
+    batch.features = base[rng.integers(0, 2, 2 * P * K)] + eps * batch.features
+    return batch
+
+
+class TestCertifiedMining:
+    """The dual loss mines on GEMM scores; where the bound cannot certify a
+    pick it mines on exact distances, so it always matches the exact path."""
+
+    @pytest.mark.parametrize("seed, P, K, dim, unit", [
+        (0, 2, 1, 2, False), (1, 3, 2, 4, False), (2, 4, 3, 5, False),
+        (3, 8, 4, 128, True), (4, 8, 4, 64, True)])
+    def test_ordinary_batches_need_no_exact_rows(self, seed, P, K, dim, unit):
+        batch = random_pk_batch(np.random.default_rng(seed), P, K, dim)
+        if unit:
+            batch.features /= np.linalg.norm(batch.features, axis=1, keepdims=True)
+        assert not as_exact_path(batch).any()
+
+    def test_exact_duplicate_rows(self):
+        assert as_exact_path(near_duplicate_batch(0.0)).any()
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-15])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_duplicate_rows(self, eps, seed):
+        assert as_exact_path(near_duplicate_batch(eps, seed)).any()
+
+    def test_hardest_candidates_tied_within_the_bound(self):
+        # rows 2 and 3 are visible row 0's cross positives, at squared
+        # distances 2 and 2 + 2t + t^2: apart by about 7e-15, less than
+        # twice the bound, yet about 11 ulps apart as distances
+        t = 2.0 ** -48
+        feats = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0 + t, 0.0],
+                          [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-0.5, -0.5, 0.0]])
+        batch = LabeledBatch(features=feats, identity=np.repeat([0, 1], 4),
+                             modality=np.array(list("VVTTVVTT")), P=2, K=2)
+        assert 2 * t < 2 * gemm_score_bound(2.0, 3)  # the largest squared norm is about 1
+        redone = as_exact_path(batch)
+        assert redone[0, 0]
+        assert _certified_picks(feats, _dual_offsets(batch))[0][0, 0] == 3
+
+    def test_features_that_overflow_the_gemm(self):
+        # squared norms overflow; the differences, about 1e151, do not
+        rng = np.random.default_rng(5)
+        batch = random_pk_batch(rng, 3, 2, 4)
+        batch.features = 1e154 * (1.0 + 1e-3 * batch.features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            redone = as_exact_path(batch)
+        assert redone.all()
 
 
 def loss_bundles(rng, mfi, num_classes=3, P=3, K=2, d=4):

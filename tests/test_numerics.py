@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from xmodal.numerics import (
     dense_forward,
     finite_diff_entries,
     finite_diff_grad,
+    gemm_score_bound,
+    gemm_sq_distances,
     l2_normalize_backward,
     l2_normalize_forward,
     max_relative_error,
+    pair_distances,
     pairwise_distances,
     relu_backward,
     relu_forward,
@@ -191,6 +195,48 @@ class TestPairwiseDistances:
                 tracemalloc.stop()
             # the 8 MB output plus one block
             assert peak < 32 * 2 ** 20
+
+
+class TestGemmScores:
+    @pytest.mark.parametrize("dim", [1, 7, 64, 128, 129])
+    def test_pair_distance_is_the_matrix_entry(self, dim):
+        # the mined pairs' distances and the exact rows a certified pick
+        # falls back on are the entries of the full symmetric matrix
+        rng = np.random.default_rng(dim)
+        for n, scale, offset in ((2, 1.0, 0.0), (12, 1e-3, 0.0), (64, 1.0, 0.0),
+                                 (65, 1e3, 0.0), (64, 1.0, 1e6)):
+            x = offset + scale * rng.standard_normal((n, dim))
+            full = pairwise_distances(x, x)
+            idx = rng.integers(0, n, (4, n))
+            np.testing.assert_array_equal(pair_distances(x, idx), full[np.arange(n), idx])
+            rows = np.unique(rng.integers(0, n, 5))
+            np.testing.assert_array_equal(pairwise_distances(x[rows], x), full[rows])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_bound_covers_both_paths_rounding(self, offset):
+        # half the bound covers the GEMM score's error plus the exact
+        # einsum's, against the squared distance in rational arithmetic;
+        # the other half is the margin that keeps the sqrt strictly ordered
+        rng = np.random.default_rng(int(offset) + 3)
+        for dim in (1, 7, 64, 129):
+            x = offset + rng.standard_normal((12, dim))
+            scores, sq = gemm_sq_distances(x)
+            diff = x[:, None, :] - x[None, :, :]
+            q = np.einsum("...k,...k->...", diff, diff)
+            exact = [[Fraction(0)] * 12 for _ in range(12)]
+            for i in range(12):
+                for j in range(i):
+                    e = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], x[j]))
+                    exact[i][j] = exact[j][i] = e
+            for i in range(12):
+                for j in range(12):
+                    e = exact[i][j]
+                    error = abs(Fraction(scores[i, j]) - e) + abs(Fraction(q[i, j]) - e)
+                    assert error <= Fraction(gemm_score_bound(sq[i] + sq[j], dim)) / 2, (dim, i, j)
+
+    def test_bound_is_tight_enough_to_certify_training_batches(self):
+        # unit rows at the reference width: scores about 2, bound near 1e-13
+        assert gemm_score_bound(2.0, 128) < 1e-12
 
 
 class TestSoftmaxCrossEntropy:
