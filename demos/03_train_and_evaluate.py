@@ -29,8 +29,9 @@ print(f"train identities: {len(train_ds.identities())}, "
 
 # ---------------------------------------------------------------------------
 # Model and training setup. num_classes=0 means "infer from the training
-# identities". The mid-level skip branch (mfi_enabled) and the dual-modality
-# triplet weight lambda2 are both on, i.e. the full configuration.
+# identities". The mid-level skip branch (the encoder's mfi_enabled, which
+# also selects the branch the loss reads) and the dual-modality triplet
+# weight lambda2 are both on, i.e. the full configuration.
 # ---------------------------------------------------------------------------
 config = TrainConfig(
     encoder=EncoderConfig(input_dim=16, num_classes=0, stage_dims=(32, 32),

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import json_fields
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
@@ -71,11 +72,7 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"EncoderConfig: unknown keys {sorted(unknown)}")
-        d = dict(d)
+        d = json_fields(cls, d)
         if "stage_dims" in d:
             d["stage_dims"] = tuple(d["stage_dims"])
         cfg = cls(**d)

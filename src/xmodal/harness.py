@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses as L
+from .config import json_fields
 from .data import (
     SynthConfig,
     batches_per_epoch,
@@ -24,10 +25,11 @@ from .encoder import (
     encode,
     encode_backward,
     init_encoder,
+    test_feature,
     zero_grads,
 )
 from .evaluation import EvalProtocol, run_protocol
-from .losses import BundleGrads, LabeledBatch, LossConfig, total_loss
+from .losses import LabeledBatch, LossConfig
 from .numerics import (
     AdamState,
     adam_step,
@@ -68,12 +70,6 @@ class TrainConfig:
     lr_decay_epoch: int = 15
     seed: int = 0
 
-    def __post_init__(self):
-        # the encoder flags are authoritative for branch selection; a copy,
-        # so that a LossConfig shared with another TrainConfig is left as it is
-        self.loss = replace(self.loss, mfi_enabled=self.encoder.mfi_enabled,
-                            backbone_loss_enabled=self.encoder.backbone_loss_enabled)
-
     def validate(self):
         if self.epochs < 1:
             raise ConfigError("TrainConfig: epochs must be >= 1")
@@ -98,22 +94,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"TrainConfig: unknown keys {sorted(unknown)}")
-        d = dict(d)
-        if "encoder" not in d:
-            raise ConfigError("TrainConfig: missing 'encoder' section")
         try:
+            d = json_fields(cls, d)
             d["encoder"] = EncoderConfig.from_dict(d["encoder"])
+            d["loss"] = LossConfig(**json_fields(LossConfig, d.get("loss", {})))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        loss_d = d.pop("loss", {})
-        unknown = set(loss_d) - set(LossConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"LossConfig: unknown keys {sorted(unknown)}")
-        d["loss"] = LossConfig(**loss_d)
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -171,6 +157,20 @@ def _split_batch(batch, idents):
     return xv, xt, yv, yt
 
 
+def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets):
+    """(LossBreakdown, gradient of every parameter) of one train step on the
+    visible rows xv and thermal rows xt. Train-mode `encode` updates the
+    running stats in `params.bn_state`."""
+    bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
+    bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
+    breakdown, cache = L.total_loss_forward(bundle_v, bundle_t, targets, loss_cfg, enc_cfg)
+    gv, gt = L.total_loss_backward(cache)
+    grads = zero_grads(params)
+    encode_backward(params, enc_cfg, cache_v, gv, out=grads)
+    encode_backward(params, enc_cfg, cache_t, gt, out=grads)
+    return breakdown, grads
+
+
 def train(dataset, config):
     """Single-threaded deterministic training run."""
     config.validate()
@@ -208,14 +208,8 @@ def train(dataset, config):
         for _ in range(n_batches):
             batch = sample_pk_batch(dataset, config.P, config.K, rng)
             xv, xt, yv, yt = _split_batch(batch, idents)
-            bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
-            bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
-            breakdown, cache = L.total_loss_forward(
-                bundle_v, bundle_t, replace(targets, labels=np.concatenate([yv, yt])), config.loss)
-            gv, gt = L.total_loss_backward(cache)
-            grads = zero_grads(params)
-            encode_backward(params, enc_cfg, cache_v, gv, out=grads)
-            encode_backward(params, enc_cfg, cache_t, gt, out=grads)
+            breakdown, grads = _train_step(params, enc_cfg, config.loss, xv, xt,
+                                           replace(targets, labels=np.concatenate([yv, yt])))
             if frozen:
                 for name in grads:
                     if name.startswith(("visible.", "thermal.")):
@@ -334,22 +328,12 @@ def _unpack_section(path, doc, section, expected):
 # ---------------------------------------------------------------------------
 
 def arm_config(base, arm):
-    """The four ablation arms differ only in the branch/loss flags."""
-    if arm == "baseline":
-        enc = replace(base.encoder, mfi_enabled=False)
-        loss = replace(base.loss, lambda2=0.0)
-    elif arm == "DMTL":
-        enc = replace(base.encoder, mfi_enabled=False)
-        loss = replace(base.loss)
-    elif arm == "MFI":
-        enc = replace(base.encoder, mfi_enabled=True)
-        loss = replace(base.loss, lambda2=0.0)
-    elif arm == "EDFL":
-        enc = replace(base.encoder, mfi_enabled=True)
-        loss = replace(base.loss)
-    else:
+    """The four ablation arms differ only in the MFI branch flag and lambda2:
+    the MFI and EDFL arms enable the branch, baseline and MFI set lambda2 to 0."""
+    if arm not in ABLATION_ARMS:
         raise ConfigError(f"unknown ablation arm {arm!r}")
-    # replace() runs __post_init__, which copies the encoder flags into the loss
+    enc = replace(base.encoder, mfi_enabled=arm in ("MFI", "EDFL"))
+    loss = base.loss if arm in ("DMTL", "EDFL") else replace(base.loss, lambda2=0.0)
     return replace(base, encoder=enc, loss=loss)
 
 
@@ -526,34 +510,33 @@ def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5)):
     x = rng.standard_normal((2 * P * K, cfg.input_dim))
     # visible rows first, then thermal rows, K rows per identity in each half
     labels = np.concatenate([np.repeat(np.arange(P), K)] * 2)
-    loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0,
-                          mfi_enabled=mfi, backbone_loss_enabled=True)
+    loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0)
     return cfg, params, loss_cfg, x, labels, P, K
 
 
-def _encode_streams(params, cfg, x, streams=MODALITIES):
-    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
-    visible stream encodes the first half of x, the thermal stream the second.
+def _stats_copy(params):
+    """`params.values` as they are, with a copy of the running stats: the
+    only state train-mode `encode` changes, so `params` is left as it was."""
+    return EncoderParams(values=params.values,
+                         bn_state={k: v.copy() for k, v in params.bn_state.items()})
 
-    Reads `params.values` as they are and works on a copy of the running
-    stats, the only state train-mode `encode` changes, so `params` is left
-    as it was.
-    """
+
+def _encode_streams(params, cfg, x, streams=MODALITIES):
+    """Train-mode (bundle, cache) of each stream in `streams`, by name, on
+    `_stats_copy(params)`: the visible stream encodes the first half of x,
+    the thermal stream the second."""
     n = x.shape[0] // 2
     halves = dict(zip(MODALITIES, (x[:n], x[n:])))
-    work = EncoderParams(values=params.values,
-                         bn_state={k: v.copy() for k, v in params.bn_state.items()})
+    work = _stats_copy(params)
     return {mod: encode(work, cfg, halves[mod], mod, mode="train") for mod in streams}
 
 
 def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
-    """Total loss of one model instance and its gradient for every parameter."""
+    """Total loss of one model instance and its gradient for every parameter,
+    by `train`'s step on `_stats_copy(params)`."""
     n = x.shape[0] // 2
-    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, cfg, x).values()
-    breakdown, gv, gt = total_loss(bundle_v, bundle_t, labels[:n], labels[n:], loss_cfg, P, K)
-    grads = zero_grads(params)
-    encode_backward(params, cfg, cache_v, gv, out=grads)
-    encode_backward(params, cfg, cache_t, gt, out=grads)
+    breakdown, grads = _train_step(_stats_copy(params), cfg, loss_cfg, x[:n], x[n:],
+                                   L.loss_targets(labels[:n], labels[n:], P, K))
     return breakdown.total, grads
 
 
@@ -582,7 +565,7 @@ def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
             for mod, (bundle, _) in _encode_streams(trial, cfg, x, streams).items():
                 bundles[mod] = bundle
             return L.total_loss_forward(bundles["visible"], bundles["thermal"],
-                                        targets, loss_cfg)[0].total
+                                        targets, loss_cfg, cfg)[0].total
 
         return loss
 
@@ -597,12 +580,9 @@ def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     # cache[1] holds one (dense cache, relu cache) pair per stage
     relu_margin = min(float(np.min(np.abs(relu_cache[0])))
                       for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
-    sel_v = bundle_v.v_fused_post if cfg.mfi_enabled else bundle_v.v_post
-    sel_t = bundle_t.v_fused_post if cfg.mfi_enabled else bundle_t.v_post
-    feats, _ = l2_normalize_forward(np.concatenate([sel_v, sel_t]))
+    feats = np.concatenate([test_feature(bundle_v, cfg), test_feature(bundle_t, cfg)])
     mods = np.array([L.VISIBLE] * n + [L.THERMAL] * n)
-    batch = LabeledBatch(features=feats, identity=np.concatenate([labels[:n], labels[n:]]),
-                         modality=mods, P=P, K=K)
+    batch = LabeledBatch(features=feats, identity=labels, modality=mods, P=P, K=K)
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 
@@ -676,11 +656,10 @@ def gradcheck_text(report):
 
 
 def parse_synth_config(d):
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(d) - known - {"train_fraction"}
-    if unknown:
-        raise ConfigError(f"SynthConfig: unknown keys {sorted(unknown)}")
-    d = dict(d)
+    try:
+        d = json_fields(SynthConfig, d, train_fraction=float)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     train_fraction = d.pop("train_fraction", 0.5)
     for key in ("modality_transform", "modality_offset"):
         if d.get(key) is not None:

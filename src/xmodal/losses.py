@@ -44,8 +44,6 @@ class LossConfig:
     rho: float = 0.5
     lambda1: float = 0.1
     lambda2: float = 2.0
-    mfi_enabled: bool = True
-    backbone_loss_enabled: bool = True
 
     def validate(self):
         if self.rho < 0.0:
@@ -268,18 +266,21 @@ def _certified_picks(features, offsets):
     exact distances.
     """
     n = features.shape[0]
-    scores, sq = gemm_sq_distances(features)
-    cand = scores * _SIGNS
-    cand += offsets
-    rows, flat = cand.reshape(-1, n), cand.reshape(-1)
-    picks = rows.argmax(axis=1)
-    at = np.arange(0, flat.size, n) + picks
-    lead = flat[at]
-    flat[at] = -np.inf  # the runner-up is the best of the rest
-    lead -= flat[at - picks + rows.argmax(axis=1)]
-    # a NaN lead or limit fails the test, and so takes the exact path
-    limit = 2.0 * gemm_score_bound(2.0 * float(sq.max()), features.shape[1])
-    redone = ~(lead.reshape(offsets.shape[:2]) > limit)
+    # squared norms that overflow make non-finite scores, whose rows the
+    # exact path mines, so their overflow and inf - inf are not faults
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, sq = gemm_sq_distances(features)
+        cand = scores * _SIGNS
+        cand += offsets
+        rows, flat = cand.reshape(-1, n), cand.reshape(-1)
+        picks = rows.argmax(axis=1)
+        at = np.arange(0, flat.size, n) + picks
+        lead = flat[at]
+        flat[at] = -np.inf  # the runner-up is the best of the rest
+        lead -= flat[at - picks + rows.argmax(axis=1)]
+        # a NaN lead or limit fails the test, and so takes the exact path
+        limit = 2.0 * gemm_score_bound(2.0 * float(sq.max()), features.shape[1])
+        redone = ~(lead.reshape(offsets.shape[:2]) > limit)
     if not np.isfinite(scores).all():
         redone |= ~np.isfinite(scores).all(axis=1)
     picks = picks.reshape(offsets.shape[:2])
@@ -377,20 +378,21 @@ def loss_targets(labels_v, labels_t, P, K):
     return LossTargets(labels=labels, n_visible=labels_v.size, offsets=_dual_offsets(batch))
 
 
-def total_loss_forward(bundle_v, bundle_t, targets, config):
+def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     """Forward step of `total_loss`: (LossBreakdown, cache).
 
     Metric features for the triplet terms are the L2-normalized selected
-    features (skip branch when MFI is on, backbone otherwise); the softmax
-    term uses the matching classifier logits. The cache holds what
-    `total_loss_backward` needs; a caller that wants the loss alone drops it.
+    features (skip branch when the encoder config `enc_cfg` has MFI on,
+    backbone otherwise); the softmax term uses the matching classifier
+    logits. The cache holds what `total_loss_backward` needs; a caller that
+    wants the loss alone drops it.
     """
     config.validate()
     nv, nt = bundle_v.v_post.shape[0], bundle_t.v_post.shape[0]
     if (nv, nv + nt) != (targets.n_visible, targets.labels.size):
         raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "
                          f"{targets.n_visible} and {targets.labels.size - targets.n_visible} labels")
-    if config.mfi_enabled:
+    if enc_cfg.mfi_enabled:
         sel_v, sel_t = bundle_v.v_fused_post, bundle_t.v_fused_post
         logits = np.concatenate([bundle_v.logits_skip, bundle_t.logits_skip])
     else:
@@ -404,7 +406,7 @@ def total_loss_forward(bundle_v, bundle_t, targets, config):
     total = loss_sm + config.lambda2 * loss_d
     loss_bb = 0.0
     bb_cache = None
-    if config.mfi_enabled and config.backbone_loss_enabled:
+    if enc_cfg.mfi_enabled and enc_cfg.backbone_loss_enabled:
         logits_bb = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
         loss_bb, bb_cache = softmax_cross_entropy_forward(logits_bb, targets.labels)
         total += loss_bb
@@ -414,17 +416,17 @@ def total_loss_forward(bundle_v, bundle_t, targets, config):
     breakdown = LossBreakdown(
         softmax=loss_sm, backbone=loss_bb, cross=loss_c, intra=loss_i,
         dual=loss_d, total=total)
-    return breakdown, (config, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache)
+    return breakdown, (config, enc_cfg, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache)
 
 
 def total_loss_backward(cache):
     """Gradient step of `total_loss`: per-modality gradients on the encoder outputs."""
-    config, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache = cache
+    config, enc_cfg, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache = cache
     nv = bundle_v.v_post.shape[0]
     d_logits = softmax_cross_entropy_backward(sm_cache)
     d_sel = l2_normalize_backward(norm_cache, config.lambda2 * _dual_backward(dual_cache))
 
-    if not config.mfi_enabled:
+    if not enc_cfg.mfi_enabled:
         return (BundleGrads(d_v_post=d_sel[:nv], d_logits_backbone=d_logits[:nv]),
                 BundleGrads(d_v_post=d_sel[nv:], d_logits_backbone=d_logits[nv:]))
     if bb_cache is None:
@@ -439,12 +441,12 @@ def total_loss_backward(cache):
                         d_v_fused_post=d_sel[nv:], d_logits_skip=d_logits[nv:]))
 
 
-def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, P, K):
-    """Final training loss over one PK batch encoded per modality.
+def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, enc_cfg, P, K):
+    """Final training loss over one PK batch encoded per modality by `enc_cfg`.
 
     The forward step, then the gradient step: returns the breakdown plus
     per-modality gradients (BundleGrads) on the encoder outputs.
     """
     targets = loss_targets(labels_v, labels_t, P, K)
-    breakdown, cache = total_loss_forward(bundle_v, bundle_t, targets, config)
+    breakdown, cache = total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg)
     return (breakdown, *total_loss_backward(cache))

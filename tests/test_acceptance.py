@@ -15,6 +15,7 @@ release gate can be read off the test log directly. Criteria:
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,11 +148,11 @@ def test_criterion_3_composition_identities():
     for lambda1 in grid:
         for lambda2 in grid:
             for mfi in (True, False):
-                cfg = LossConfig(rho=0.5, lambda1=lambda1, lambda2=lambda2,
-                                 mfi_enabled=mfi, backbone_loss_enabled=True)
+                cfg = LossConfig(rho=0.5, lambda1=lambda1, lambda2=lambda2)
+                branch = replace(enc_cfg, mfi_enabled=mfi, backbone_loss_enabled=True)
                 l_d, _, l_c, l_i = dual_modality_triplet(batch, cfg)
                 worst = max(worst, abs(l_d - (l_c + lambda1 * l_i)))
-                bd, _, _ = total_loss(bundle_v, bundle_t, labels, labels, cfg, P, K)
+                bd, _, _ = total_loss(bundle_v, bundle_t, labels, labels, cfg, branch, P, K)
                 d = bd.as_dict()
                 worst = max(worst, abs(d["L_d_tri"] - (d["L_c_tri"] + lambda1 * d["L_i_tri"])))
                 worst = max(worst, abs(d["L_all"] - (d["L_softmax"] + d["L_backbone"]

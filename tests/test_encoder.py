@@ -148,7 +148,7 @@ def model_loss(params, cfg, loss_cfg, x, labels, P, K):
     work = params.copy()
     bv, cv = encode(work, cfg, x[:n], "visible", mode="train")
     bt, ct = encode(work, cfg, x[n:], "thermal", mode="train")
-    bd, gv, gt = total_loss(bv, bt, labels[:n], labels[n:], loss_cfg, P, K)
+    bd, gv, gt = total_loss(bv, bt, labels[:n], labels[n:], loss_cfg, cfg, P, K)
     grads = zero_grads(params)
     encode_backward(work, cfg, cv, gv, out=grads)
     encode_backward(work, cfg, ct, gt, out=grads)
@@ -166,7 +166,7 @@ class TestFullModelGradients:
             params.values[k] = params.values[k] + 0.05 * rng.standard_normal(params.values[k].shape)
         x = rng.standard_normal((2 * P * K, cfg.input_dim))
         labels = np.concatenate([np.repeat(np.arange(P), K)] * 2)
-        loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0, mfi_enabled=mfi)
+        loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0)
 
         _, grads = model_loss(params, cfg, loss_cfg, x, labels, P, K)
         for name in sorted(params.values):

@@ -71,24 +71,6 @@ class TestTrainConfig:
         restored = TrainConfig.from_dict(cfg.to_dict())
         assert restored.to_dict() == cfg.to_dict()
 
-    def test_post_init_syncs_loss_flags_from_encoder(self):
-        enc = EncoderConfig(input_dim=6, num_classes=4, mfi_enabled=False,
-                            backbone_loss_enabled=True)
-        cfg = TrainConfig(encoder=enc, loss=LossConfig(mfi_enabled=True))
-        assert cfg.loss.mfi_enabled is False
-        assert cfg.loss.backbone_loss_enabled is True
-
-    def test_configs_sharing_a_loss_config_keep_their_own_flags(self):
-        loss = LossConfig()
-        on = EncoderConfig(input_dim=6, num_classes=4, mfi_enabled=True)
-        off = EncoderConfig(input_dim=6, num_classes=4, mfi_enabled=False,
-                            backbone_loss_enabled=False)
-        a = TrainConfig(encoder=on, loss=loss)
-        b = TrainConfig(encoder=off, loss=loss)
-        assert (a.loss.mfi_enabled, a.loss.backbone_loss_enabled) == (True, True)
-        assert (b.loss.mfi_enabled, b.loss.backbone_loss_enabled) == (False, False)
-        assert loss == LossConfig()
-
     def test_unknown_key_rejected(self):
         d = tiny_config().to_dict()
         d["momentum"] = 0.9
@@ -253,6 +235,14 @@ class TestTrain:
         train(train_ds, cfg)
         assert len(redone) == 2 * 16 and sum(redone) == 0
 
+    @pytest.mark.parametrize("backbone", [True, False])
+    def test_encoder_flag_switches_the_backbone_loss(self, backbone):
+        enc = EncoderConfig(input_dim=6, num_classes=0, stage_dims=(8, 8), tap_stage=1, d=5,
+                            mfi_enabled=True, backbone_loss_enabled=backbone)
+        _, _, report = train(tiny_dataset(), tiny_config(encoder=enc))
+        for rec in report.epoch_records:
+            assert rec["L_backbone"] > 0.0 if backbone else rec["L_backbone"] == 0.0
+
     def test_loss_decreases_over_training(self):
         ds = tiny_dataset(num_identities=8, per=4)
         cfg = tiny_config(epochs=8, freeze_stage_epochs=1, lr_decay_epoch=6,
@@ -369,8 +359,6 @@ class TestAblation:
             cfg = arm_config(base, arm)
             assert cfg.encoder.mfi_enabled is mfi, arm
             assert cfg.loss.lambda2 == lambda2, arm
-            # flag sync keeps the loss selecting the same branch as the encoder
-            assert cfg.loss.mfi_enabled is mfi, arm
 
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError, match="unknown ablation arm"):
@@ -524,6 +512,26 @@ class TestGradcheck:
         monkeypatch.setattr(losses, "l2_normalize_backward", skewed)
         assert failing_components(monkeypatch) == {"l2_normalize", "full_model_mfi",
                                                    "full_model_backbone"}
+
+    def test_detects_a_train_step_that_drops_the_thermal_gradient(self, monkeypatch):
+        # train and the full-model instances run one step: broken, it leaves
+        # the thermal stream untrained, and gradcheck fails
+        def visible_only(params, cfg, cache, grads, out=None):
+            if cache[0] == "thermal":
+                return out, None
+            return encoder.encode_backward(params, cfg, cache, grads, out=out)
+
+        def broken_step(*args, step=harness._train_step):
+            with monkeypatch.context() as m:
+                m.setattr(harness, "encode_backward", visible_only)
+                return step(*args)
+
+        monkeypatch.setattr(harness, "_train_step", broken_step)
+        params, enc_cfg, _ = train(tiny_dataset(), tiny_config())
+        init = init_encoder(enc_cfg, 0)
+        for name, v in params.values.items():
+            assert np.array_equal(v, init.values[name]) == name.startswith("thermal."), name
+        assert failing_components(monkeypatch) == {"full_model_mfi", "full_model_backbone"}
 
 
 class TestLossOnlySweep:
@@ -718,6 +726,47 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "config error: --seeds: 'x' is not an integer\n"
+
+    @pytest.mark.parametrize("flag", ["mfi_enabled", "backbone_loss_enabled"])
+    def test_branch_flag_in_the_loss_section_exits_1(self, flag, workdir, capsys):
+        # the branch flags belong to the encoder section alone; the config
+        # is read before the data, so the absent data file is never opened
+        doc = json.loads((workdir / "train.json").read_text())
+        doc["loss"][flag] = False
+        write_json(workdir / "flagged.json", doc)
+        assert cli.main(["train", "--data", str(workdir / "absent.txt"),
+                         "--config", str(workdir / "flagged.json"),
+                         "--out", str(workdir / "m.ckpt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: LossConfig: unknown keys ['{flag}']\n"
+
+    @pytest.mark.parametrize("command, bad, message", [
+        ("train", lambda d: {**d, "loss": None}, "TrainConfig: loss must be a JSON object, got null"),
+        ("train", lambda d: {**d, "encoder": 5}, "TrainConfig: encoder must be a JSON object, got 5"),
+        ("train", lambda d: {**d, "P": "3"}, 'TrainConfig: P must be an integer, got "3"'),
+        ("train", lambda d: {**d, "loss": {"rho": "x"}}, 'LossConfig: rho must be a number, got "x"'),
+        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": 8}},
+         "EncoderConfig: stage_dims must be a list of integers, got 8"),
+        ("train", lambda d: [1, 2], "TrainConfig: expected a JSON object, got [1, 2]"),
+        ("synth", lambda d: {**d, "num_identities": "6"},
+         'SynthConfig: num_identities must be an integer, got "6"'),
+        ("synth", lambda d: [1, 2], "SynthConfig: expected a JSON object, got [1, 2]"),
+    ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "stage_dims-number",
+            "train-array", "num_identities-string", "synth-array"])
+    def test_config_value_of_the_wrong_type_is_named_and_exits_1(self, command, bad, message,
+                                                                 workdir, capsys):
+        data = workdir / "data.txt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        path = workdir / f"{command}.json"
+        write_json(workdir / "bad.json", bad(json.loads(path.read_text())))
+        argv = {"train": ["train", "--data", str(data), "--out", str(workdir / "m.ckpt")],
+                "synth": ["synth", "--out", str(workdir / "other.txt")]}[command]
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", str(workdir / "bad.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

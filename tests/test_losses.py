@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmodal.encoder import EncoderConfig
 from xmodal.losses import (
     LabeledBatch,
     LossConfig,
@@ -39,6 +42,12 @@ from helpers import (
 )
 
 RHO = 0.5
+
+
+def branch(mfi, backbone=True):
+    """An encoder config whose flags select the branch `total_loss` reads."""
+    return EncoderConfig(input_dim=4, num_classes=3, mfi_enabled=mfi,
+                         backbone_loss_enabled=backbone)
 
 
 def four_point_batch():
@@ -247,7 +256,9 @@ class TestCertifiedMining:
         rng = np.random.default_rng(5)
         batch = random_pk_batch(rng, 3, 2, 4)
         batch.features = 1e154 * (1.0 + 1e-3 * batch.features)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a case the exact path handles is not reported as a fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             redone = as_exact_path(batch)
         assert redone.all()
 
@@ -319,7 +330,7 @@ class TestForwardStep:
     def test_total_loss(self, mfi):
         rng = np.random.default_rng(71)
         bv, bt, yv, yt = loss_bundles(rng, mfi)
-        cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0, mfi_enabled=mfi)
+        cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0)
         targets = loss_targets(yv, yt, 3, 2)
         fields = ("v_fused_post", "logits_skip", "logits_backbone") if mfi else ("v_post", "logits_backbone")
         for bundle in (bv, bt):
@@ -327,8 +338,8 @@ class TestForwardStep:
                 original = getattr(bundle, field)
                 for v in perturbations(original, rng):
                     setattr(bundle, field, v)
-                    forward, _ = total_loss_forward(bv, bt, targets, cfg)
-                    assert forward == total_loss(bv, bt, yv, yt, cfg, 3, 2)[0]
+                    forward, _ = total_loss_forward(bv, bt, targets, cfg, branch(mfi))
+                    assert forward == total_loss(bv, bt, yv, yt, cfg, branch(mfi), 3, 2)[0]
                 setattr(bundle, field, original)
 
     def test_targets_checked(self):
@@ -338,7 +349,7 @@ class TestForwardStep:
             loss_targets(np.array([0, 0, 1, 1, 2, 1]), yt, 3, 2)
         targets = loss_targets(yv[:4], yt[:4], 2, 2)
         with pytest.raises(ValueError, match="total_loss: 6 visible and 6 thermal rows for 4 and 4"):
-            total_loss_forward(bv, bt, targets, LossConfig(rho=RHO, mfi_enabled=False))
+            total_loss_forward(bv, bt, targets, LossConfig(rho=RHO), branch(False))
 
 
 class TestProperties:
@@ -493,18 +504,17 @@ class TestTotalLoss:
         rng = np.random.default_rng(50)
         bv, bt, yv, yt = loss_bundles(rng, mfi=False)
         for lam2 in (0.0, 0.1, 1.0, 2.0, 5.0):
-            cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=lam2, mfi_enabled=False)
-            bd, _, _ = total_loss(bv, bt, yv, yt, cfg, 3, 2)
+            cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=lam2)
+            bd, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(False), 3, 2)
             assert abs(bd.total - (bd.softmax + lam2 * bd.dual)) < 1e-12
             assert abs(bd.dual - (bd.cross + 0.1 * bd.intra)) < 1e-12
 
     def test_backbone_term_added_when_enabled(self):
         rng = np.random.default_rng(51)
         bv, bt, yv, yt = loss_bundles(rng, mfi=True)
-        on = LossConfig(rho=RHO, lambda2=1.0, mfi_enabled=True, backbone_loss_enabled=True)
-        off = LossConfig(rho=RHO, lambda2=1.0, mfi_enabled=True, backbone_loss_enabled=False)
-        bd_on, _, _ = total_loss(bv, bt, yv, yt, on, 3, 2)
-        bd_off, _, _ = total_loss(bv, bt, yv, yt, off, 3, 2)
+        cfg = LossConfig(rho=RHO, lambda2=1.0)
+        bd_on, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=True), 3, 2)
+        bd_off, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=False), 3, 2)
         assert bd_on.backbone > 0.0
         assert bd_off.backbone == 0.0
         assert abs(bd_on.total - (bd_off.total + bd_on.backbone)) < 1e-12
@@ -513,8 +523,8 @@ class TestTotalLoss:
         # with MFI on, the softmax term reads the skip logits
         rng = np.random.default_rng(52)
         bv, bt, yv, yt = loss_bundles(rng, mfi=True)
-        cfg = LossConfig(rho=RHO, lambda2=0.0, mfi_enabled=True, backbone_loss_enabled=False)
-        bd, gv, gt = total_loss(bv, bt, yv, yt, cfg, 3, 2)
+        cfg = LossConfig(rho=RHO, lambda2=0.0)
+        bd, gv, gt = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=False), 3, 2)
         assert np.any(gv.d_logits_skip != 0.0)
         np.testing.assert_array_equal(gv.d_logits_backbone, np.zeros_like(gv.d_logits_backbone))
 
@@ -523,10 +533,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(53)
         bv, bt, yv, yt = loss_bundles(rng, mfi=True)
         bt.logits_skip[1, 0] = bad
-        cfg = LossConfig(rho=RHO, mfi_enabled=True)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="total_loss: non-finite loss"):
-            total_loss(bv, bt, yv, yt, cfg, 3, 2)
+            total_loss(bv, bt, yv, yt, LossConfig(rho=RHO), branch(True), 3, 2)
 
 
 class TestHingeScatter:
