@@ -12,7 +12,13 @@ under the hood.
 import numpy as np
 
 from xmodal.harness import gradcheck, gradcheck_text
-from xmodal.numerics import dense_backward, dense_forward, finite_diff_grad, max_relative_error
+from xmodal.numerics import (
+    dense_backward,
+    dense_forward,
+    finite_diff_grad,
+    max_relative_error,
+    per_point,
+)
 
 # ---------------------------------------------------------------------------
 # The full sweep. Each component is exercised on freshly sampled small
@@ -39,7 +45,17 @@ proj = rng.standard_normal((4, 2))
 y, cache = dense_forward(x, w, b)
 dx, dw, db = dense_backward(cache, proj)
 
-fd_dw = finite_diff_grad(lambda v: float((dense_forward(x, v, b)[0] * proj).sum()), w)
+# The oracle hands its function a whole stack of perturbed points at once,
+# an (m, 3, 2) array of weight matrices here, and wants the m values back.
+# `per_point` builds that function from one that takes a single matrix.
+loss_of_w = per_point(lambda v: float((dense_forward(x, v, b)[0] * proj).sum()))
+fd_dw = finite_diff_grad(loss_of_w, w)
 print("\nanalytic dW:\n", dw)
 print("finite-difference dW:\n", fd_dw)
 print("max relative error:", max_relative_error(dw, fd_dw))
+
+# A function that broadcasts over the stack evaluates the sweep in one
+# call: x @ ws multiplies x by every matrix of the stack ws together. The
+# triplet checks work this way, through `losses.triplet_loss`.
+fd_dw_stacked = finite_diff_grad(lambda ws: ((x @ ws + b) * proj).sum(axis=(1, 2)), w)
+print("one-call sweep, max relative error:", max_relative_error(dw, fd_dw_stacked))

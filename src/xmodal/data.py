@@ -93,6 +93,21 @@ class SynthConfig:
             raise ValueError("SynthConfig: stds must be >= 0")
         if self.seed < 0:
             raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
+        dim = self.input_dim
+        for name, shape in (("modality_transform", (dim, dim)), ("modality_offset", (dim,))):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                value = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"SynthConfig: {name} must be a rectangular (not ragged) "
+                                 "array of numbers") from None
+            if value.shape != shape:
+                raise ValueError(f"SynthConfig: {name} has shape {list(value.shape)}, "
+                                 f"input_dim {dim} needs {list(shape)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"SynthConfig: {name} holds a non-finite value")
 
 
 def random_rotation(dim, rng):
@@ -123,8 +138,6 @@ def generate_synthetic(config):
         offset /= np.linalg.norm(offset)
     transform = np.asarray(transform, dtype=np.float64)
     offset = np.asarray(offset, dtype=np.float64)
-    if transform.shape != (dim, dim) or offset.shape != (dim,):
-        raise ValueError("SynthConfig: transform/offset dims do not match input_dim")
 
     n_ids, k = config.num_identities, config.per_identity_per_modality
     features = np.empty((n_ids * 2 * k, dim))

@@ -42,6 +42,7 @@ from .numerics import (
     l2_normalize_backward,
     l2_normalize_forward,
     max_relative_error,
+    per_point,
     relative_errors,
     relu_backward,
     relu_forward,
@@ -396,7 +397,8 @@ GRADCHECK_THRESHOLD = 1e-4
 
 
 def _gradient_error(analytic, f, x):
-    """Max relative error of `analytic` against finite differences of f at x.
+    """Max relative error of `analytic` against finite differences of f at x;
+    f maps a stack of points to their values, as `finite_diff_grad` takes it.
 
     Entries that fail the two-point check at GRADCHECK_THRESHOLD are
     estimated again with the fourth-order stencil, so that truncation error
@@ -424,7 +426,7 @@ def _layer_error(forward, backward, args, proj):
             trial[i] = v
             return float((forward(*trial)[0] * proj).sum())
 
-        errs.append(_gradient_error(grad, f, arg))
+        errs.append(_gradient_error(grad, per_point(f), arg))
     return max(errs)
 
 
@@ -469,7 +471,8 @@ def _check_softmax(rng):
     logits = rng.standard_normal((n, c))
     labels = rng.integers(0, c, size=n)
     _, grad = softmax_cross_entropy(logits, labels)
-    return _gradient_error(grad, lambda v: softmax_cross_entropy_forward(v, labels)[0], logits)
+    return _gradient_error(grad, per_point(lambda v: softmax_cross_entropy_forward(v, labels)[0]),
+                           logits)
 
 
 def _stable_pk_features(rng, P, K, dim, rho, *, tol=1e-3, max_tries=50):
@@ -497,6 +500,7 @@ def _check_triplet(rng, kind):
     else:
         _, grad = L.intra_modality_triplet(batch, rho)
     pools = L.triplet_pools(batch, kind)
+    # triplet_loss evaluates a whole stack of perturbed features in one call
     return _gradient_error(grad, lambda v: L.triplet_loss(v, pools, rho), batch.features)
 
 
@@ -599,7 +603,8 @@ def _check_full_model(rng, mfi, **setup):
     loss_of = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
     worst = 0.0
     for name in sorted(params.values):
-        worst = max(worst, _gradient_error(grads[name], loss_of(name), params.values[name].copy()))
+        error = _gradient_error(grads[name], per_point(loss_of(name)), params.values[name])
+        worst = max(worst, error)
     return worst
 
 
@@ -661,9 +666,6 @@ def parse_synth_config(d):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     train_fraction = d.pop("train_fraction", 0.5)
-    for key in ("modality_transform", "modality_offset"):
-        if d.get(key) is not None:
-            d[key] = np.asarray(d[key], dtype=np.float64)
     cfg = SynthConfig(**d)
     cfg.validate()
     return cfg, train_fraction

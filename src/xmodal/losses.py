@@ -101,7 +101,8 @@ def _pools(labels, cand):
 
 
 def _masked_rows(dist, pools):
-    """Each row's positive and negative candidate distances.
+    """Each row's positive and negative candidate distances, for every
+    matrix in a stack `dist` of them.
 
     Non-candidates read -inf among positives and +inf among negatives, so
     they are never mined.
@@ -112,22 +113,28 @@ def _masked_rows(dist, pools):
 
 def _hinge(d_pos, d_neg, hp, hn, rho):
     """Batch-hard hinge summed over anchor rows 0..n-1, given each row's
-    hardest positive and negative rows and its distances to them.
+    hardest positive and negative rows and its distances to them, along
+    the last axis.
 
     Returns (loss, mined), where mined is all that `_hinge_backward` needs.
+    The loss is a float, or an array over the leading axes of a stack; each
+    of its sums is the one sum of a single row vector.
     """
     term = rho + d_pos - d_neg
-    return float(np.maximum(term, 0.0).sum()), (term, hp, hn, d_pos, d_neg)
+    loss = np.maximum(term, 0.0).sum(axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), (term, hp, hn, d_pos, d_neg)
 
 
 def _hinge_forward(dist, pools, rho):
-    """`_hinge` mined on the exact distance matrix, over every row of `dist`."""
+    """`_hinge` mined on the exact distance matrix, over every row of `dist`,
+    or of each matrix in a stack of them."""
     pos, neg = _masked_rows(dist, pools)
     # argmax/argmin take the lowest index on ties
-    hp = np.argmax(pos, axis=1)
-    hn = np.argmin(neg, axis=1)
-    a = np.arange(dist.shape[0])
-    return _hinge(dist[a, hp], dist[a, hn], hp, hn, rho)
+    hp = np.argmax(pos, axis=-1)
+    hn = np.argmin(neg, axis=-1)
+    d_pos = np.take_along_axis(dist, hp[..., None], axis=-1)[..., 0]
+    d_neg = np.take_along_axis(dist, hn[..., None], axis=-1)[..., 0]
+    return _hinge(d_pos, d_neg, hp, hn, rho)
 
 
 def _hinge_backward(features, mined):
@@ -237,7 +244,13 @@ def triplet_pools(batch, kind):
 
 def triplet_loss(features, pools, rho):
     """Forward step alone: the loss value of the triplet loss whose checked
-    pools (`triplet_pools`) are given, with no gradient."""
+    pools (`triplet_pools`) are given, with no gradient.
+
+    `features` is one (n, D) matrix, whose loss is a float, or a stack of
+    them over leading axes, whose losses come as an array over those axes,
+    each equal to the matrix's own loss bit for bit. A finite-difference
+    sweep evaluates all its points in one call.
+    """
     return _hinge_forward(pairwise_distances(features, features), pools, rho)[0]
 
 

@@ -5,6 +5,14 @@ matching *_backward consumes the cache and an upstream gradient and returns
 exact analytic gradients. The layers do not check for non-finite values;
 that happens at the boundaries: `encoder.encode` rejects non-finite input,
 `losses.total_loss` a non-finite loss and `adam_step` a non-finite gradient.
+
+The oracle (`finite_diff_grad`, `finite_diff_entries`) takes a function of
+a stack of points: given an (m, *x.shape) array it returns the m values. A
+sweep's perturbed points go to it in a few stacks of bounded size, and the
+estimates equal those of a point-by-point loop bit for bit. A function
+that broadcasts over leading axes, as `pairwise_distances` and
+`losses.triplet_loss` do, evaluates a sweep in one call; `per_point` wraps
+a function of one point.
 """
 
 import math
@@ -13,10 +21,12 @@ import warnings
 import numpy as np
 
 DIST_STABILIZER = 1e-12
-# Bound on pairwise_distances' difference tensor, and on the distance block
-# evaluation ranks at a time. At D=128, 256 KiB ran faster than blocks of
-# 64 KiB to 4 MiB for pairwise_distances on both 64x64 and 1200x1200 inputs;
-# ranking a 1200x1200 gallery ran within 10% from 256 KiB to 16 MiB.
+# Bound on pairwise_distances' difference tensor, on the distance block
+# evaluation ranks at a time, and on each stack of points the
+# finite-difference oracle evaluates. At D=128, 256 KiB ran faster than
+# blocks of 64 KiB to 4 MiB for pairwise_distances on both 64x64 and
+# 1200x1200 inputs; ranking a 1200x1200 gallery ran within 10% from
+# 256 KiB to 16 MiB.
 DIST_BLOCK_BYTES = 1 << 18
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -73,17 +83,21 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
     if train:
         if x.shape[0] < 2:
             raise ValueError("batchnorm: train mode requires batch size >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        # the ufunc calls of x.mean(axis=0) and x.var(axis=0), with the
+        # centered rows made once
+        n = x.shape[0]
+        mean = x.sum(axis=0) / n
+        centered = x - mean
+        var = (centered * centered).sum(axis=0) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
         var = running_var
+        centered = x - running_mean
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
+    xhat = centered * inv_std
     y = gamma * xhat + beta
     return y, (xhat, inv_std, gamma, train, x.shape[0])
 
@@ -109,7 +123,7 @@ def l2_normalize_forward(x, *, min_norm=1e-6):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("l2_normalize expects a 2-d array")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
     small = norms[:, 0] < min_norm
     if np.any(small):
         warnings.warn("l2_normalize: near-zero row(s) left unnormalized", RuntimeWarning)
@@ -134,30 +148,37 @@ def l2_normalize_backward(cache, g):
 # ---------------------------------------------------------------------------
 
 def pairwise_distances(a, b):
-    """Euclidean distance matrix, entry (i, j) = ||a_i - b_j||.
+    """Euclidean distance matrix, entry (..., i, j) = ||a[..., i, :] - b[..., j, :]||.
 
-    A tiny stabilizer inside the sqrt keeps the gradient defined at zero
-    distance, so self-distances come out near 1e-6 rather than exactly 0.
-    Memory beyond the output is bounded: the difference tensor is built in
-    square blocks of at most DIST_BLOCK_BYTES. When `b is a`, only the
-    blocks on or above the diagonal are computed and mirrored below it.
+    Leading axes, which a and b must share, index a stack of independent
+    matrices. A tiny stabilizer inside the sqrt keeps the gradient defined
+    at zero distance, so self-distances come out near 1e-6 rather than
+    exactly 0. Memory beyond the output is bounded: the difference tensor
+    is built in blocks of at most DIST_BLOCK_BYTES, square over the last
+    two axes and spanning the leading ones (when one row pair across the
+    leading axes is larger, a block holds that one pair). When `b is a`,
+    only the blocks on or above the diagonal are computed and mirrored
+    below it.
     """
     symmetric = b is a
     a = np.asarray(a, dtype=np.float64)
     b = a if symmetric else np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"pairwise_distances: shapes {a.shape} and {b.shape} incompatible")
-    # each entry is the same einsum over one contiguous D-vector, blocked or
-    # not, and a_j - a_i is exactly -(a_i - a_j), so mirrored blocks are exact
-    side = max(1, math.isqrt(DIST_BLOCK_BYTES // (8 * max(a.shape[1], 1))))
-    sq = np.empty((a.shape[0], b.shape[0]))
-    for i in range(0, a.shape[0], side):
-        for j in range(i if symmetric else 0, b.shape[0], side):
-            diff = a[i:i + side, None, :] - b[None, j:j + side, :]
-            block = np.einsum("ijk,ijk->ij", diff, diff)
-            sq[i:i + side, j:j + side] = block
+    # each entry is the same einsum over one contiguous D-vector, blocked,
+    # stacked or not, and a_j - a_i is exactly -(a_i - a_j), so mirrored
+    # blocks are exact
+    lead = a.shape[:-2]
+    na, nb = a.shape[-2], b.shape[-2]
+    side = max(1, math.isqrt(DIST_BLOCK_BYTES // (8 * max(math.prod(lead) * a.shape[-1], 1))))
+    sq = np.empty(lead + (na, nb))
+    for i in range(0, na, side):
+        for j in range(i if symmetric else 0, nb, side):
+            diff = a[..., i:i + side, None, :] - b[..., None, j:j + side, :]
+            block = np.einsum("...ijk,...ijk->...ij", diff, diff)
+            sq[..., i:i + side, j:j + side] = block
             if symmetric and j != i:
-                sq[j:j + side, i:i + side] = block.T
+                sq[..., j:j + side, i:i + side] = np.swapaxes(block, -1, -2)
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)
 
@@ -243,7 +264,7 @@ def softmax_cross_entropy_forward(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
+    loss = -(log_probs[np.arange(n), labels].sum() / n)  # .mean()'s arithmetic
     return loss, (exp, labels)
 
 
@@ -347,37 +368,58 @@ def _finite_differences(f, x, entries, stencil, h):
     """Estimates of df/dx at the flat indices `entries` of x, in that order.
 
     Each is sum(weight * f(x + step * h * e_i)) / (denominator * h) over
-    the stencil; x is perturbed in place and restored after every entry.
+    the stencil. The perturbed points are built as stacks of at most
+    DIST_BLOCK_BYTES (one point, when x alone is larger) and `f` is called
+    once per stack; x itself is left untouched.
     """
     if h <= 0.0:
         raise ValueError("finite differences: h must be positive")
     steps, weights, denominator = stencil
     flat = x.reshape(-1)
-    out = np.empty(len(entries))
-    for k, i in enumerate(entries):
-        orig = flat[i]
-        vals = []
-        for step in steps:
-            flat[i] = orig + step * h
-            vals.append(f(x))
-        flat[i] = orig
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("finite differences: non-finite function evaluation")
-        total = weights[0] * vals[0]
-        for weight, val in zip(weights[1:], vals[1:]):
-            total += weight * val
-        out[k] = total / (denominator * h)
-    return out
+    entries = np.asarray(entries, dtype=np.intp)
+    # point p moves entry cols[p] to shifted[p]: entry by entry, each entry's
+    # stencil steps in order
+    cols = np.repeat(entries, len(steps))
+    shifted = (flat[entries][:, None] + np.multiply(steps, h)).reshape(-1)
+    vals = np.empty((entries.size, len(steps)))
+    chunk = max(1, DIST_BLOCK_BYTES // (8 * max(x.size, 1)))
+    for start in range(0, cols.size, chunk):
+        m = min(chunk, cols.size - start)
+        points = np.empty((m, flat.size))
+        points[...] = flat
+        points[np.arange(m), cols[start:start + m]] = shifted[start:start + m]
+        values = np.asarray(f(points.reshape((m,) + x.shape)), dtype=np.float64)
+        if values.shape != (m,):
+            raise ValueError(f"finite differences: f returned shape {values.shape} "
+                             f"for a stack of {m} points, expected ({m},)")
+        vals.reshape(-1)[start:start + m] = values
+    if not np.isfinite(vals).all():
+        raise ValueError("finite differences: non-finite function evaluation")
+    total = weights[0] * vals[:, 0]
+    for k in range(1, len(steps)):
+        total += weights[k] * vals[:, k]
+    return total / (denominator * h)
+
+
+def per_point(f):
+    """The stack function the oracle takes, made from `f`, a scalar function
+    of one point: it calls f on each point of the stack in turn."""
+    return lambda points: [f(point) for point in points]
 
 
 def finite_diff_grad(f, x, h=1e-5):
-    """Central-difference gradient estimate of a scalar function."""
+    """Central-difference gradient estimate of a scalar function.
+
+    `f` maps a stack of points, an (m, *x.shape) array, to their m values
+    (`per_point` makes one from a function of a single point).
+    """
     x = np.asarray(x, dtype=np.float64)
-    return _finite_differences(f, x, range(x.size), _TWO_POINT, h).reshape(x.shape)
+    return _finite_differences(f, x, np.arange(x.size), _TWO_POINT, h).reshape(x.shape)
 
 
 def finite_diff_entries(f, x, entries, h=1e-5):
-    """Fourth-order central-difference estimates at the flat indices `entries`.
+    """Fourth-order central-difference estimates at the flat indices `entries`,
+    with `f` a function of a stack of points as for `finite_diff_grad`.
 
     Each is (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / 12h, whose
     truncation error is O(h^4) against the two-point form's O(h^2), at

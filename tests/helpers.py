@@ -227,10 +227,73 @@ def scatter_pairs_reference(grad, p, n, gp, gn):
     np.add.at(grad, n, gn)
 
 
+# ---------------------------------------------------------------------------
+# The finite-difference oracle point by point. The library's stacked oracle
+# must give these estimates bit for bit.
+# ---------------------------------------------------------------------------
+
+TWO_POINT = ((1.0, -1.0), (1.0, -1.0), 2.0)
+FOUR_POINT = ((2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
+
+
+def finite_differences_reference(f, x, entries, stencil, h=1e-5):
+    """Estimates of df/dx at the flat indices `entries` of the contiguous
+    array x, with f a scalar function of one point: x is perturbed in
+    place, f called at each stencil point in turn, and x restored after
+    every entry. `stencil` is (steps in units of h, their weights, the
+    denominator in units of h)."""
+    steps, weights, denominator = stencil
+    flat = x.reshape(-1)
+    out = np.empty(len(entries))
+    for k, i in enumerate(entries):
+        orig = flat[i]
+        vals = []
+        for step in steps:
+            flat[i] = orig + step * h
+            vals.append(f(x))
+        flat[i] = orig
+        total = weights[0] * vals[0]
+        for weight, val in zip(weights[1:], vals[1:]):
+            total += weight * val
+        out[k] = total / (denominator * h)
+    return out
+
+
+def check_triplet_reference(rng, kind):
+    """`harness._check_triplet` with its sweeps made point by point, by
+    `finite_differences_reference` on the one-matrix `triplet_loss`:
+    (worst error, the estimates in the order they were made)."""
+    from xmodal import harness
+    from xmodal import losses as L
+    from xmodal.numerics import max_relative_error, relative_errors
+
+    P, K = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    dim = int(rng.integers(2, 6))
+    rho = 0.5
+    batch = harness._stable_pk_features(rng, P, K, dim, rho)
+    _, grad = {"batch_hard": lambda: L.batch_hard_triplet(batch.features, batch.identity, rho),
+               "cross": lambda: L.cross_modality_triplet(batch, rho),
+               "intra": lambda: L.intra_modality_triplet(batch, rho)}[kind]()
+    pools = L.triplet_pools(batch, kind)
+    x = batch.features.copy()
+
+    def f(v):
+        return L.triplet_loss(v, pools, rho)
+
+    fd = finite_differences_reference(f, x, range(x.size), TWO_POINT).reshape(x.shape)
+    estimates = [fd.copy()]
+    failing = np.flatnonzero(relative_errors(grad, fd) >= harness.GRADCHECK_THRESHOLD)
+    if failing.size:
+        estimates.append(finite_differences_reference(f, x, failing, FOUR_POINT))
+        fd.reshape(-1)[failing] = estimates[-1]
+    return max_relative_error(grad, fd), estimates
+
+
 def check_full_model_reference(rng, mfi):
     """`harness._check_full_model` whose sweep closure copies every parameter
     array and runs the forward and backward pass for each evaluation."""
     from xmodal import harness
+    from xmodal.numerics import per_point
 
     for _ in range(50):
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
@@ -246,5 +309,5 @@ def check_full_model_reference(rng, mfi):
             trial.values[name] = v
             return harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
 
-        worst = max(worst, harness._gradient_error(grads[name], f, params.values[name].copy()))
+        worst = max(worst, harness._gradient_error(grads[name], per_point(f), params.values[name]))
     return worst

@@ -12,7 +12,7 @@ from xmodal.encoder import (
     zero_grads,
 )
 from xmodal.losses import BundleGrads, LossConfig, total_loss
-from xmodal.numerics import finite_diff_grad, max_relative_error
+from xmodal.numerics import finite_diff_grad, max_relative_error, per_point
 
 
 def small_config(mfi=True, fusion="cat"):
@@ -175,7 +175,7 @@ class TestFullModelGradients:
                 trial.values[name] = v
                 return model_loss(trial, cfg, loss_cfg, x, labels, P, K)[0]
 
-            fd = finite_diff_grad(f, params.values[name].copy())
+            fd = finite_diff_grad(per_point(f), params.values[name])
             assert max_relative_error(grads[name], fd) < 1e-4, name
 
 

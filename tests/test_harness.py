@@ -39,6 +39,7 @@ from helpers import (
     adam_step_reference,
     certified_picks_reference,
     check_full_model_reference,
+    check_triplet_reference,
     pairwise_distances_reference,
     sample_pk_batch_reference,
     split_batch_reference,
@@ -401,6 +402,18 @@ class TestAblation:
 # Gradcheck harness behaviour (full sweep lives in the acceptance suite)
 # ---------------------------------------------------------------------------
 
+def recorded_estimates(monkeypatch):
+    """The list that every later `finite_diff_grad` and `finite_diff_entries`
+    call made through `harness` appends its estimates to, in call order."""
+    estimates = []
+    for fn in ("finite_diff_grad", "finite_diff_entries"):
+        def recorded(*args, fn=getattr(harness, fn)):
+            estimates.append(fn(*args))
+            return estimates[-1].copy()  # the caller overwrites re-estimated entries
+        monkeypatch.setattr(harness, fn, recorded)
+    return estimates
+
+
 def failing_components(monkeypatch):
     """Names of the components a short gradcheck run (seed 0) reports as FAIL."""
     monkeypatch.setattr(harness, "FULL_MODEL_TRIALS", 1)
@@ -504,6 +517,17 @@ class TestGradcheck:
             "batch_hard_triplet", "cross_modality_triplet", "intra_modality_triplet",
             "full_model_mfi", "full_model_backbone"}
 
+    def test_detects_a_hinge_backward_off_by_a_thousandth(self, monkeypatch):
+        # the triplet sweeps evaluate stacks of points; the analytic side
+        # still runs one matrix at a time and must still be checked
+        def skewed(features, mined, hinge_backward=losses._hinge_backward):
+            return hinge_backward(features, mined) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(losses, "_hinge_backward", skewed)
+        assert failing_components(monkeypatch) == {
+            "batch_hard_triplet", "cross_modality_triplet", "intra_modality_triplet",
+            "full_model_mfi", "full_model_backbone"}
+
     def test_detects_an_l2_normalize_dx_off_by_a_thousandth(self, monkeypatch):
         def skewed(cache, g):
             return l2_normalize_backward(cache, g) * (1.0 + 1e-3)
@@ -577,13 +601,7 @@ class TestLossOnlySweep:
         # the worst error alone hides small changes: it is often set by
         # round-off on entries whose gradient is zero, so every
         # finite-difference estimate is compared as well
-        estimates = []
-        for fn in ("finite_diff_grad", "finite_diff_entries"):
-            def recorded(*args, fn=getattr(harness, fn)):
-                estimates.append(fn(*args))
-                return estimates[-1].copy()  # the caller overwrites re-estimated entries
-            monkeypatch.setattr(harness, fn, recorded)
-
+        estimates = recorded_estimates(monkeypatch)
         mfi = name == "full_model_mfi"
         stream = [seed, zlib.crc32(name.encode())]
         rng, ref_rng = np.random.default_rng(stream), np.random.default_rng(stream)
@@ -596,6 +614,24 @@ class TestLossOnlySweep:
                 assert len(ours) == len(estimates) > 0
                 assert all(np.array_equal(a, b) for a, b in zip(ours, estimates))
                 estimates.clear()
+
+    @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
+    def test_stacked_triplet_sweep_matches_per_point_sweep(self, kind, monkeypatch):
+        # each triplet sweep is one call of triplet_loss on a stack of
+        # perturbed feature matrices; a sweep of one matrix per call must
+        # give every estimate bit for bit
+        estimates = recorded_estimates(monkeypatch)
+        name = {"batch_hard": "batch_hard_triplet", "cross": "cross_modality_triplet",
+                "intra": "intra_modality_triplet"}[kind]
+        stream = [0, zlib.crc32(name.encode())]
+        rng, ref_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+        for _ in range(20):
+            worst = harness._check_triplet(rng, kind)
+            ref_worst, ref_estimates = check_triplet_reference(ref_rng, kind)
+            assert worst == ref_worst
+            assert len(estimates) == len(ref_estimates)
+            assert all(np.array_equal(a, b) for a, b in zip(estimates, ref_estimates))
+            estimates.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +803,35 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {message}\n"
+
+    RAGGED = "must be a rectangular (not ragged) array of numbers"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("modality_transform", '[[1, 0], [0, "x"]]',
+         'must be null or a list of numbers, got [[1, 0], [0, "x"]]'),
+        ("modality_transform", "[[1, 0], [0]]", RAGGED),
+        ("modality_transform", "[[1, 0], [0, 1]]", "has shape [2, 2], input_dim 6 needs [6, 6]"),
+        ("modality_transform", "[[1e400, 0, 0, 0, 0, 0]" + ", [0, 0, 0, 0, 0, 1]" * 5 + "]",
+         "holds a non-finite value"),
+        ("modality_offset", '[1, 0, 0, 0, 0, true]',
+         "must be null or a list of numbers, got [1, 0, 0, 0, 0, true]"),
+        ("modality_offset", "[[1, 0], 0, 0, 0, 0, 0]", RAGGED),
+        ("modality_offset", "[1, 0]", "has shape [2], input_dim 6 needs [6]"),
+        ("modality_offset", "[1e400, 0, 0, 0, 0, 0]", "holds a non-finite value"),
+    ], ids=["transform-string", "transform-ragged", "transform-shape", "transform-inf",
+            "offset-bool", "offset-ragged", "offset-shape", "offset-inf"])
+    def test_bad_synth_transform_is_named_and_exits_1(self, field, value, message, workdir, capsys):
+        # JSON text as a user writes it: 1e400 reads as inf
+        doc = json.loads((workdir / "synth.json").read_text())
+        text = json.dumps(doc)[:-1] + f', "{field}": {value}}}'
+        (workdir / "bad.json").write_text(text + "\n")
+        out_path = workdir / "d.txt"
+        argv = ["synth", "--config", str(workdir / "bad.json"), "--out", str(out_path)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: SynthConfig: {field} {message}\n"
+        assert not out_path.exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

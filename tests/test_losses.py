@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -25,15 +26,21 @@ from xmodal.losses import (
     triplet_pools,
 )
 from xmodal.numerics import (
+    DIST_BLOCK_BYTES,
+    finite_diff_entries,
     finite_diff_grad,
     gemm_score_bound,
     max_relative_error,
     pairwise_distances,
+    per_point,
 )
 
 from helpers import (
+    FOUR_POINT,
+    TWO_POINT,
     batch_hard_oracle,
     cross_modality_oracle,
+    finite_differences_reference,
     intra_modality_oracle,
     mining_margins_oracle,
     random_pk_batch,
@@ -180,7 +187,7 @@ class TestDualAndComposition:
             return dual_modality_triplet(b, cfg)[0]
 
         _, grad, _, _ = dual_modality_triplet(batch, cfg)
-        assert max_relative_error(grad, finite_diff_grad(f, batch.features)) < 1e-4
+        assert max_relative_error(grad, finite_diff_grad(per_point(f), batch.features)) < 1e-4
 
 
 def as_exact_path(batch, lambda1=0.1):
@@ -350,6 +357,64 @@ class TestForwardStep:
         targets = loss_targets(yv[:4], yt[:4], 2, 2)
         with pytest.raises(ValueError, match="total_loss: 6 visible and 6 thermal rows for 4 and 4"):
             total_loss_forward(bv, bt, targets, LossConfig(rho=RHO), branch(False))
+
+
+class TestStackedForward:
+    """The forward step on a stack of feature matrices, as a finite-difference
+    sweep calls it, gives each matrix's own loss, picks and distances bit for
+    bit."""
+
+    @staticmethod
+    def tied_stack(rng, batch, m):
+        """m perturbed copies of the batch's features, some with tied rows."""
+        stack = batch.features + 0.1 * rng.standard_normal((m,) + batch.features.shape)
+        stack[1, 3] = stack[1, 2]  # two equal rows
+        stack[2] = stack[2, 0]  # every row equal: every pick is a tie
+        stack[4] = stack[3]  # two equal matrices
+        return stack
+
+    @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
+    def test_triplet_loss_is_each_matrix_loss(self, kind):
+        rng = np.random.default_rng(73)
+        P, K, dim, m = 3, 2, 4, 200
+        n = 2 * P * K
+        # the stack's distance matrices take several blocks
+        assert math.isqrt(DIST_BLOCK_BYTES // (8 * m * dim)) < n
+        batch = random_pk_batch(rng, P, K, dim)
+        pools = triplet_pools(batch, kind)
+        stack = self.tied_stack(rng, batch, m)
+        losses = triplet_loss(stack, pools, RHO)
+        assert losses.shape == (m,)
+        assert np.array_equal(losses, [triplet_loss(v, pools, RHO) for v in stack])
+        assert np.array_equal(triplet_loss(stack.reshape(8, 25, n, dim), pools, RHO),
+                              losses.reshape(8, 25))
+        assert type(triplet_loss(stack[0], pools, RHO)) is float
+
+        _, mined = _hinge_forward(pairwise_distances(stack, stack), pools, RHO)
+        for k, v in enumerate(stack):
+            _, ref = _hinge_forward(pairwise_distances(v, v), pools, RHO)
+            assert all(np.array_equal(a[k], b) for a, b in zip(mined, ref))
+        # ties go to the lowest candidate index
+        _, hp, hn, _, _ = mined
+        assert np.array_equal(hp[2], np.argmax(pools[0], axis=1))
+        assert np.array_equal(hn[2], np.argmax(pools[1], axis=1))
+
+    @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
+    def test_sweeps_match_the_per_point_loop(self, kind):
+        # both stencils, on a sweep of one triplet_loss call per stack
+        rng = np.random.default_rng(74)
+        batch = random_pk_batch(rng, 3, 2, 5)
+        pools = triplet_pools(batch, kind)
+        x = batch.features
+
+        def f(v):
+            return triplet_loss(v, pools, RHO)
+
+        want = finite_differences_reference(f, x.copy(), range(x.size), TWO_POINT)
+        assert np.array_equal(finite_diff_grad(f, x).reshape(-1), want)
+        entries = rng.permutation(x.size)[:17]
+        want = finite_differences_reference(f, x.copy(), entries, FOUR_POINT)
+        assert np.array_equal(finite_diff_entries(f, x, entries), want)
 
 
 class TestProperties:

@@ -24,12 +24,20 @@ from xmodal.numerics import (
     max_relative_error,
     pair_distances,
     pairwise_distances,
+    per_point,
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
 )
 
-from helpers import AdamReference, adam_step_reference, dist_oracle
+from helpers import (
+    FOUR_POINT,
+    TWO_POINT,
+    AdamReference,
+    adam_step_reference,
+    dist_oracle,
+    finite_differences_reference,
+)
 
 
 class TestLayerForward:
@@ -107,7 +115,7 @@ class TestLayerBackward:
 
             _, cache = batchnorm_forward(x, gamma, beta, np.zeros(d), np.ones(d), train=True)
             dx, _, _ = batchnorm_backward(cache, proj)
-            assert max_relative_error(dx, finite_diff_grad(f, x)) < 1e-4
+            assert max_relative_error(dx, finite_diff_grad(per_point(f), x)) < 1e-4
 
     def test_backward_shape_mismatch(self):
         _, cache = relu_forward(np.ones((2, 3)))
@@ -146,6 +154,27 @@ class TestPairwiseDistances:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones((2, 3, 4)), np.ones((3, 3, 4)))
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones((2, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("dim", [1, 7, 128])
+    def test_stack_is_bit_identical_to_each_matrix(self, dim):
+        # the last stack makes blocks of fewer than its 30 rows at every dim
+        rng = np.random.default_rng(200 + dim)
+        assert math.isqrt(DIST_BLOCK_BYTES // (8 * 40 * dim)) < 30
+        for lead, n, m in (((3,), 5, 4), ((2, 3), 12, 1), ((40,), 30, 17)):
+            a = rng.standard_normal(lead + (n, dim))
+            a[..., 1, :] = a[..., 0, :]
+            b = rng.standard_normal(lead + (m, dim))
+            own, other = pairwise_distances(a, a), pairwise_distances(a, b)
+            assert own.shape == lead + (n, n) and other.shape == lead + (n, m)
+            for idx in np.ndindex(lead):
+                np.testing.assert_array_equal(own[idx], pairwise_distances(a[idx], a[idx]))
+                np.testing.assert_array_equal(other[idx], pairwise_distances(a[idx], b[idx]))
 
     @staticmethod
     def _unblocked(a, b):
@@ -254,7 +283,7 @@ class TestSoftmaxCrossEntropy:
         logits = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, size=6)
         _, grad = softmax_cross_entropy(logits, labels)
-        fd = finite_diff_grad(lambda v: softmax_cross_entropy(v, labels)[0], logits)
+        fd = finite_diff_grad(per_point(lambda v: softmax_cross_entropy(v, labels)[0]), logits)
         assert max_relative_error(grad, fd) < 1e-4
 
     def test_label_out_of_range(self):
@@ -348,29 +377,88 @@ class TestAdam:
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):
-        g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]), h=1e-3)
+        g = finite_diff_grad(lambda xs: xs[:, 0] ** 2, np.array([3.0]), h=1e-3)
         assert abs(g[0] - 6.0) < 1e-6
 
     def test_constant_is_zero(self):
-        g = finite_diff_grad(lambda x: 1.0, np.ones(4))
+        g = finite_diff_grad(lambda xs: np.ones(len(xs)), np.ones(4))
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_norm_gradient(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(5) + 0.5
-        g = finite_diff_grad(lambda v: float(np.linalg.norm(v)), x)
+        g = finite_diff_grad(lambda vs: np.linalg.norm(vs, axis=1), x)
         np.testing.assert_allclose(g, x / np.linalg.norm(x), atol=1e-5)
+
+    @pytest.mark.parametrize("shape, h", [((3,), 1e-5), ((4, 3), 1e-3), ((20, 15), 1e-5)])
+    def test_stacked_sweep_is_the_per_point_loop(self, shape, h):
+        # a (20, 15) x needs several stacks: 109 points of 300 entries fill one
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(shape)
+
+        def f(v):
+            return float(np.sin(v * w).sum() + 0.1 * (v ** 3).sum())
+
+        stacks = []
+
+        def stacked(points):
+            stacks.append(points.shape)
+            return per_point(f)(points)
+
+        before = x.copy()
+        want = finite_differences_reference(f, x.copy(), range(x.size), TWO_POINT, h)
+        np.testing.assert_array_equal(finite_diff_grad(stacked, x, h).reshape(-1), want)
+        entries = np.concatenate([rng.permutation(x.size), [0, 0]])  # repeats too
+        want = finite_differences_reference(f, x.copy(), entries, FOUR_POINT, h)
+        np.testing.assert_array_equal(finite_diff_entries(stacked, x, entries, h), want)
+        np.testing.assert_array_equal(x, before)
+        chunk = DIST_BLOCK_BYTES // (8 * x.size)
+        assert all(s[0] <= chunk and s[1:] == shape for s in stacks)
+        assert sum(s[0] for s in stacks) == 2 * x.size + 4 * entries.size
+        assert len(stacks) == -(-2 * x.size // chunk) - (-4 * entries.size // chunk)
+
+    def test_stack_of_one_point_when_x_alone_is_larger(self):
+        x = np.random.default_rng(5).standard_normal(DIST_BLOCK_BYTES // 8 + 1)
+        stacks = []
+
+        def f(points):
+            stacks.append(points.shape)
+            return np.sin(points).sum(axis=1)
+
+        entries = [0, 12345, x.size - 1]
+        want = finite_differences_reference(lambda v: np.sin(v).sum(), x.copy(), entries,
+                                            FOUR_POINT)
+        np.testing.assert_array_equal(finite_diff_entries(f, x, entries), want)
+        assert stacks == [(1, x.size)] * 12
+
+    def test_stacks_stay_within_the_block_bound(self):
+        # unstacked, the 8 192 points of this sweep would take 256 MiB
+        x = np.random.default_rng(6).standard_normal((64, 64))
+        tracemalloc.start()
+        try:
+            finite_diff_grad(lambda points: points.sum(axis=(1, 2)), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * DIST_BLOCK_BYTES
+
+    def test_one_value_per_point(self):
+        with pytest.raises(ValueError, match="for a stack of 4 points"):
+            finite_diff_grad(lambda points: 0.0, np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_diff_grad(lambda points: np.full(len(points), np.nan), np.ones(2))
 
     def test_bad_h(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda x: 0.0, np.ones(2), h=0.0)
+            finite_diff_grad(lambda xs: np.zeros(len(xs)), np.ones(2), h=0.0)
         with pytest.raises(ValueError):
-            finite_diff_entries(lambda x: 0.0, np.ones(2), [0], h=0.0)
+            finite_diff_entries(lambda xs: np.zeros(len(xs)), np.ones(2), [0], h=0.0)
 
     def test_four_point_stencil_is_exact_on_quartics(self):
         # the two-point form reads 4 + 4h^2 for d/dx x^4 at x = 1
         x = np.array([[2.0, 1.0]])
-        f = lambda v: float(v[0, 1] ** 4 + 3.0 * v[0, 0])
+        f = lambda vs: vs[:, 0, 1] ** 4 + 3.0 * vs[:, 0, 0]
         two_point = finite_diff_grad(f, x, h=1e-2)
         assert abs(two_point[0, 1] - 4.0004) < 1e-9
         est = finite_diff_entries(f, x, [1, 0], h=1e-2)
