@@ -55,7 +55,10 @@ print("finite-difference dW:\n", fd_dw)
 print("max relative error:", max_relative_error(dw, fd_dw))
 
 # A function that broadcasts over the stack evaluates the sweep in one
-# call: x @ ws multiplies x by every matrix of the stack ws together. The
-# triplet checks work this way, through `losses.triplet_loss`.
-fd_dw_stacked = finite_diff_grad(lambda ws: ((x @ ws + b) * proj).sum(axis=(1, 2)), w)
+# call. `dense_forward` does: given the stack ws, x @ ws multiplies x by
+# every matrix of it together. Every gradcheck sweep works this way, since
+# the layers, the losses and the encoder all broadcast over a leading
+# stack axis (a stack of vectors, such as biases, enters as (m, 1, d)).
+fd_dw_stacked = finite_diff_grad(
+    lambda ws: (dense_forward(x, ws, b)[0] * proj).sum(axis=(1, 2)), w)
 print("one-call sweep, max relative error:", max_relative_error(dw, fd_dw_stacked))

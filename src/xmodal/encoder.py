@@ -5,6 +5,13 @@ and classifiers are shared across modalities. When the skip branch is
 enabled, the activation of the tap stage is projected and fused with the
 pre-batchnorm bottleneck feature (elementwise sum, or concatenation with
 the projected mid feature first).
+
+`encode` broadcasts over leading stack axes, as the layers in `numerics`
+do: any parameter array may be a stack of values (a vector as (m, 1, d)),
+and then every output from the first layer it enters is a stack, each
+matrix bit-identical to an encode with that one value. `encode` writes to
+nothing; train mode returns the batch statistics, and the caller folds
+them into the running stats.
 """
 
 from dataclasses import dataclass
@@ -15,6 +22,7 @@ from .config import json_fields
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
+    concat_broadcast,
     dense_backward,
     dense_forward,
     l2_normalize_forward,
@@ -105,6 +113,9 @@ class FeatureBundle:
     v_fused: np.ndarray | None = None
     v_fused_post: np.ndarray | None = None
     logits_skip: np.ndarray | None = None
+    # train mode: each batchnorm's batch mean and variance, by the name of
+    # the running stat it folds into
+    batch_stats: dict | None = None
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -147,15 +158,16 @@ def init_encoder(config, seed):
 
 
 def fuse(v_mid, v_pre, mode):
-    """sum: elementwise addition; cat: concatenation with the mid feature first."""
+    """sum: elementwise addition; cat: concatenation with the mid feature
+    first. Leading stack axes broadcast."""
     v_mid = np.asarray(v_mid, dtype=np.float64)
     v_pre = np.asarray(v_pre, dtype=np.float64)
     if mode == "sum":
-        if v_mid.shape != v_pre.shape:
+        if v_mid.shape[-1:] != v_pre.shape[-1:]:
             raise ValueError("fuse: sum requires equal dims")
         return v_mid + v_pre
     if mode == "cat":
-        return np.concatenate([v_mid, v_pre], axis=-1)
+        return concat_broadcast([v_mid, v_pre], axis=-1)
     raise ValueError(f"fuse: unknown mode {mode!r}")
 
 
@@ -163,16 +175,16 @@ def encode(params, config, x, modality, mode="train"):
     """Run one modality's rows through its stream and the shared layers.
 
     Returns (FeatureBundle, cache). Train mode uses batch statistics in the
-    batchnorm layers and updates their running stats in place; eval mode is
-    pure and reads running stats only. Non-finite input is rejected here,
-    since the layers themselves do not check.
+    batchnorm layers and returns them in `FeatureBundle.batch_stats`; eval
+    mode reads the running stats. Neither changes `params`. Non-finite
+    input is rejected here, since the layers themselves do not check.
     """
     if modality not in MODALITIES:
         raise ValueError(f"encode: unknown modality {modality!r}")
     if mode not in ("train", "eval"):
         raise ValueError(f"encode: unknown mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
+    if x.ndim < 2 or x.shape[-1] != config.input_dim:
         raise ValueError(f"encode: input shape {x.shape} does not match input_dim {config.input_dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("encode: non-finite input")
@@ -190,22 +202,26 @@ def encode(params, config, x, modality, mode="train"):
             tap = h
 
     v_pre, head_fc_cache = dense_forward(h, v["head.fc.W"], v["head.fc.b"])
-    v_post, head_bn_cache = batchnorm_forward(
+    v_post, head_bn_cache, head_stats = batchnorm_forward(
         v_pre, v["head.bn.gamma"], v["head.bn.beta"],
         params.bn_state["head.bn.running_mean"], params.bn_state["head.bn.running_var"],
-        eps=config.bn_epsilon, momentum=config.bn_momentum, train=train)
+        eps=config.bn_epsilon, train=train)
     logits_backbone, head_cls_cache = dense_forward(v_post, v["head.cls.W"], v["head.cls.b"])
 
     bundle = FeatureBundle(v_pre=v_pre, v_post=v_post, logits_backbone=logits_backbone)
+    if train:
+        bundle.batch_stats = dict(zip(("head.bn.running_mean", "head.bn.running_var"), head_stats))
     mid_caches = None
     if config.mfi_enabled:
         v_mid, mid_fc_cache = dense_forward(tap, v["mid.fc.W"], v["mid.fc.b"])
         v_fused = fuse(v_mid, v_pre, config.fusion)
-        v_fused_post, mid_bn_cache = batchnorm_forward(
+        v_fused_post, mid_bn_cache, mid_stats = batchnorm_forward(
             v_fused, v["mid.bn.gamma"], v["mid.bn.beta"],
             params.bn_state["mid.bn.running_mean"], params.bn_state["mid.bn.running_var"],
-            eps=config.bn_epsilon, momentum=config.bn_momentum, train=train)
+            eps=config.bn_epsilon, train=train)
         logits_skip, mid_cls_cache = dense_forward(v_fused_post, v["mid.cls.W"], v["mid.cls.b"])
+        if train:
+            bundle.batch_stats.update(zip(("mid.bn.running_mean", "mid.bn.running_var"), mid_stats))
         bundle.v_mid = v_mid
         bundle.v_fused = v_fused
         bundle.v_fused_post = v_fused_post

@@ -42,7 +42,6 @@ from .numerics import (
     l2_normalize_backward,
     l2_normalize_forward,
     max_relative_error,
-    per_point,
     relative_errors,
     relu_backward,
     relu_forward,
@@ -160,10 +159,20 @@ def _split_batch(batch, idents):
 
 def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets):
     """(LossBreakdown, gradient of every parameter) of one train step on the
-    visible rows xv and thermal rows xt. Train-mode `encode` updates the
-    running stats in `params.bn_state`."""
+    visible rows xv and thermal rows xt.
+
+    It folds each stream's batch statistics into the running stats in
+    `params.bn_state`, in place, visible first:
+    running = (1 - momentum) * running + momentum * batch.
+    """
     bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
     bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
+    momentum = enc_cfg.bn_momentum
+    for bundle in (bundle_v, bundle_t):
+        for name, batch in bundle.batch_stats.items():
+            running = params.bn_state[name]
+            running *= 1.0 - momentum
+            running += momentum * batch
     breakdown, cache = L.total_loss_forward(bundle_v, bundle_t, targets, loss_cfg, enc_cfg)
     gv, gt = L.total_loss_backward(cache)
     grads = zero_grads(params)
@@ -412,21 +421,28 @@ def _gradient_error(analytic, f, x):
     return max_relative_error(analytic, fd)
 
 
+def _stacked(points, like):
+    """A stack of values of the array `like`, shaped to broadcast against the
+    rows: a stack of vectors as (m, 1, d)."""
+    return points[:, None] if like.ndim == 1 else points
+
+
 def _layer_error(forward, backward, args, proj):
     """Worst error, over the arguments of a layer, of its analytic gradient
-    of sum(forward(*args)[0] * proj) against finite differences."""
+    of sum(forward(*args)[0] * proj) against finite differences. Each sweep
+    calls `forward` once on a stack of values of one argument."""
     _, cache = forward(*args)
     grads = backward(cache, proj)
     grads = grads if len(args) > 1 else (grads,)
     errs = []
     for i, (arg, grad) in enumerate(zip(args, grads)):
-        trial = list(args)
+        def f(points, i=i, arg=arg):
+            trial = list(args)
+            trial[i] = _stacked(points, arg)
+            # each point's sum runs over its own contiguous block
+            return (forward(*trial)[0] * proj).reshape(len(points), -1).sum(axis=1)
 
-        def f(v):
-            trial[i] = v
-            return float((forward(*trial)[0] * proj).sum())
-
-        errs.append(_gradient_error(grad, per_point(f), arg))
+        errs.append(_gradient_error(grad, f, arg))
     return max(errs)
 
 
@@ -454,7 +470,7 @@ def _check_batchnorm(rng):
     proj = rng.standard_normal((n, d))
 
     def forward(xx, gg, bb):
-        return batchnorm_forward(xx, gg, bb, np.zeros(d), np.ones(d), train=True)
+        return batchnorm_forward(xx, gg, bb, np.zeros(d), np.ones(d), train=True)[:2]
 
     return _layer_error(forward, batchnorm_backward, (x, gamma, beta), proj)
 
@@ -471,8 +487,7 @@ def _check_softmax(rng):
     logits = rng.standard_normal((n, c))
     labels = rng.integers(0, c, size=n)
     _, grad = softmax_cross_entropy(logits, labels)
-    return _gradient_error(grad, per_point(lambda v: softmax_cross_entropy_forward(v, labels)[0]),
-                           logits)
+    return _gradient_error(grad, lambda v: softmax_cross_entropy_forward(v, labels)[0], logits)
 
 
 def _stable_pk_features(rng, P, K, dim, rho, *, tol=1e-3, max_tries=50):
@@ -504,13 +519,20 @@ def _check_triplet(rng, kind):
     return _gradient_error(grad, lambda v: L.triplet_loss(v, pools, rho), batch.features)
 
 
-def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5)):
-    cfg = EncoderConfig(input_dim=5, num_classes=3, stage_dims=stage_dims, tap_stage=2,
-                        d=4, fusion=fusion, mfi_enabled=mfi, backbone_loss_enabled=True)
+# The reference model: criterion 6's encoder (25 training identities), tapped
+# at stage 2 of 3, on one PK batch of the reference run: 34 418 parameters
+REFERENCE_MODEL = {"input_dim": 32, "stage_dims": (64, 64, 64), "d": 64, "num_classes": 25,
+                   "P": 8, "K": 4}
+
+
+def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5), input_dim=5, d=4,
+                      num_classes=3, P=3, K=2):
+    cfg = EncoderConfig(input_dim=input_dim, num_classes=num_classes, stage_dims=stage_dims,
+                        tap_stage=2, d=d, fusion=fusion, mfi_enabled=mfi,
+                        backbone_loss_enabled=True)
     params = init_encoder(cfg, int(rng.integers(0, 2 ** 31)))
     for k in params.values:
         params.values[k] = params.values[k] + 0.05 * rng.standard_normal(params.values[k].shape)
-    P, K = 3, 2
     x = rng.standard_normal((2 * P * K, cfg.input_dim))
     # visible rows first, then thermal rows, K rows per identity in each half
     labels = np.concatenate([np.repeat(np.arange(P), K)] * 2)
@@ -518,62 +540,52 @@ def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5)):
     return cfg, params, loss_cfg, x, labels, P, K
 
 
-def _stats_copy(params):
-    """`params.values` as they are, with a copy of the running stats: the
-    only state train-mode `encode` changes, so `params` is left as it was."""
-    return EncoderParams(values=params.values,
-                         bn_state={k: v.copy() for k, v in params.bn_state.items()})
-
-
 def _encode_streams(params, cfg, x, streams=MODALITIES):
-    """Train-mode (bundle, cache) of each stream in `streams`, by name, on
-    `_stats_copy(params)`: the visible stream encodes the first half of x,
-    the thermal stream the second."""
+    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
+    visible stream encodes the first half of x, the thermal stream the
+    second."""
     n = x.shape[0] // 2
     halves = dict(zip(MODALITIES, (x[:n], x[n:])))
-    work = _stats_copy(params)
-    return {mod: encode(work, cfg, halves[mod], mod, mode="train") for mod in streams}
+    return {mod: encode(params, cfg, halves[mod], mod, mode="train") for mod in streams}
 
 
 def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
     """Total loss of one model instance and its gradient for every parameter,
-    by `train`'s step on `_stats_copy(params)`."""
+    by `train`'s step, which also moves the running stats in `params`."""
     n = x.shape[0] // 2
-    breakdown, grads = _train_step(_stats_copy(params), cfg, loss_cfg, x[:n], x[n:],
+    breakdown, grads = _train_step(params, cfg, loss_cfg, x[:n], x[n:],
                                    L.loss_targets(labels[:n], labels[n:], P, K))
     return breakdown.total, grads
 
 
 def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
-    """`loss_of(name)`: `_model_forward`'s total loss as a function of
-    `params.values[name]` alone, by the forward steps only.
+    """`loss(changed)`: `_model_forward`'s total loss by the forward steps
+    only, with `changed` (name -> a stack of m values, each vector as
+    (m, 1, d)) in place of those arrays of `params`: the m losses, from one
+    call of each forward step.
 
     The targets are checked once here. A `visible.*` or `thermal.*` array
-    feeds only its own stream, so only that stream is encoded again; the
-    other stream's bundle is the unperturbed one, encoded once here. That
-    is exact: train-mode batchnorm output depends only on its own batch's
-    statistics. Each evaluation encodes on its own copy of the running
-    stats, so `params` is left as it was.
+    feeds only its own stream, so a stream is encoded again only when a
+    changed array is its own or shared; the other stream's unstacked
+    bundle, encoded once here, joins each matrix of the stack. That is
+    exact: train-mode batchnorm output depends only on its own batch's
+    statistics. `encode` writes to nothing, so `params` is left as it was.
     """
     n = x.shape[0] // 2
     targets = L.loss_targets(labels[:n], labels[n:], P, K)
     unperturbed = {mod: bundle for mod, (bundle, _) in _encode_streams(params, cfg, x).items()}
 
-    def loss_of(name):
-        stream = name.partition(".")[0]
-        streams = (stream,) if stream in MODALITIES else MODALITIES
+    def loss(changed):
+        owners = {name.partition(".")[0] for name in changed}
+        streams = [mod for mod in MODALITIES if owners - set(MODALITIES) or mod in owners]
+        trial = EncoderParams(values={**params.values, **changed}, bn_state=params.bn_state)
+        bundles = dict(unperturbed)
+        for mod, (bundle, _) in _encode_streams(trial, cfg, x, streams).items():
+            bundles[mod] = bundle
+        return L.total_loss_forward(bundles["visible"], bundles["thermal"],
+                                    targets, loss_cfg, cfg)[0].total
 
-        def loss(v):
-            trial = EncoderParams(values={**params.values, name: v}, bn_state=params.bn_state)
-            bundles = dict(unperturbed)
-            for mod, (bundle, _) in _encode_streams(trial, cfg, x, streams).items():
-                bundles[mod] = bundle
-            return L.total_loss_forward(bundles["visible"], bundles["thermal"],
-                                        targets, loss_cfg, cfg)[0].total
-
-        return loss
-
-    return loss_of
+    return loss
 
 
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
@@ -590,21 +602,65 @@ def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 
-def _check_full_model(rng, mfi, **setup):
-    # resample until the ReLU inputs and mined triplets are safely away from kinks
+def _kink_free_model(rng, mfi, tol, **setup):
+    """`_full_model_setup`, resampled until the ReLU inputs and mined
+    triplets are more than `tol` away from kinks."""
     for _ in range(50):
         cfg, params, loss_cfg, x, labels, P, K = _full_model_setup(rng, mfi, **setup)
-        if _metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:
-            break
-    else:
-        raise RuntimeError("could not build a kink-free model instance")
+        if _metric_margins(params, cfg, loss_cfg, x, labels, P, K) > tol:
+            return cfg, params, loss_cfg, x, labels, P, K
+    raise RuntimeError("could not build a kink-free model instance")
 
+
+def _check_full_model(rng, mfi, **setup):
+    cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(rng, mfi, 1e-3, **setup)
     _, grads = _model_forward(params, cfg, loss_cfg, x, labels, P, K)
-    loss_of = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+    loss = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
     worst = 0.0
     for name in sorted(params.values):
-        error = _gradient_error(grads[name], per_point(loss_of(name)), params.values[name])
-        worst = max(worst, error)
+        v = params.values[name]
+
+        def f(points, name=name, v=v):
+            return loss({name: _stacked(points, v)})
+
+        worst = max(worst, _gradient_error(grads[name], f, v))
+    return worst
+
+
+# Kink margin of the directional check's instances. Its farthest stencil
+# point lies 2h = 2e-5 along a unit direction in 34 418 dimensions;
+# over ten reference instances that moved no ReLU input by more than 5e-6.
+DIRECTIONAL_KINK_TOL = 1e-4
+
+
+def _check_directional(rng, fusion="cat"):
+    """Worst error, as `_gradient_error` measures it, of the reference
+    model's directional derivatives <grad L, u> against central differences
+    of L(theta + t u) in t, over three random unit directions u of the
+    whole parameter vector.
+
+    The per-entry sweep of `_check_full_model` is too costly at this size.
+    The model is `REFERENCE_MODEL` with the skip branch on, drawn by the
+    same ReLU and mining kink guard. Each direction's points theta + t u
+    are evaluated as one stack.
+    """
+    cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(
+        rng, True, DIRECTIONAL_KINK_TOL, fusion=fusion, **REFERENCE_MODEL)
+    _, grads = _model_forward(params, cfg, loss_cfg, x, labels, P, K)
+    loss = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+    names = sorted(params.values)
+    worst = 0.0
+    for _ in range(3):
+        u = {name: rng.standard_normal(params.values[name].shape) for name in names}
+        norm = np.sqrt(sum(float((u[name] * u[name]).sum()) for name in names))
+        u = {name: u[name] / norm for name in names}
+        analytic = sum(float((grads[name] * u[name]).sum()) for name in names)
+
+        def f(ts, u=u):
+            t = ts[:, :, None]  # (m, 1, 1): each point's step, against every array
+            return loss({name: params.values[name] + t * u[name] for name in names})
+
+        worst = max(worst, _gradient_error(np.array([analytic]), f, np.zeros(1)))
     return worst
 
 

@@ -11,6 +11,13 @@ the gradient needs, and a gradient step. The (loss, grad) functions run
 both; a finite-difference sweep runs the forward step alone, on labels and
 candidate pools checked once per batch.
 
+The forward steps broadcast over leading stack axes, as the layers in
+`numerics` do: `triplet_loss` and `total_loss_forward` take a stack of
+feature matrices or of encoder outputs and return one loss per matrix,
+each bit-identical to its own unstacked call. In `total_loss_forward` an
+unstacked bundle of one modality joins every matrix of the other's stack.
+The gradient steps take one matrix.
+
 The single triplet losses and `mining_margins` mine on the exact
 `pairwise_distances` matrix. The dual loss, which training runs, mines on
 one GEMM and certifies every pick with `gemm_score_bound`; a pick it cannot
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    concat_broadcast,
     gemm_score_bound,
     gemm_sq_distances,
     l2_normalize_backward,
@@ -269,21 +277,22 @@ def _dual_offsets(batch):
 
 
 def _certified_picks(features, offsets):
-    """Each row's hardest candidate in each stacked pool, as (picks, redone).
+    """Each row's hardest candidate in each stacked pool, as (picks, redone),
+    of shape (..., 4, n) for features (..., n, D): one matrix or a stack.
 
     The picks are those an argmax on `pairwise_distances`' values makes,
     ties to the lowest index. They are made on GEMM scores by one argmax;
     a pick is certified when it leads the runner-up of its pool by more
-    than twice `gemm_score_bound` and every score is finite. `redone`
-    marks the picks that were not, and were made again on their rows'
-    exact distances.
+    than twice `gemm_score_bound` (of its own matrix's norms) and every
+    score of its row is finite. `redone` marks the picks that were not,
+    and were made again on their rows' exact distances.
     """
-    n = features.shape[0]
+    n, dim = features.shape[-2:]
     # squared norms that overflow make non-finite scores, whose rows the
     # exact path mines, so their overflow and inf - inf are not faults
     with np.errstate(over="ignore", invalid="ignore"):
         scores, sq = gemm_sq_distances(features)
-        cand = scores * _SIGNS
+        cand = scores[..., None, :, :] * _SIGNS
         cand += offsets
         rows, flat = cand.reshape(-1, n), cand.reshape(-1)
         picks = rows.argmax(axis=1)
@@ -292,30 +301,35 @@ def _certified_picks(features, offsets):
         flat[at] = -np.inf  # the runner-up is the best of the rest
         lead -= flat[at - picks + rows.argmax(axis=1)]
         # a NaN lead or limit fails the test, and so takes the exact path
-        limit = 2.0 * gemm_score_bound(2.0 * float(sq.max()), features.shape[1])
-        redone = ~(lead.reshape(offsets.shape[:2]) > limit)
+        limit = 2.0 * gemm_score_bound(2.0 * sq.max(axis=-1), dim)  # one per matrix
+        redone = ~(lead.reshape(cand.shape[:-1]) > limit[..., None, None])
     if not np.isfinite(scores).all():
-        redone |= ~np.isfinite(scores).all(axis=1)
-    picks = picks.reshape(offsets.shape[:2])
+        redone |= ~np.isfinite(scores).all(axis=-1)[..., None, :]
+    picks = picks.reshape(cand.shape[:-1])
     if redone.any():
-        k, i = np.nonzero(redone)
-        anchors, row = np.unique(i, return_inverse=True)
-        exact = pairwise_distances(features[anchors], features)[row]
+        # each redone anchor row, as (matrix, row), against its own matrix
+        stack = features.reshape(-1, n, dim)
+        s, k, i = np.nonzero(redone.reshape(-1, 4, n))
+        anchors, row = np.unique(s * n + i, return_inverse=True)
+        a_s, a_i = np.divmod(anchors, n)
+        exact = pairwise_distances(stack[a_s, a_i][:, None, :], stack[a_s])[:, 0][row]
         masked = np.where(offsets[k, i] == 0.0, exact * _SIGNS[k, 0], -np.inf)
-        picks[k, i] = masked.argmax(axis=1)
+        picks.reshape(-1, 4, n)[s, k, i] = masked.argmax(axis=1)
     return picks, redone
 
 
 def _dual_forward(features, offsets, config):
     """Forward step of the dual loss over the stacked pools `offsets`
-    (`_dual_offsets`).
+    (`_dual_offsets`), for one feature matrix or each of a stack.
 
     Returns (loss, cross loss, intra loss, cache for `_dual_backward`).
     """
     picks, _ = _certified_picks(features, offsets)
     dist = pair_distances(features, picks)
-    loss_c, mined_c = _hinge(dist[0], dist[1], picks[0], picks[1], config.rho)
-    loss_i, mined_i = _hinge(dist[2], dist[3], picks[2], picks[3], config.rho)
+    loss_c, mined_c = _hinge(dist[..., 0, :], dist[..., 1, :], picks[..., 0, :], picks[..., 1, :],
+                             config.rho)
+    loss_i, mined_i = _hinge(dist[..., 2, :], dist[..., 3, :], picks[..., 2, :], picks[..., 3, :],
+                             config.rho)
     return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, mined_c, mined_i, config)
 
 
@@ -398,21 +412,22 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     features (skip branch when the encoder config `enc_cfg` has MFI on,
     backbone otherwise); the softmax term uses the matching classifier
     logits. The cache holds what `total_loss_backward` needs; a caller that
-    wants the loss alone drops it.
+    wants the loss alone drops it. Either bundle may be a stack; then the
+    breakdown holds one value per matrix of the stack.
     """
     config.validate()
-    nv, nt = bundle_v.v_post.shape[0], bundle_t.v_post.shape[0]
+    nv, nt = bundle_v.v_post.shape[-2], bundle_t.v_post.shape[-2]
     if (nv, nv + nt) != (targets.n_visible, targets.labels.size):
         raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "
                          f"{targets.n_visible} and {targets.labels.size - targets.n_visible} labels")
     if enc_cfg.mfi_enabled:
         sel_v, sel_t = bundle_v.v_fused_post, bundle_t.v_fused_post
-        logits = np.concatenate([bundle_v.logits_skip, bundle_t.logits_skip])
+        logits = concat_broadcast([bundle_v.logits_skip, bundle_t.logits_skip], axis=-2)
     else:
         sel_v, sel_t = bundle_v.v_post, bundle_t.v_post
-        logits = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
+        logits = concat_broadcast([bundle_v.logits_backbone, bundle_t.logits_backbone], axis=-2)
 
-    metric, norm_cache = l2_normalize_forward(np.concatenate([sel_v, sel_t]))
+    metric, norm_cache = l2_normalize_forward(concat_broadcast([sel_v, sel_t], axis=-2))
     loss_sm, sm_cache = softmax_cross_entropy_forward(logits, targets.labels)
     loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.offsets, config)
 
@@ -420,10 +435,10 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     loss_bb = 0.0
     bb_cache = None
     if enc_cfg.mfi_enabled and enc_cfg.backbone_loss_enabled:
-        logits_bb = np.concatenate([bundle_v.logits_backbone, bundle_t.logits_backbone])
+        logits_bb = concat_broadcast([bundle_v.logits_backbone, bundle_t.logits_backbone], axis=-2)
         loss_bb, bb_cache = softmax_cross_entropy_forward(logits_bb, targets.labels)
         total += loss_bb
-    if not math.isfinite(total):
+    if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
         raise ValueError(f"total_loss: non-finite loss {total}")
 
     breakdown = LossBreakdown(

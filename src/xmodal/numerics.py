@@ -1,18 +1,27 @@
 """Differentiable dense kernels, distances, optimizer, and a finite-difference oracle.
 
-All arithmetic is float64. Every *_forward returns (output, cache); the
-matching *_backward consumes the cache and an upstream gradient and returns
-exact analytic gradients. The layers do not check for non-finite values;
-that happens at the boundaries: `encoder.encode` rejects non-finite input,
-`losses.total_loss` a non-finite loss and `adam_step` a non-finite gradient.
+All arithmetic is float64. Every *_forward returns (output, cache), and
+train-mode `batchnorm_forward` its batch statistics as well; the matching
+*_backward consumes the cache and an upstream gradient and returns exact
+analytic gradients. No forward step writes to its arguments. The layers do
+not check for non-finite values; that happens at the boundaries:
+`encoder.encode` rejects non-finite input, `losses.total_loss` a non-finite
+loss and `adam_step` a non-finite gradient.
+
+The forward steps broadcast over leading stack axes. Rows are axis -2 and
+features axis -1; any argument may carry leading axes, which broadcast
+against the others' (a stacked vector parameter as (m, 1, d)). Each matrix
+of a stack comes out bit-identical to its own unstacked call, since every
+reduction runs along the same axis in the same order, and numpy's matmul
+makes one BLAS call per matrix of a stack. The backward steps take one
+matrix.
 
 The oracle (`finite_diff_grad`, `finite_diff_entries`) takes a function of
 a stack of points: given an (m, *x.shape) array it returns the m values. A
 sweep's perturbed points go to it in a few stacks of bounded size, and the
 estimates equal those of a point-by-point loop bit for bit. A function
-that broadcasts over leading axes, as `pairwise_distances` and
-`losses.triplet_loss` do, evaluates a sweep in one call; `per_point` wraps
-a function of one point.
+made of forward steps evaluates a sweep in one call; `per_point` wraps a
+function of one point.
 """
 
 import math
@@ -39,7 +48,7 @@ _SMALLEST_SUBNORMAL = 2.0 ** -1074
 def dense_forward(x, w, b):
     """y = x @ w + b, with w of shape (in_dim, out_dim)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+    if x.ndim < 2 or x.shape[-1] != w.shape[-2]:
         raise ValueError(f"dense: input shape {x.shape} incompatible with weight {w.shape}")
     y = x @ w + b
     return y, (x, w)
@@ -69,37 +78,35 @@ def relu_backward(cache, g):
     return np.where(x > 0.0, g, 0.0)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
-                      eps=1e-5, momentum=0.1, train=True):
-    """Batch normalization over axis 0.
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, eps=1e-5, train=True):
+    """Batch normalization over the rows (axis -2): (y, cache, batch stats).
 
-    In train mode uses batch statistics and updates the running arrays in
-    place with `running = (1 - momentum) * running + momentum * batch`.
-    In eval mode the running statistics are used and left untouched.
+    Train mode normalizes by the batch statistics and returns them as
+    (mean, var), one row each per matrix; the caller folds them into its
+    running statistics. Eval mode normalizes by the running statistics and
+    returns None for them. Neither mode writes to the running arrays.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
-        raise ValueError(f"batchnorm: input shape {x.shape} incompatible with dim {gamma.shape[0]}")
+    if x.ndim < 2 or x.shape[-1] != gamma.shape[-1]:
+        raise ValueError(f"batchnorm: input shape {x.shape} incompatible with dim {gamma.shape[-1]}")
+    n = x.shape[-2]
+    stats = None
     if train:
-        if x.shape[0] < 2:
+        if n < 2:
             raise ValueError("batchnorm: train mode requires batch size >= 2")
-        # the ufunc calls of x.mean(axis=0) and x.var(axis=0), with the
+        # the ufunc calls of x.mean(axis=-2) and x.var(axis=-2), with the
         # centered rows made once
-        n = x.shape[0]
-        mean = x.sum(axis=0) / n
+        mean = x.sum(axis=-2, keepdims=True) / n
         centered = x - mean
-        var = (centered * centered).sum(axis=0) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        var = (centered * centered).sum(axis=-2, keepdims=True) / n
+        stats = mean[..., 0, :], var[..., 0, :]
     else:
         var = running_var
         centered = x - running_mean
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     y = gamma * xhat + beta
-    return y, (xhat, inv_std, gamma, train, x.shape[0])
+    return y, (xhat, inv_std, gamma, train, n), stats
 
 
 def batchnorm_backward(cache, g):
@@ -121,15 +128,15 @@ def batchnorm_backward(cache, g):
 def l2_normalize_forward(x, *, min_norm=1e-6):
     """Row-wise L2 normalization; (near-)zero rows pass through unchanged."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("l2_normalize expects a 2-d array")
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
-    small = norms[:, 0] < min_norm
+    if x.ndim < 2:
+        raise ValueError("l2_normalize expects rows: an array of 2 or more dims")
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
+    small = norms[..., 0] < min_norm
     if np.any(small):
         warnings.warn("l2_normalize: near-zero row(s) left unnormalized", RuntimeWarning)
     safe = np.where(norms < min_norm, 1.0, norms)
     y = x / safe
-    return y, (y, safe[:, 0], small)
+    return y, (y, safe[..., 0], small)
 
 
 def l2_normalize_backward(cache, g):
@@ -141,6 +148,17 @@ def l2_normalize_backward(cache, g):
     dx = (g - y * dot) / norms[:, None]
     dx[small] = g[small]
     return dx
+
+
+def concat_broadcast(arrays, axis):
+    """np.concatenate along the negative `axis`, after broadcasting the
+    arrays' leading stack axes: an unstacked matrix joins every matrix of a
+    stack."""
+    lead = {a.shape[:-2] for a in arrays}
+    if len(lead) > 1:
+        shape = np.broadcast_shapes(*lead)
+        arrays = [np.broadcast_to(a, shape + a.shape[-2:]) for a in arrays]
+    return np.concatenate(arrays, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +205,19 @@ def pair_distances(x, idx):
     """Distance of each row of x to the row `idx` names for it along its last
     axis: out[..., i] = ||x[i] - x[idx[..., i]]||.
 
-    Each is one difference row's einsum, the arithmetic of
-    `pairwise_distances`, so it equals pairwise_distances(x, x)[i, idx[..., i]]
-    bit for bit. The difference rows are formed in place, by one gather and
-    one broadcast subtraction.
+    For a stack x of shape (..., n, D), idx is (..., k, n) and each matrix
+    is paired with its own k index rows. Each distance is one difference
+    row's einsum, the arithmetic of `pairwise_distances`, so it equals
+    pairwise_distances(x, x)[i, idx[..., i]] bit for bit. The difference
+    rows are formed in place, by one gather and one broadcast subtraction.
     """
-    diff = x[idx]
-    np.subtract(x, diff, out=diff)
+    if x.ndim == 2:
+        diff = x[idx]
+        np.subtract(x, diff, out=diff)
+    else:
+        rows = x[..., None, :, :]
+        diff = np.take_along_axis(rows, idx[..., None], axis=-2)
+        np.subtract(rows, diff, out=diff)
     sq = np.einsum("...k,...k->...", diff, diff)
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)
@@ -201,17 +225,18 @@ def pair_distances(x, idx):
 
 def gemm_sq_distances(x):
     """Scores ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j for every pair of rows of x,
-    from one GEMM, and the squared row norms.
+    or of each matrix in a stack, from one GEMM per matrix, and the squared
+    row norms.
 
     A score approximates the squared distance `pairwise_distances` takes the
     root of; `gemm_score_bound` says when an order of scores is certain to
     be the order of those distances.
     """
-    sq = np.einsum("ij,ij->i", x, x)
-    scores = x @ x.T
+    sq = np.einsum("...ij,...ij->...i", x, x)
+    scores = x @ x.swapaxes(-1, -2)
     scores *= -2.0
-    scores += sq[:, None]
-    scores += sq
+    scores += sq[..., :, None]
+    scores += sq[..., None, :]
     return scores, sq
 
 
@@ -254,17 +279,20 @@ def softmax_cross_entropy_forward(logits, labels):
     """Mean negative log-likelihood of the labels: (loss, cache)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     if n == 0:
         raise ValueError("softmax_cross_entropy: empty batch")
     if labels.shape != (n,):
         raise ValueError("softmax_cross_entropy: one label per row required")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"softmax_cross_entropy: label out of range [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -(log_probs[np.arange(n), labels].sum() / n)  # .mean()'s arithmetic
+    log_probs = shifted - np.log(exp.sum(axis=-1, keepdims=True))
+    # a stacked gather comes out column-major; each row must be contiguous
+    # for its sum to take the same pairwise order as one matrix's
+    picked = np.ascontiguousarray(log_probs[..., np.arange(n), labels])
+    loss = -(picked.sum(axis=-1) / n)  # .mean()'s arithmetic
     return loss, (exp, labels)
 
 
@@ -372,8 +400,8 @@ def _finite_differences(f, x, entries, stencil, h):
     DIST_BLOCK_BYTES (one point, when x alone is larger) and `f` is called
     once per stack; x itself is left untouched.
     """
-    if h <= 0.0:
-        raise ValueError("finite differences: h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"finite differences: h must be positive and finite, got {h}")
     steps, weights, denominator = stencil
     flat = x.reshape(-1)
     entries = np.asarray(entries, dtype=np.intp)

@@ -289,14 +289,15 @@ def check_triplet_reference(rng, kind):
     return max_relative_error(grad, fd), estimates
 
 
-def check_full_model_reference(rng, mfi):
-    """`harness._check_full_model` whose sweep closure copies every parameter
-    array and runs the forward and backward pass for each evaluation."""
+def check_full_model_reference(rng, mfi, **setup):
+    """`harness._check_full_model` with its sweeps made point by point, by
+    `per_point`: each evaluation copies every parameter array and runs the
+    whole train step, forward and backward, on one point."""
     from xmodal import harness
     from xmodal.numerics import per_point
 
     for _ in range(50):
-        cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
+        cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi, **setup)
         if harness._metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:
             break
     else:
@@ -311,3 +312,30 @@ def check_full_model_reference(rng, mfi):
 
         worst = max(worst, harness._gradient_error(grads[name], per_point(f), params.values[name]))
     return worst
+
+
+def running_stats_reference(params, cfg, xv, xt):
+    """The running stats after one train step, made as a train-mode
+    batchnorm that updates its running arrays in place would make them:
+    per call, running = (1 - momentum) * running + momentum * batch, the
+    visible stream's calls first. Returns new arrays; `params` is left as
+    it was."""
+    from xmodal.encoder import encode
+
+    state = {k: v.copy() for k, v in params.bn_state.items()}
+    momentum = cfg.bn_momentum
+    for x, modality in ((xv, "visible"), (xt, "thermal")):
+        bundle, _ = encode(params, cfg, x, modality, mode="eval")  # the inputs of the batchnorms
+        inputs = {"head.bn": bundle.v_pre}
+        if cfg.mfi_enabled:
+            inputs["mid.bn"] = bundle.v_fused
+        for layer, v in inputs.items():
+            n = v.shape[0]
+            mean = v.sum(axis=0) / n
+            centered = v - mean
+            var = (centered * centered).sum(axis=0) / n
+            for stat, batch in (("running_mean", mean), ("running_var", var)):
+                running = state[f"{layer}.{stat}"]
+                running *= 1.0 - momentum
+                running += momentum * batch
+    return state

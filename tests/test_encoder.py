@@ -3,6 +3,7 @@ import pytest
 
 from xmodal.encoder import (
     EncoderConfig,
+    EncoderParams,
     FeatureBundle,
     encode,
     encode_backward,
@@ -11,13 +12,13 @@ from xmodal.encoder import (
     test_feature as select_feature,
     zero_grads,
 )
-from xmodal.losses import BundleGrads, LossConfig, total_loss
+from xmodal.losses import BundleGrads, LossConfig, loss_targets, total_loss, total_loss_forward
 from xmodal.numerics import finite_diff_grad, max_relative_error, per_point
 
 
-def small_config(mfi=True, fusion="cat"):
+def small_config(mfi=True, fusion="cat", backbone=True):
     return EncoderConfig(input_dim=5, num_classes=3, stage_dims=(6, 5), tap_stage=2,
-                         d=4, fusion=fusion, mfi_enabled=mfi)
+                         d=4, fusion=fusion, mfi_enabled=mfi, backbone_loss_enabled=backbone)
 
 
 class TestInit:
@@ -91,6 +92,19 @@ class TestEncode:
         np.testing.assert_array_equal(b1.v_fused_post, b2.v_fused_post)
         np.testing.assert_array_equal(p.bn_state["head.bn.running_mean"], np.zeros(4))
 
+    def test_train_mode_returns_batch_stats_and_writes_nothing(self):
+        # the train step, not encode, folds them into the running stats
+        cfg = small_config()
+        p = init_encoder(cfg, 5)
+        x = np.random.default_rng(2).standard_normal((4, 5))
+        b, _ = encode(p, cfg, x, "visible", mode="train")
+        for name, v in p.bn_state.items():
+            np.testing.assert_array_equal(v, init_encoder(cfg, 5).bn_state[name])
+        assert set(b.batch_stats) == set(p.bn_state)
+        np.testing.assert_array_equal(b.batch_stats["head.bn.running_mean"], b.v_pre.mean(axis=0))
+        np.testing.assert_array_equal(b.batch_stats["mid.bn.running_var"], b.v_fused.var(axis=0))
+        assert encode(p, cfg, x, "visible", mode="eval")[0].batch_stats is None
+
     def test_train_bn_batch_of_one_rejected(self):
         cfg = small_config()
         p = init_encoder(cfg, 0)
@@ -116,6 +130,67 @@ class TestEncode:
             x = np.random.default_rng(3).standard_normal((4, 5))
             b, _ = encode(p, cfg, x, "visible", mode="eval")
             assert b.v_fused_post.shape == (4, dim)
+
+
+BUNDLE_FIELDS = ("v_pre", "v_post", "logits_backbone", "v_mid", "v_fused", "v_fused_post",
+                 "logits_skip")
+LOSS_FIELDS = ("softmax", "backbone", "cross", "intra", "dual", "total")
+
+
+def matrix(value, k, like):
+    """Matrix k of a stacked value, or the value itself when, like `like`,
+    it is unstacked."""
+    return value[k] if np.ndim(value) > np.ndim(like) else value
+
+
+class TestStackedForward:
+    """`encode` and `total_loss_forward` on a stack of parameter values, as
+    the full-model finite-difference sweep calls them, give each value's own
+    outputs bit for bit."""
+
+    @pytest.mark.parametrize("mfi,fusion,backbone", [
+        (True, "cat", True), (True, "sum", True), (False, "cat", True), (True, "cat", False)])
+    def test_stack_equals_per_point_calls(self, mfi, fusion, backbone):
+        # stream, head and mid weights and vectors; a stream's array leaves
+        # the other stream unstacked, and its bundle joins each of the stack
+        rng = np.random.default_rng(90)
+        cfg = small_config(mfi=mfi, fusion=fusion, backbone=backbone)
+        params = init_encoder(cfg, 21)
+        for k in params.values:
+            params.values[k] = params.values[k] + 0.05 * rng.standard_normal(params.values[k].shape)
+        P, K, m = 3, 2, 7
+        x = rng.standard_normal((2 * P * K, cfg.input_dim))
+        labels = np.repeat(np.arange(P), K)
+        targets = loss_targets(labels, labels, P, K)
+        loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0)
+        names = ["visible.stage1.W", "thermal.stage2.b", "head.fc.W", "head.bn.gamma",
+                 "head.cls.b", "mid.fc.W", "mid.bn.beta", "mid.cls.W"]
+
+        def forward(values, mode):
+            trial = EncoderParams(values={**params.values, **values}, bn_state=params.bn_state)
+            bundles = [encode(trial, cfg, x[:P * K], "visible", mode=mode)[0],
+                       encode(trial, cfg, x[P * K:], "thermal", mode=mode)[0]]
+            return bundles, total_loss_forward(*bundles, targets, loss_cfg, cfg)[0]
+
+        for name in (n for n in names if n in params.values):
+            value = params.values[name]
+            stack = value + 0.1 * rng.standard_normal((m,) + value.shape)
+            for mode in ("train", "eval"):
+                bundles, breakdown = forward(
+                    {name: stack[:, None] if value.ndim == 1 else stack}, mode)
+                for k in range(m):
+                    want_bundles, want = forward({name: stack[k]}, mode)
+                    for got, one in zip(bundles, want_bundles):
+                        for field in BUNDLE_FIELDS:
+                            a, b = getattr(got, field), getattr(one, field)
+                            assert (a is None) == (b is None), field
+                            if b is not None:
+                                assert np.array_equal(matrix(a, k, b), b), (name, mode, field)
+                        for stat, b in (one.batch_stats or {}).items():
+                            assert np.array_equal(matrix(got.batch_stats[stat], k, b), b), stat
+                    for field in LOSS_FIELDS:
+                        b = getattr(want, field)
+                        assert matrix(getattr(breakdown, field), k, b) == b, (name, mode, field)
 
 
 class TestTestFeature:

@@ -3,6 +3,7 @@
 import json
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     check_full_model_reference,
     check_triplet_reference,
     pairwise_distances_reference,
+    running_stats_reference,
     sample_pk_batch_reference,
     split_batch_reference,
     validate_reference,
@@ -199,6 +201,24 @@ class TestTrain:
             assert set(a) == set(b)
             for name in a:
                 assert np.array_equal(a[name], b[name]), (section, name)
+
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_train_step_moves_the_running_stats_as_an_in_place_update(self, mfi):
+        # batchnorm returns its batch statistics; the train step folds them
+        # into the running stats as a layer updating them in place would
+        rng = np.random.default_rng(41)
+        cfg, params, loss_cfg, _, labels, P, K = harness._full_model_setup(rng, mfi)
+        for v in params.bn_state.values():
+            v[...] = 0.5 + rng.random(v.shape)
+        n = P * K
+        targets = losses.loss_targets(labels[:n], labels[n:], P, K)
+        for _ in range(3):
+            x = rng.standard_normal((2 * n, cfg.input_dim))
+            want = running_stats_reference(params, cfg, x[:n], x[n:])
+            harness._train_step(params, cfg, loss_cfg, x[:n], x[n:], targets)
+            assert set(params.bn_state) == set(want)
+            for name, v in want.items():
+                assert np.array_equal(params.bn_state[name], v), name
 
     def test_every_sampled_batch_has_the_run_pools(self):
         # train builds the pools once per run from (P, K); they must be the
@@ -485,6 +505,34 @@ class TestGradcheck:
             worst = harness._check_full_model(rng, True, fusion=fusion, stage_dims=(6, 5, 5))
         assert worst < harness.GRADCHECK_THRESHOLD
 
+    @pytest.mark.parametrize("fusion", ["cat", "sum"])
+    def test_directional_check_at_the_reference_model(self, fusion):
+        # 34 418 parameters, tapped at stage 2 of 3: too many for the
+        # per-entry sweep, so the check runs along random unit directions
+        rng = np.random.default_rng([3, zlib.crc32(fusion.encode())])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(2):
+                assert harness._check_directional(rng, fusion) < harness.GRADCHECK_THRESHOLD
+
+    def test_detects_a_skip_gradient_added_at_the_last_stage(self, monkeypatch):
+        # the inner tap's stage is as wide as the last, so the misplaced
+        # gradient fits the shapes; the per-entry check of the inner-tap model
+        # and the directional check of the reference model catch the values
+        def misplaced(params, cfg, cache, grads, out=None):
+            last = replace(cfg, tap_stage=len(cfg.stage_dims))
+            return encoder.encode_backward(params, last, cache, grads, out=out)
+
+        monkeypatch.setattr(harness, "encode_backward", misplaced)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for fusion in ("cat", "sum"):
+                rng = np.random.default_rng([3, zlib.crc32(fusion.encode())])
+                assert harness._check_directional(rng, fusion) > 0.1
+                rng = np.random.default_rng([11, zlib.crc32(fusion.encode())])
+                inner = harness._check_full_model(rng, True, fusion=fusion, stage_dims=(6, 5, 5))
+                assert inner > harness.GRADCHECK_THRESHOLD
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
         with pytest.raises(ConfigError, match="trials must be >= 1"):
@@ -559,32 +607,35 @@ class TestGradcheck:
 
 
 class TestLossOnlySweep:
-    """The full-model sweep evaluates `_loss_sweep`'s forward-only closures,
-    not `_model_forward`."""
+    """The full-model sweep evaluates `_loss_sweep`'s forward steps on a
+    stack of points per call, not `_model_forward` point by point."""
 
     @pytest.mark.parametrize("mfi", [True, False])
     def test_loss_matches_model_forward_and_leaves_params(self, mfi):
-        # every parameter name: the visible.* and thermal.* closures re-encode
-        # one stream, the shared head's both
+        # every parameter name, as one stack of its value and of copies with
+        # the first or last entry moved: a visible.* or thermal.* stack
+        # re-encodes one stream, a shared array's both
         rng = np.random.default_rng(61)
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
         values = {k: v.copy() for k, v in params.values.items()}
         bn_state = {k: v.copy() for k, v in params.bn_state.items()}
-        loss_of = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
-        at_instance = harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)[0]
+        loss = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
         prefixes = set()
         for name in sorted(params.values):
             prefixes.add(name.partition(".")[0])
-            loss = loss_of(name)
-            assert loss(params.values[name].copy()) == at_instance, name
-            for entry in (0, params.values[name].size - 1):
+            value = params.values[name]
+            points = [value.copy()]
+            for entry in (0, value.size - 1):
                 for step in (1e-5, -1e-5):
-                    v = params.values[name].copy()
-                    v.reshape(-1)[entry] += step
-                    trial = params.copy()
-                    trial.values[name] = v.copy()
-                    want = harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
-                    assert loss(v) == want, (name, entry, step)
+                    points.append(value.copy())
+                    points[-1].reshape(-1)[entry] += step
+            got = loss({name: harness._stacked(np.array(points), value)})
+            assert got.shape == (len(points),)
+            for k, v in enumerate(points):
+                trial = params.copy()
+                trial.values[name] = v
+                want = harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+                assert got[k] == want, (name, k)
         assert prefixes == ({"visible", "thermal", "head", "mid"} if mfi
                             else {"visible", "thermal", "head"})
         for name in params.values:
@@ -614,6 +665,21 @@ class TestLossOnlySweep:
                 assert len(ours) == len(estimates) > 0
                 assert all(np.array_equal(a, b) for a, b in zip(ours, estimates))
                 estimates.clear()
+
+    @pytest.mark.parametrize("fusion", ["cat", "sum"])
+    def test_inner_tap_sweep_matches_per_point_sweep(self, fusion, monkeypatch):
+        # the inner-tap model of test_full_model_with_an_inner_skip_tap
+        estimates = recorded_estimates(monkeypatch)
+        stream = [11, zlib.crc32(fusion.encode())]
+        rng, ref_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+        setup = {"fusion": fusion, "stage_dims": (6, 5, 5)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            worst = harness._check_full_model(rng, True, **setup)
+            ours, estimates[:] = estimates[:], []
+            assert worst == check_full_model_reference(ref_rng, True, **setup)
+        assert len(ours) == len(estimates) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(ours, estimates))
 
     @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
     def test_stacked_triplet_sweep_matches_per_point_sweep(self, kind, monkeypatch):

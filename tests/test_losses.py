@@ -17,6 +17,7 @@ from xmodal.losses import (
     loss_targets,
     mining_margins,
     _certified_picks,
+    _dual_forward,
     _dual_offsets,
     _hinge_forward,
     _scatter_pairs,
@@ -398,6 +399,26 @@ class TestStackedForward:
         _, hp, hn, _, _ = mined
         assert np.array_equal(hp[2], np.argmax(pools[0], axis=1))
         assert np.array_equal(hn[2], np.argmax(pools[1], axis=1))
+
+    def test_dual_loss_is_each_matrix_loss(self):
+        # certified and exact-path picks alike: matrices 1 and 2 hold tied
+        # rows and matrix 5 near-duplicates, which the bound cannot certify
+        rng = np.random.default_rng(75)
+        P, K, dim, m = 3, 2, 4, 12
+        batch = random_pk_batch(rng, P, K, dim)
+        offsets = _dual_offsets(batch)
+        stack = self.tied_stack(rng, batch, m)
+        stack[5] = near_duplicate_batch(1e-12, 0, P, K, dim).features
+        config = LossConfig(rho=RHO, lambda1=0.1)
+        picks, redone = _certified_picks(stack, offsets)
+        loss, loss_c, loss_i, _ = _dual_forward(stack, offsets, config)
+        assert redone[[1, 2, 5]].any(axis=(1, 2)).all() and not redone[0].any()
+        for k, v in enumerate(stack):
+            one_picks, one_redone = _certified_picks(v, offsets)
+            assert np.array_equal(picks[k], one_picks) and np.array_equal(redone[k], one_redone)
+            assert (loss[k], loss_c[k], loss_i[k]) == _dual_forward(v, offsets, config)[:3]
+        assert np.array_equal(_dual_forward(stack.reshape(3, 4, 2 * P * K, dim), offsets, config)[0],
+                              loss.reshape(3, 4))
 
     @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
     def test_sweeps_match_the_per_point_loop(self, kind):

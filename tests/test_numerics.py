@@ -28,6 +28,7 @@ from xmodal.numerics import (
     relu_backward,
     relu_forward,
     softmax_cross_entropy,
+    softmax_cross_entropy_forward,
 )
 
 from helpers import (
@@ -77,16 +78,52 @@ class TestLayerForward:
     def test_batchnorm_eval_uses_running_stats(self):
         rm, rv = np.array([1.0, 2.0]), np.array([4.0, 9.0])
         x = np.array([[1.0, 2.0]])
-        y, _ = batchnorm_forward(x, np.ones(2), np.zeros(2), rm, rv, eps=0.0, train=False)
+        y, _, stats = batchnorm_forward(x, np.ones(2), np.zeros(2), rm, rv, eps=0.0, train=False)
         np.testing.assert_allclose(y, [[0.0, 0.0]], atol=1e-12)
+        assert stats is None
 
-    def test_batchnorm_train_updates_running_stats(self):
+    def test_batchnorm_train_returns_batch_stats(self):
+        # the caller folds them into its running stats; the layer writes to
+        # neither running array
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 3))
         rm, rv = np.zeros(3), np.ones(3)
-        batchnorm_forward(x, np.ones(3), np.zeros(3), rm, rv, momentum=0.1, train=True)
-        np.testing.assert_allclose(rm, 0.1 * x.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=0), atol=1e-12)
+        _, _, (mean, var) = batchnorm_forward(x, np.ones(3), np.zeros(3), rm, rv, train=True)
+        np.testing.assert_array_equal(mean, x.mean(axis=0))
+        np.testing.assert_array_equal(var, x.var(axis=0))
+        np.testing.assert_array_equal(rm, np.zeros(3))
+        np.testing.assert_array_equal(rv, np.ones(3))
+
+    @pytest.mark.parametrize("m, n, d", [(3, 2, 1), (5, 7, 3), (4, 12, 8), (2, 32, 64)])
+    def test_stacked_layers_are_bit_identical_to_each_matrix(self, m, n, d):
+        # each argument stacked in turn, a vector as (m, 1, d), against the
+        # others unstacked; n >= 8 takes numpy's pairwise sums
+        rng = np.random.default_rng(m * n * d)
+        x, w, b = rng.standard_normal((n, d)), rng.standard_normal((d, d)), rng.standard_normal(d)
+        gamma, beta = 0.5 + rng.random(d), rng.standard_normal(d)
+        rm, rv = rng.standard_normal(d), 0.5 + rng.random(d)
+        labels = rng.integers(0, d, size=n)
+
+        def layers(x, w, b, gamma, beta):
+            out = {"dense": dense_forward(x, w, b)[0], "relu": relu_forward(x)[0],
+                   "l2": l2_normalize_forward(x)[0], "eval_bn": batchnorm_forward(
+                       x, gamma, beta, rm, rv, train=False)[0]}
+            out["train_bn"], _, (out["mean"], out["var"]) = batchnorm_forward(
+                x, gamma, beta, rm, rv, train=True)
+            if d > 1:
+                out["softmax"] = softmax_cross_entropy_forward(x, labels)[0]
+            return out
+
+        args = {"x": x, "w": w, "b": b, "gamma": gamma, "beta": beta}
+        for name, arg in args.items():
+            stack = arg + 0.1 * rng.standard_normal((m,) + arg.shape)
+            out = layers(**{**args, name: stack[:, None] if arg.ndim == 1 else stack})
+            for k, v in enumerate(stack):
+                one = layers(**{**args, name: v})
+                for layer, value in one.items():
+                    got = out[layer]
+                    got = got[k] if np.ndim(got) > np.ndim(value) else got
+                    np.testing.assert_array_equal(got, value, err_msg=f"{name} {layer}")
 
 
 class TestLayerBackward:
@@ -110,10 +147,10 @@ class TestLayerBackward:
             proj = rng.standard_normal((n, d))
 
             def f(v):
-                out, _ = batchnorm_forward(v, gamma, beta, np.zeros(d), np.ones(d), train=True)
+                out, _, _ = batchnorm_forward(v, gamma, beta, np.zeros(d), np.ones(d), train=True)
                 return float((out * proj).sum())
 
-            _, cache = batchnorm_forward(x, gamma, beta, np.zeros(d), np.ones(d), train=True)
+            _, cache, _ = batchnorm_forward(x, gamma, beta, np.zeros(d), np.ones(d), train=True)
             dx, _, _ = batchnorm_backward(cache, proj)
             assert max_relative_error(dx, finite_diff_grad(per_point(f), x)) < 1e-4
 
@@ -450,10 +487,13 @@ class TestFiniteDiff:
             finite_diff_grad(lambda points: np.full(len(points), np.nan), np.ones(2))
 
     def test_bad_h(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda xs: np.zeros(len(xs)), np.ones(2), h=0.0)
-        with pytest.raises(ValueError):
-            finite_diff_entries(lambda xs: np.zeros(len(xs)), np.ones(2), [0], h=0.0)
+        # a NaN h compares False with 0, and gave NaN estimates of a constant
+        # function with no error
+        for h in (0.0, -1e-5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
+                finite_diff_grad(lambda xs: np.zeros(len(xs)), np.ones(2), h=h)
+            with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
+                finite_diff_entries(lambda xs: np.zeros(len(xs)), np.ones(2), [0], h=h)
 
     def test_four_point_stencil_is_exact_on_quartics(self):
         # the two-point form reads 4 + 4h^2 for d/dx x^4 at x = 1
