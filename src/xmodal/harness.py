@@ -5,7 +5,7 @@ import json
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .encoder import (
 from .evaluation import EvalProtocol, run_protocol
 from .losses import LabeledBatch, LossConfig
 from .numerics import (
+    DIST_BLOCK_BYTES,
     AdamState,
     adam_step,
     batchnorm_backward,
@@ -570,12 +571,22 @@ def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
     bundle, encoded once here, joins each matrix of the stack. That is
     exact: train-mode batchnorm output depends only on its own batch's
     statistics. `encode` writes to nothing, so `params` is left as it was.
+
+    A stack is evaluated in parts, so that its memory does not grow with
+    its size: each part's intermediates, estimated from one unstacked
+    forward's (its encodings, its loss cache and the dual loss's
+    (4, 2n, 2n) candidate scores), stay within `DIST_BLOCK_BYTES`.
     """
     n = x.shape[0] // 2
     targets = L.loss_targets(labels[:n], labels[n:], P, K)
-    unperturbed = {mod: bundle for mod, (bundle, _) in _encode_streams(params, cfg, x).items()}
+    encoded = _encode_streams(params, cfg, x)
+    unperturbed = {mod: bundle for mod, (bundle, _) in encoded.items()}
+    _, loss_cache = L.total_loss_forward(unperturbed["visible"], unperturbed["thermal"],
+                                         targets, loss_cfg, cfg)
+    point_bytes = _array_bytes((encoded, loss_cache)) + targets.offsets.nbytes
+    part = max(1, DIST_BLOCK_BYTES // point_bytes)
 
-    def loss(changed):
+    def part_loss(changed):
         owners = {name.partition(".")[0] for name in changed}
         streams = [mod for mod in MODALITIES if owners - set(MODALITIES) or mod in owners]
         trial = EncoderParams(values={**params.values, **changed}, bn_state=params.bn_state)
@@ -585,7 +596,29 @@ def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
         return L.total_loss_forward(bundles["visible"], bundles["thermal"],
                                     targets, loss_cfg, cfg)[0].total
 
+    def loss(changed):
+        m = len(next(iter(changed.values())))
+        return np.concatenate([part_loss({name: v[start:start + part] for name, v in changed.items()})
+                               for start in range(0, m, part)])
+
     return loss
+
+
+def _array_bytes(tree):
+    """Bytes of the distinct arrays held in nested tuples, lists, dicts and
+    dataclasses."""
+    found, todo = {}, [tree]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif is_dataclass(obj):
+            todo.extend(vars(obj).values())
+    return sum(found.values())
 
 
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):

@@ -209,15 +209,14 @@ def pair_distances(x, idx):
     is paired with its own k index rows. Each distance is one difference
     row's einsum, the arithmetic of `pairwise_distances`, so it equals
     pairwise_distances(x, x)[i, idx[..., i]] bit for bit. The difference
-    rows are formed in place, by one gather and one broadcast subtraction.
+    rows are formed in place, by one gather of whole rows from the stack's
+    rows laid end to end and one broadcast subtraction.
     """
-    if x.ndim == 2:
-        diff = x[idx]
-        np.subtract(x, diff, out=diff)
-    else:
-        rows = x[..., None, :, :]
-        diff = np.take_along_axis(rows, idx[..., None], axis=-2)
-        np.subtract(rows, diff, out=diff)
+    n, dim = x.shape[-2:]
+    # where each matrix's rows begin; 0 alone for one matrix
+    first = np.arange(0, x.size // dim, n).reshape(x.shape[:-2] + (1, 1))
+    diff = np.take(x.reshape(-1, dim), idx + first, axis=0)
+    np.subtract(x[..., None, :, :], diff, out=diff)
     sq = np.einsum("...k,...k->...", diff, diff)
     sq += DIST_STABILIZER
     return np.sqrt(sq, out=sq)

@@ -58,6 +58,10 @@ class TestFuse:
     def test_sum_dim_mismatch(self):
         with pytest.raises(ValueError):
             fuse(np.ones(2), np.ones(3), "sum")
+        # one row does not broadcast against n rows, but a stack does
+        with pytest.raises(ValueError, match="equal dims"):
+            fuse(np.ones((1, 3)), np.ones((4, 3)), "sum")
+        assert fuse(np.ones((2, 4, 3)), np.ones((4, 3)), "sum").shape == (2, 4, 3)
 
 
 class TestEncode:

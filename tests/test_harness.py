@@ -1,6 +1,7 @@
 """Training harness, checkpoint, ablation, gradcheck, and CLI tests."""
 
 import json
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -33,7 +34,7 @@ from xmodal.harness import (
     train,
 )
 from xmodal.losses import LabeledBatch, LossConfig, THERMAL, VISIBLE
-from xmodal.numerics import batchnorm_backward, l2_normalize_backward
+from xmodal.numerics import DIST_BLOCK_BYTES, batchnorm_backward, l2_normalize_backward
 
 from helpers import (
     AdamReference,
@@ -642,6 +643,24 @@ class TestLossOnlySweep:
             np.testing.assert_array_equal(params.values[name], values[name])
         for name in params.bn_state:
             np.testing.assert_array_equal(params.bn_state[name], bn_state[name])
+
+    def test_a_large_stack_is_evaluated_in_parts(self):
+        # 200 points of a shared array would hold about 4 MB of both streams'
+        # intermediates at once; in parts the peak stays near one part's
+        rng = np.random.default_rng(62)
+        cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, True)
+        loss = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+        value = params.values["head.fc.W"]
+        points = value + 1e-6 * rng.standard_normal((200,) + value.shape)
+        tracemalloc.start()
+        try:
+            got = loss({"head.fc.W": points})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * DIST_BLOCK_BYTES
+        for k in range(200):
+            assert got[k] == loss({"head.fc.W": points[k:k + 1]})[0], k
 
     # (seed, component, instances): seed 27's second backbone instance takes
     # the four-point re-estimate

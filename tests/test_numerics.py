@@ -277,6 +277,12 @@ class TestGemmScores:
             np.testing.assert_array_equal(pair_distances(x, idx), full[np.arange(n), idx])
             rows = np.unique(rng.integers(0, n, 5))
             np.testing.assert_array_equal(pairwise_distances(x[rows], x), full[rows])
+        # a stack over two leading axes pairs each matrix with its own rows
+        xs = rng.standard_normal((3, 2, 12, dim))
+        idx = rng.integers(0, 12, (3, 2, 4, 12))
+        stacked = pair_distances(xs, idx)
+        for s in np.ndindex(3, 2):
+            np.testing.assert_array_equal(stacked[s], pair_distances(xs[s], idx[s]))
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_bound_covers_both_paths_rounding(self, offset):
