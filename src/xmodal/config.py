@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -22,7 +23,7 @@ def _is_number_list(v):
 # field annotation -> (what its JSON value must be, the test of a value)
 _JSON_TYPES = {
     int: ("an integer", _is_int),
-    float: ("a number", _is_number),
+    float: ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers",

@@ -26,7 +26,6 @@ from .encoder import (
     encode_backward,
     init_encoder,
     test_feature,
-    zero_grads,
 )
 from .evaluation import EvalProtocol, run_protocol
 from .losses import LabeledBatch, LossConfig
@@ -82,8 +81,9 @@ class TrainConfig:
             raise ConfigError("TrainConfig: freeze_stage_epochs must be < epochs")
         if self.P < 2 or self.K < 1:
             raise ConfigError("TrainConfig: need P >= 2 and K >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
+        for name in ("freeze_stage_epochs", "lr_decay_epoch", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"TrainConfig: {name} must be >= 0, got {getattr(self, name)}")
         self.loss.validate()
 
     def to_dict(self):
@@ -158,9 +158,9 @@ def _split_batch(batch, idents):
     return xv, xt, yv, yt
 
 
-def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets):
+def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets, out=None):
     """(LossBreakdown, gradient of every parameter) of one train step on the
-    visible rows xv and thermal rows xt.
+    visible rows xv and thermal rows xt, added into `out` (name -> array) if given.
 
     It folds each stream's batch statistics into the running stats in
     `params.bn_state`, in place, visible first:
@@ -176,14 +176,14 @@ def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets):
             running += momentum * batch
     breakdown, cache = L.total_loss_forward(bundle_v, bundle_t, targets, loss_cfg, enc_cfg)
     gv, gt = L.total_loss_backward(cache)
-    grads = zero_grads(params)
-    encode_backward(params, enc_cfg, cache_v, gv, out=grads)
+    grads, _ = encode_backward(params, enc_cfg, cache_v, gv, out=out)
     encode_backward(params, enc_cfg, cache_t, gt, out=grads)
     return breakdown, grads
 
 
 def train(dataset, config):
-    """Single-threaded deterministic training run."""
+    """Single-threaded deterministic training run. The parameters are one flat
+    vector, `params.values` its views, led by the stream stages."""
     config.validate()
     idents = np.unique(dataset.identity)
     enc_cfg = config.encoder
@@ -200,8 +200,13 @@ def train(dataset, config):
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = init_encoder(enc_cfg, config.seed)
-    init_values = {k: v.copy() for k, v in params.values.items()}
     state = AdamState(params.values, learning_rate=config.learning_rate)
+    theta = np.concatenate([v.reshape(-1) for v in params.values.values()])
+    params.values = state.views(theta)
+    grad = np.empty_like(theta)
+    grads = state.views(grad)
+    stages = slice(0, sum(v.size for k, v in params.values.items() if k.startswith(MODALITIES)))
+    init_stages = theta[stages].copy()
     n_batches = batches_per_epoch(dataset, config.P, config.K)
 
     report = RunReport(config_echo=_config_echo(config, enc_cfg), seed=config.seed)
@@ -219,26 +224,19 @@ def train(dataset, config):
         for _ in range(n_batches):
             batch = sample_pk_batch(dataset, config.P, config.K, rng)
             xv, xt, yv, yt = _split_batch(batch, idents)
-            breakdown, grads = _train_step(params, enc_cfg, config.loss, xv, xt,
-                                           replace(targets, labels=np.concatenate([yv, yt])))
+            grad.fill(0.0)
+            breakdown, _ = _train_step(params, enc_cfg, config.loss, xv, xt,
+                                       replace(targets, labels=np.concatenate([yv, yt])), out=grads)
             if frozen:
-                for name in grads:
-                    if name.startswith(("visible.", "thermal.")):
-                        grads[name][...] = 0.0
-            adam_step(params.values, grads, state)
-            comp = breakdown.as_dict()
-            if sums is None:
-                sums = dict(comp)
-            else:
-                for k, v in comp.items():
-                    sums[k] += v
+                grad[stages] = 0.0
+            adam_step(theta, grad, state)
+            values = np.array(list(breakdown.as_dict().values()))
+            sums = values if sums is None else sums + values
         rec = {"epoch": epoch, "lr": lr}
-        rec.update({k: v / n_batches for k, v in sums.items()})
+        rec.update(zip(breakdown.as_dict(), (sums / n_batches).tolist()))
         report.epoch_records.append(rec)
         if frozen:
-            for name, v in params.values.items():
-                if name.startswith(("visible.", "thermal.")):
-                    assert np.array_equal(v, init_values[name]), f"frozen stage {name} moved"
+            assert np.array_equal(theta[stages], init_stages), "a frozen stage moved"
     report.wall_clock_seconds = time.perf_counter() - start
     return params, enc_cfg, report
 

@@ -1,4 +1,4 @@
-"""Differentiable dense kernels, distances, optimizer, and a finite-difference oracle.
+"""Differentiable dense kernels, distances, flat-vector Adam, and a finite-difference oracle.
 
 All arithmetic is float64. Every *_forward returns (output, cache), and
 train-mode `batchnorm_forward` its batch statistics as well; the matching
@@ -6,7 +6,7 @@ train-mode `batchnorm_forward` its batch statistics as well; the matching
 analytic gradients. No forward step writes to its arguments. The layers do
 not check for non-finite values; that happens at the boundaries:
 `encoder.encode` rejects non-finite input, `losses.total_loss` a non-finite
-loss and `adam_step` a non-finite gradient.
+loss and `adam_step`, which updates one flat vector, a non-finite gradient.
 
 The forward steps broadcast over leading stack axes. Rows are axis -2 and
 features axis -1; any argument may carry leading axes, which broadcast
@@ -316,10 +316,10 @@ def softmax_cross_entropy(logits, labels):
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Moment buffers and hyperparameters for one set of named parameters.
+    """Moment buffers and hyperparameters for one flat parameter vector.
 
-    The moments are flat vectors over the parameters in the order of
-    `params` at construction; `slices` maps each name to its span.
+    The vector holds the arrays of `params` end to end, in their order at
+    construction; `slices` maps each name to its span and shape.
     """
 
     def __init__(self, params, *, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -340,46 +340,46 @@ class AdamState:
             size += p.size
         self.first_moment = np.zeros(size)
         self.second_moment = np.zeros(size)
-        self.scratch = np.empty(size)
+        self.scratch = np.empty((2, size))  # two rows: the caller's gradient stays as it is
+
+    def views(self, vector):
+        """Name -> that array of the flat `vector`, as a view of it."""
+        return {name: vector[span].reshape(shape) for name, (span, shape) in self.slices.items()}
 
 
-def adam_step(params, grads, state):
-    """Bias-corrected Adam update, applied to `params` in place.
+def adam_step(theta, grad, state):
+    """Bias-corrected Adam update of the flat vector `theta`, in place, from
+    the flat gradient `grad`; a non-finite entry raises before anything moves.
 
-    One elementwise pass over the flat gradient, with the same operations
-    in the same order as a per-array update, so the result is bit-identical.
+    The same operations in the same order as a per-array update, so the
+    result is bit-identical.
     """
-    if set(grads) != set(params) or set(params) != set(state.slices):
-        raise ValueError("adam_step: parameter/gradient name mismatch")
-    for name, (_, shape) in state.slices.items():
-        if grads[name].shape != shape or params[name].shape != shape:
-            raise ValueError(f"adam_step: shape mismatch for {name}")
-    g = np.concatenate([grads[name].reshape(-1) for name in state.slices])
-    if not np.all(np.isfinite(g)):
-        bad = next(n for n, (span, _) in state.slices.items() if not np.all(np.isfinite(g[span])))
+    m, v = state.first_moment, state.second_moment
+    if theta.shape != m.shape or grad.shape != m.shape:
+        raise ValueError(f"adam_step: size mismatch {theta.shape}, {grad.shape}, {m.shape}")
+    if not np.all(np.isfinite(grad)):
+        bad = next(n for n, g in state.views(grad).items() if not np.all(np.isfinite(g)))
         raise ValueError(f"adam_step: non-finite gradient for {bad}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    m, v, tmp = state.first_moment, state.second_moment, state.scratch
+    tmp, den = state.scratch
     m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    np.multiply(grad, 1.0 - state.beta1, out=tmp)
     m += tmp
     v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=tmp)
-    tmp *= g
+    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    tmp *= grad
     v += tmp
-    # step = lr * (m / bc1) / (sqrt(v / bc2) + eps); g is free to hold the denominator
+    # step = lr * (m / bc1) / (sqrt(v / bc2) + eps)
     np.divide(m, bc1, out=tmp)
     tmp *= state.learning_rate
-    np.divide(v, bc2, out=g)
-    np.sqrt(g, out=g)
-    g += state.epsilon
-    tmp /= g
-    for name, (span, shape) in state.slices.items():
-        params[name] -= tmp[span].reshape(shape)
-    return params, state
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    tmp /= den
+    theta -= tmp
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,17 @@ def adam_step_reference(params, grads, state):
     return params, state
 
 
+def adam_step_via_reference(theta, grad, state):
+    """`adam_step(theta, grad, state)` done by `adam_step_reference` on the
+    named views of the two vectors, with per-array moments kept on `state`."""
+    params = state.views(theta)
+    if not hasattr(state, "reference"):
+        state.reference = AdamReference(params, state.learning_rate, state.beta1, state.beta2,
+                                        state.epsilon)
+    state.reference.learning_rate = state.learning_rate
+    adam_step_reference(params, state.views(grad), state.reference)
+
+
 def sample_pk_batch_reference(dataset, P, K, rng):
     """PK sampling row by row from the `samples` view: per identity, the
     visible and thermal sample ids in row order, gathered one at a time."""

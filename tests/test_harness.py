@@ -1,6 +1,7 @@
 """Training harness, checkpoint, ablation, gradcheck, and CLI tests."""
 
 import json
+import math
 import tracemalloc
 import warnings
 import zlib
@@ -12,12 +13,13 @@ import pytest
 from xmodal import cli, encoder, harness, losses
 from xmodal.data import (
     SynthConfig,
+    batches_per_epoch,
     generate_synthetic,
     sample_pk_batch,
     save_dataset,
     split_identity_disjoint,
 )
-from xmodal.encoder import EncoderConfig, init_encoder
+from xmodal.encoder import MODALITIES, EncoderConfig, init_encoder
 from xmodal.evaluation import EvalProtocol
 from xmodal.harness import (
     ABLATION_ARMS,
@@ -37,8 +39,7 @@ from xmodal.losses import LabeledBatch, LossConfig, THERMAL, VISIBLE
 from xmodal.numerics import DIST_BLOCK_BYTES, batchnorm_backward, l2_normalize_backward
 
 from helpers import (
-    AdamReference,
-    adam_step_reference,
+    adam_step_via_reference,
     certified_picks_reference,
     check_full_model_reference,
     check_triplet_reference,
@@ -101,9 +102,11 @@ class TestTrainConfig:
         {"epochs": 2, "freeze_stage_epochs": 2},
         {"P": 1},
         {"K": 0},
+        {"freeze_stage_epochs": -1},
+        {"lr_decay_epoch": -1},
     ])
     def test_validate_rejects_bad_values(self, overrides):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=list(overrides)[-1]):
             tiny_config(**overrides).validate()
 
     def test_zero_learning_rate_is_allowed(self):
@@ -190,8 +193,7 @@ class TestTrain:
         with monkeypatch.context() as m:
             m.setattr(harness, "sample_pk_batch", sample_pk_batch_reference)
             m.setattr(harness, "_split_batch", split_batch_reference)
-            m.setattr(harness, "AdamState", AdamReference)
-            m.setattr(harness, "adam_step", adam_step_reference)
+            m.setattr(harness, "adam_step", adam_step_via_reference)
             m.setattr(losses, "pairwise_distances", pairwise_distances_reference)
             m.setattr(losses, "_certified_picks", certified_picks_reference)
             m.setattr(LabeledBatch, "validate", validate_reference)
@@ -202,6 +204,41 @@ class TestTrain:
             assert set(a) == set(b)
             for name in a:
                 assert np.array_equal(a[name], b[name]), (section, name)
+
+    def test_frozen_epochs_keep_the_stream_stages_and_zero_their_gradient(self, monkeypatch):
+        ds = tiny_dataset()
+        cfg = tiny_config(epochs=4, freeze_stage_epochs=2, lr_decay_epoch=4)
+        calls = []  # (stream parameters, stream gradients) as each Adam step receives them
+        adam_step = harness.adam_step
+
+        def spy(theta, grad, state):
+            stream = [n for n in state.slices if n.partition(".")[0] in MODALITIES]
+            params, grads = state.views(theta), state.views(grad)
+            calls.append(({n: params[n].copy() for n in stream}, {n: grads[n].copy() for n in stream}))
+            adam_step(theta, grad, state)
+
+        monkeypatch.setattr(harness, "adam_step", spy)
+        params, enc_cfg, _ = train(ds, cfg)
+        init = init_encoder(enc_cfg, cfg.seed).values
+        frozen = cfg.freeze_stage_epochs * batches_per_epoch(ds, cfg.P, cfg.K)
+        assert 0 < frozen < len(calls)
+        # the step after the last frozen one still starts from the initial stages
+        for step, (values, _) in enumerate(calls[:frozen + 1]):
+            for name, v in values.items():
+                assert np.array_equal(v, init[name]), (step, name)
+        for step, (_, grads) in enumerate(calls):
+            assert any(g.any() for g in grads.values()) == (step >= frozen), step
+        for name in calls[0][0]:
+            assert not np.array_equal(params.values[name], init[name]), name
+
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_init_encoder_lists_the_stream_arrays_first(self, mfi):
+        # train freezes the stream stages as one leading span of the flat vector
+        cfg = EncoderConfig(input_dim=6, num_classes=4, stage_dims=(8, 7, 5), tap_stage=2, d=5,
+                            mfi_enabled=mfi)
+        stream = [name.partition(".")[0] in MODALITIES for name in init_encoder(cfg, 0).values]
+        assert stream == sorted(stream, reverse=True)  # every stream array before any shared one
+        assert sum(stream) == 2 * len(cfg.stage_dims) * 2 and not all(stream)
 
     @pytest.mark.parametrize("mfi", [True, False])
     def test_train_step_moves_the_running_stats_as_an_in_place_update(self, mfi):
@@ -310,6 +347,8 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
                          "params.head.fc.W"),
     "nan_weight": (lambda doc: doc["params"]["visible.stage1.W"]["values"].__setitem__(
         3, float("nan")), "params.visible.stage1.W"),
+    "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
+                           "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
 }
 
 
@@ -594,10 +633,10 @@ class TestGradcheck:
                 return out, None
             return encoder.encode_backward(params, cfg, cache, grads, out=out)
 
-        def broken_step(*args, step=harness._train_step):
+        def broken_step(*args, step=harness._train_step, **kwargs):
             with monkeypatch.context() as m:
                 m.setattr(harness, "encode_backward", visible_only)
-                return step(*args)
+                return step(*args, **kwargs)
 
         monkeypatch.setattr(harness, "_train_step", broken_step)
         params, enc_cfg, _ = train(tiny_dataset(), tiny_config())
@@ -866,15 +905,29 @@ class TestCli:
         ("train", lambda d: {**d, "loss": None}, "TrainConfig: loss must be a JSON object, got null"),
         ("train", lambda d: {**d, "encoder": 5}, "TrainConfig: encoder must be a JSON object, got 5"),
         ("train", lambda d: {**d, "P": "3"}, 'TrainConfig: P must be an integer, got "3"'),
-        ("train", lambda d: {**d, "loss": {"rho": "x"}}, 'LossConfig: rho must be a number, got "x"'),
+        ("train", lambda d: {**d, "loss": {"rho": "x"}}, 'LossConfig: rho must be a finite number, got "x"'),
+        ("train", lambda d: {**d, "learning_rate": math.nan},
+         "TrainConfig: learning_rate must be a finite number, got NaN"),
+        ("train", lambda d: {**d, "loss": {"rho": math.nan}}, "LossConfig: rho must be a finite number, got NaN"),
+        ("train", lambda d: {**d, "loss": {"lambda2": math.inf}},
+         "LossConfig: lambda2 must be a finite number, got Infinity"),
+        ("train", lambda d: {**d, "encoder": {**d["encoder"], "bn_epsilon": math.nan}},
+         "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
+        ("train", lambda d: {**d, "lr_decay_factor": 10 ** 400},
+         "TrainConfig: lr_decay_factor must be a finite number, got 1" + "0" * 36 + "..."),
         ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": 8}},
          "EncoderConfig: stage_dims must be a list of integers, got 8"),
         ("train", lambda d: [1, 2], "TrainConfig: expected a JSON object, got [1, 2]"),
         ("synth", lambda d: {**d, "num_identities": "6"},
          'SynthConfig: num_identities must be an integer, got "6"'),
         ("synth", lambda d: [1, 2], "SynthConfig: expected a JSON object, got [1, 2]"),
-    ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "stage_dims-number",
-            "train-array", "num_identities-string", "synth-array"])
+        ("synth", lambda d: {**d, "cluster_std": math.inf},
+         "SynthConfig: cluster_std must be a finite number, got Infinity"),
+        ("synth", lambda d: {**d, "noise_std": math.nan},
+         "SynthConfig: noise_std must be a finite number, got NaN"),
+    ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "learning_rate-nan", "rho-nan",
+            "lambda2-inf", "bn_epsilon-nan", "lr_decay_factor-huge-int", "stage_dims-number",
+            "train-array", "num_identities-string", "synth-array", "cluster_std-inf", "noise_std-nan"])
     def test_config_value_of_the_wrong_type_is_named_and_exits_1(self, command, bad, message,
                                                                  workdir, capsys):
         data = workdir / "data.txt"
@@ -888,6 +941,7 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {message}\n"
+        assert not (workdir / "m.ckpt").exists() and not (workdir / "other.txt").exists()
 
     RAGGED = "must be a rectangular (not ragged) array of numbers"
 

@@ -338,82 +338,87 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((0, 3)), [])
 
 
+def flat_adam(arrays, **kwargs):
+    """An AdamState over the named arrays and the flat vector holding them."""
+    return AdamState(arrays, **kwargs), np.concatenate([v.reshape(-1) for v in arrays.values()])
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState(params, learning_rate=1e-4)
-        adam_step(params, {"w": np.array([0.5])}, state)
-        assert abs(params["w"][0] - 0.9999) < 1e-8
+        state, theta = flat_adam({"w": np.array([1.0])}, learning_rate=1e-4)
+        adam_step(theta, np.array([0.5]), state)
+        assert abs(theta[0] - 0.9999) < 1e-8
         assert state.step_count == 1
 
     def test_zero_gradient_is_null_update(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = AdamState(params, learning_rate=0.1)
-        adam_step(params, {"w": np.zeros(2)}, state)
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        state, theta = flat_adam({"w": np.array([1.0, -2.0])}, learning_rate=0.1)
+        adam_step(theta, np.zeros(2), state)
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_quadratic_descent(self):
-        params = {"t": np.array([1.0])}
-        state = AdamState(params, learning_rate=0.1)
-        best = 1.0
+        state, theta = flat_adam({"t": np.array([1.0])}, learning_rate=0.1)
         for _ in range(100):
-            adam_step(params, {"t": 2.0 * params["t"]}, state)
-            assert abs(params["t"][0]) < 1.0
-        assert abs(params["t"][0]) < 0.2
+            adam_step(theta, 2.0 * theta, state)
+            assert abs(theta[0]) < 1.0
+        assert abs(theta[0]) < 0.2
 
     def test_deterministic(self):
         def run():
-            params = {"w": np.linspace(-1, 1, 5)}
-            state = AdamState(params, learning_rate=0.05)
+            state, theta = flat_adam({"w": np.linspace(-1, 1, 5)}, learning_rate=0.05)
             for i in range(10):
-                adam_step(params, {"w": np.sin(params["w"] + i)}, state)
-            return params["w"]
+                adam_step(theta, np.sin(theta + i), state)
+            return theta
 
         np.testing.assert_array_equal(run(), run())
 
     def test_non_finite_gradient_rejected(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState(params)
+        state, theta = flat_adam({"w": np.array([1.0])})
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.array([np.inf])}, state)
+            adam_step(theta, np.array([np.inf]), state)
 
     def test_non_finite_gradient_names_it_and_moves_nothing(self):
-        params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.ones(1)}
-        state = AdamState(params, learning_rate=0.1)
-        grads = {k: np.ones_like(v) for k, v in params.items()}
-        grads["b"][1, 0] = np.nan
+        state, theta = flat_adam({"a": np.ones(3), "b": np.ones((2, 2)), "c": np.ones(1)},
+                                 learning_rate=0.1)
+        grad = np.ones_like(theta)
+        state.views(grad)["b"][1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient for b"):
-            adam_step(params, grads, state)
-        for v in params.values():
-            np.testing.assert_array_equal(v, 1.0)
+            adam_step(theta, grad, state)
+        np.testing.assert_array_equal(theta, 1.0)
+        assert not state.first_moment.any() and not state.second_moment.any()
         assert state.step_count == 0
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.ones(3)}
-        state = AdamState(params)
-        with pytest.raises(ValueError, match="shape mismatch for w"):
-            adam_step(params, {"w": np.ones(4)}, state)
+        # a gradient of one entry would broadcast over the vector
+        state, theta = flat_adam({"w": np.ones(3)})
+        for t, g in ((theta, np.ones(4)), (theta, np.ones(1)), (np.ones(4), np.ones(4))):
+            with pytest.raises(ValueError, match="size mismatch"):
+                adam_step(t, g, state)
+        np.testing.assert_array_equal(theta, 1.0)
+        assert state.step_count == 0
 
     def test_flat_update_is_bit_identical_to_per_array(self):
         # the 24 arrays of the reference encoder; a learning-rate decay and
         # zeroed stream gradients, as in a training run's frozen epochs
         cfg = EncoderConfig(input_dim=32, num_classes=25, stage_dims=(64, 64, 64),
                             tap_stage=2, d=64, fusion="cat")
-        params = init_encoder(cfg, 0).values
-        ref_params = {k: v.copy() for k, v in params.items()}
-        state = AdamState(params, learning_rate=1e-3)
+        ref_params = init_encoder(cfg, 0).values
+        state, theta = flat_adam(ref_params, learning_rate=1e-3)
+        params = state.views(theta)
         ref_state = AdamReference(ref_params, learning_rate=1e-3)
         rng = np.random.default_rng(11)
         for step in range(20):
             if step == 10:
                 state.learning_rate = ref_state.learning_rate = 1e-4
-            grads = {k: 1e-2 * rng.standard_normal(v.shape) for k, v in params.items()}
+            grad = 1e-2 * rng.standard_normal(theta.shape)
+            grads = state.views(grad)
             if step < 5:
                 for k in grads:
                     if k.startswith(("visible.", "thermal.")):
                         grads[k][...] = 0.0
-            adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
+            given = grad.copy()
+            adam_step(theta, grad, state)
             adam_step_reference(ref_params, grads, ref_state)
+            assert np.array_equal(grad, given), step  # the caller's gradient is left as it was
             for k in params:
                 assert np.array_equal(params[k], ref_params[k]), (step, k)
 
