@@ -6,6 +6,7 @@ Dataset text format (UTF-8):
 with modality in {V, T}.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,8 +90,10 @@ class SynthConfig:
     def validate(self):
         if self.num_identities < 1 or self.per_identity_per_modality < 1 or self.input_dim < 1:
             raise ValueError("SynthConfig: counts and dims must be positive")
-        if self.cluster_std < 0.0 or self.noise_std < 0.0:
-            raise ValueError("SynthConfig: stds must be >= 0")
+        for name in ("cluster_std", "noise_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"SynthConfig: {name} must be a finite number >= 0, "
+                                 f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
         dim = self.input_dim

@@ -14,6 +14,7 @@ nothing; train mode returns the batch statistics, and the caller folds
 them into the running stats.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,10 @@ class EncoderConfig:
             raise ValueError("EncoderConfig: tap_stage out of range")
         if self.fusion not in ("sum", "cat"):
             raise ValueError("EncoderConfig: fusion must be 'sum' or 'cat'")
-        if self.bn_epsilon <= 0.0 or not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("EncoderConfig: bad batchnorm settings")
+        if not 0.0 < self.bn_epsilon < math.inf:
+            raise ValueError(f"EncoderConfig: bn_epsilon must be a finite number > 0, got {self.bn_epsilon}")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ValueError(f"EncoderConfig: bn_momentum must lie in (0, 1], got {self.bn_momentum}")
 
     @property
     def fused_dim(self):

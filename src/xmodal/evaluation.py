@@ -50,17 +50,29 @@ class RankingResult:
 def _ranked_blocks(query_feats, gallery_feats):
     """Gallery orders for consecutive blocks of query rows, as (start, order).
 
-    Order is by squared distance, ||g||^2 - 2 q.g from one GEMM per block:
-    ||q||^2 is constant along a row and ranking needs no sqrt. Rows are
-    centered on the gallery mean first, so that a common offset in the
-    features cannot swamp the cross term. Duplicate gallery rows share one
-    GEMM column, because BLAS may round equal columns differently; they tie
-    exactly. Each block is ranked by numpy's default (unstable, SIMD)
-    argsort. A row whose sorted distances increase strictly has one
-    ascending order, so any sort returns it; every other row holds an exact
-    tie and is sorted again with the stable sort, which puts the lowest
-    index first. Features must be finite, so a tie is exact equality. A
-    block holds at most DIST_BLOCK_BYTES of distances, never a Q x G matrix.
+    Order is by ascending score ||g||^2 - 2 q.g, ties to the lowest gallery
+    index. Each block's scores come from one GEMM: ||q||^2 is constant along
+    a row and ranking needs no sqrt. Rows are centered on the gallery mean
+    first, so that a common offset in the features cannot swamp the cross
+    term. Duplicate gallery rows share one GEMM column, because BLAS may
+    round equal columns differently; they tie exactly. A block holds at most
+    DIST_BLOCK_BYTES of scores, never a Q x G matrix.
+
+    A block is ranked by one in-place sort of int64 keys. A score's float64
+    bits, read as an int64 with a negative's magnitude bits flipped, order
+    as the score does; its key replaces their low
+    `bits = max(1, (G-1).bit_length())` bits with the gallery index. So the
+    sorted keys' low bits are the order, and a run of keys that share their
+    high bits comes out lowest index first. That is the order wherever such
+    a run holds one score, an exact tie. Equal scores do share their high
+    bits, since no score is -0.0: each sq_norms entry is a sum of squares,
+    so >= +0.0, and x + y is +0.0 when it is zero and y >= +0.0. A row in
+    which neighbouring keys share their high bits but not their score is
+    ranked again by a stable argsort of its scores. Two scores must lie
+    within 2**bits units in the last place of each other for that, so a
+    row of continuous features seldom takes it. Features and scores must be
+    finite: a score that overflows raises ValueError.
+
     Unlike the dual loss's mining, which certifies its GEMM picks with
     numerics.gemm_score_bound, this order is not checked against the exact
     distances, so near-duplicate gallery rows may rank out of that order.
@@ -83,15 +95,30 @@ def _ranked_blocks(query_feats, gallery_feats):
     unique -= mean
     sq_norms = np.einsum("ij,ij->i", unique, unique)
     unique *= -2.0
+    bits = max(1, (len(g) - 1).bit_length())
+    low = (1 << bits) - 1
+    index = np.arange(len(g), dtype=np.int64)
     rows = max(1, DIST_BLOCK_BYTES // (8 * g.shape[0]))
     for start in range(0, q.shape[0], rows):
-        dist = (q[start:start + rows] - mean) @ unique.T
-        dist += sq_norms
-        dist = dist[:, column]
-        order = np.argsort(dist, axis=1)
-        ranked = np.take_along_axis(dist, order, axis=1)
-        tied = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        scores = (q[start:start + rows] - mean) @ unique.T
+        scores += sq_norms
+        if not np.isfinite(scores).all():
+            raise ValueError("evaluation: a query-gallery score overflowed; the features are too large")
+        keys = scores[:, column].view(np.int64)
+        flip = keys >> 63
+        flip &= 2**63 - 1
+        keys ^= flip
+        keys &= ~low
+        keys |= index
+        keys.sort(axis=1)
+        high = np.right_shift(keys, bits, out=flip)
+        shared = np.flatnonzero(high[:, 1:] == high[:, :-1])
+        order = np.bitwise_and(keys, low, out=keys)
+        if shared.size:
+            row, pos = divmod(shared, len(g) - 1)
+            ahead, behind = column[order[row, pos]], column[order[row, pos + 1]]
+            redo = np.unique(row[scores[row, ahead] != scores[row, behind]])
+            order[redo] = np.argsort(scores[redo][:, column], axis=1, kind="stable")
         yield start, order
 
 
@@ -115,11 +142,13 @@ def _cmc_rates(first_hits, ranks):
 
 
 def rank_gallery(query_feature, gallery_features):
-    """Gallery indices by ascending distance; ties break by ascending index.
+    """Gallery indices by ascending GEMM score (see _ranked_blocks); ties
+    break by ascending index.
 
-    Ranks through the same path as evaluate_features: a fast sort, and a
-    stable one for a row that holds an exact tie. Non-finite features
-    raise ValueError.
+    Ranks through the same path as evaluate_features: one sort of packed
+    int64 keys, and a stable argsort only if two unequal scores share a
+    key's high bits. Non-finite features, or a score that overflows, raise
+    ValueError.
     """
     q = np.asarray(query_feature, dtype=np.float64).reshape(1, -1)
     (_, order), = _ranked_blocks(q, gallery_features)
@@ -171,12 +200,12 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
         rel = rel[matched]
         ap_values.append(_average_precisions(rel))
         first_hits.append(_first_hits(rel))
+    ap_values = np.concatenate(ap_values)
+    if not ap_values.size:
+        raise DataError("evaluation: every query lacked a gallery match")
     if skipped:
         warnings.warn(f"evaluation: {skipped} query(ies) without a gallery match excluded",
                       RuntimeWarning)
-    ap_values = np.concatenate(ap_values)
-    if not ap_values.size:
-        raise ValueError("evaluation: every query lacked a gallery match")
     return RankingResult(
         cmc=_cmc_rates(np.concatenate(first_hits), ranks),
         map_score=float(np.mean(ap_values)),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 import warnings
 import zlib
@@ -73,8 +74,9 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1:
             raise ConfigError("TrainConfig: epochs must be >= 1")
-        if self.learning_rate < 0.0:
-            raise ConfigError("TrainConfig: learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"TrainConfig: learning_rate must be a finite number >= 0, "
+                              f"got {self.learning_rate}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError("TrainConfig: lr_decay_factor must lie in (0, 1]")
         if self.freeze_stage_epochs >= self.epochs:

@@ -54,10 +54,12 @@ class LossConfig:
     lambda2: float = 2.0
 
     def validate(self):
-        if self.rho < 0.0:
-            raise ValueError("LossConfig: rho must be >= 0")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ValueError("LossConfig: lambda1 and lambda2 must be >= 0")
+        # a chained comparison fails for NaN and for +inf, which a config
+        # built in code (not read through json_fields) can hold
+        for name in ("rho", "lambda1", "lambda2"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"LossConfig: {name} must be a finite number >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

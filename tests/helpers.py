@@ -95,6 +95,32 @@ def rank_oracle(query, gallery):
     return sorted(range(len(gallery)), key=lambda i: (dists[i], i))
 
 
+def ranked_blocks_reference(query_feats, gallery_feats):
+    """`evaluation._ranked_blocks` as float argsorts: the same blocks of GEMM
+    scores, each ranked by numpy's default argsort, and a row whose sorted
+    scores do not increase strictly (it holds an exact tie) ranked again by
+    the stable argsort, so ties break to the lowest index."""
+    from xmodal.numerics import DIST_BLOCK_BYTES
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
+    mean = g.mean(axis=0)
+    unique, column = np.unique(g, axis=0, return_inverse=True)
+    column = column.reshape(-1)
+    unique -= mean
+    sq_norms = np.einsum("ij,ij->i", unique, unique)
+    unique *= -2.0
+    rows = max(1, DIST_BLOCK_BYTES // (8 * g.shape[0]))
+    for start in range(0, q.shape[0], rows):
+        dist = (q[start:start + rows] - mean) @ unique.T
+        dist += sq_norms
+        dist = dist[:, column]
+        order = np.argsort(dist, axis=1)
+        ranked = np.take_along_axis(dist, order, axis=1)
+        tied = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        yield start, order
+
+
 def random_pk_batch(rng, P, K, dim, scale=1.0):
     """A structurally valid metric batch with Gaussian features."""
     from xmodal.losses import LabeledBatch

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmodal.data import SynthConfig, generate_synthetic
+from xmodal.data import DataError, SynthConfig, generate_synthetic
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import (
     EvalProtocol,
@@ -17,7 +17,7 @@ from xmodal.evaluation import (
 from xmodal.harness import train, TrainConfig
 from xmodal.numerics import DIST_BLOCK_BYTES
 
-from helpers import average_precision_oracle, cmc_oracle, rank_oracle
+from helpers import average_precision_oracle, cmc_oracle, rank_oracle, ranked_blocks_reference
 
 
 class TestRankGallery:
@@ -137,6 +137,11 @@ class TestEvaluateFeatures:
         assert res.skipped_queries == 1
         assert res.cmc[1] == 1.0
 
+    def test_no_query_with_a_match_is_a_data_error(self):
+        feats = np.eye(3)
+        with pytest.raises(DataError, match="every query lacked a gallery match"):
+            evaluate_features(feats, np.array([7, 8, 9]), feats, np.array([0, 1, 2]), ranks=(1,))
+
 
 def ranking_oracle(q, ql, g, gl, ranks):
     """Per-query brute-force sort, AP and CMC; the unmatched queries counted."""
@@ -243,12 +248,126 @@ class TestStreamedRanking:
         with pytest.raises(ValueError, match="non-finite gallery feature"):
             evaluate_features(feats, labels, broken, labels, ranks=(1,))
 
+    def test_overflowing_score_rejected(self):
+        # finite features whose cross term overflows: NaN or inf scores have
+        # no place in the key order
+        g = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="score overflowed"), np.errstate(all="ignore"):
+            rank_gallery(np.array([3e200, 0.0]), g)
+
     def test_empty_gallery_and_no_queries_rejected(self):
         feats, labels = np.eye(3), np.arange(3)
         with pytest.raises(ValueError, match="empty gallery"):
             evaluate_features(feats, labels, np.zeros((0, 3)), np.zeros(0, int), ranks=(1,))
         with pytest.raises(ValueError, match="no queries"):
             evaluate_features(np.zeros((0, 3)), np.zeros(0, int), feats, labels, ranks=(1,))
+
+
+def ranked_and_redone(q, g):
+    """_ranked_blocks' orders, stacked, and how many rows it ranked again by
+    a stable argsort (its only np.argsort call)."""
+    redone = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        redone.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", spy)
+        order = np.concatenate([order for _, order in _ranked_blocks(q, g)])
+    return order, sum(redone)
+
+
+def reference_order(q, g):
+    return np.concatenate([order for _, order in ranked_blocks_reference(q, g)])
+
+
+class TestKeyRanking:
+    """The packed-key sort against the float argsorts it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 16, 17, 1024, 1025])
+    def test_matches_the_reference_at_the_bits_boundary(self, size):
+        # bits = (size - 1).bit_length() steps up just past each power of two
+        rng = np.random.default_rng(size)
+        g = rng.standard_normal((size, 8))
+        q = rng.standard_normal((DIST_BLOCK_BYTES // (8 * size) + 3, 8))
+        q[:2] = g[[0, -1]]
+        for gallery in (g, g[rng.integers(0, size, size)]):  # the second draws duplicates
+            order, redone = ranked_and_redone(q, gallery)
+            np.testing.assert_array_equal(order, reference_order(q, gallery))
+            assert redone == 0
+
+    def test_negative_scores_match_the_reference(self):
+        # queries offset from the gallery: the cross term outweighs ||g||^2
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((300, 16)) + 1e3
+        q = rng.standard_normal((100, 16)) + 1e3 + 4.0
+        centered = g - g.mean(axis=0)
+        scores = (centered ** 2).sum(axis=1) - 2.0 * (q - g.mean(axis=0)) @ centered.T
+        assert ((scores < 0).any(axis=1) & (scores > 0).any(axis=1)).sum() > 50
+        order, redone = ranked_and_redone(q, g)
+        np.testing.assert_array_equal(order, reference_order(q, g))
+        assert redone == 0
+
+    def test_duplicate_gallery_rows_tie_by_index_without_the_fallback(self):
+        rng = np.random.default_rng(22)
+        base = rng.standard_normal((40, 12))
+        source = rng.integers(0, 40, 600)
+        g = base[source]
+        q = rng.standard_normal((90, 12))
+        q[:5] = g[:5]
+        order, redone = ranked_and_redone(q, g)
+        np.testing.assert_array_equal(order, reference_order(q, g))
+        assert redone == 0
+        # the copies of a row form one run, in ascending index order
+        ranked_source = source[order]
+        same = ranked_source[:, 1:] == ranked_source[:, :-1]
+        assert same.sum() == len(q) * (len(g) - np.unique(source).size)
+        assert (np.diff(order, axis=1)[same] > 0).all()
+
+    def test_unequal_scores_in_one_key_bucket_take_the_fallback(self):
+        # copies perturbed by about 1e-15 relative score a few units in the
+        # last place from their originals: inside one 2**7-unit key bucket
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((64, 16))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        g = np.concatenate([base, base * (1.0 + 1e-15 * rng.standard_normal(base.shape))])
+        q = base[rng.integers(0, 64, 60)] + 0.1 * rng.standard_normal((60, 16))
+        order, redone = ranked_and_redone(q, g)
+        np.testing.assert_array_equal(order, reference_order(q, g))
+        assert redone > 0
+
+    def test_gaussian_gallery_takes_no_fallback(self):
+        rng = np.random.default_rng(24)
+        q, g = rng.standard_normal((400, 32)), rng.standard_normal((1200, 32))
+        order, redone = ranked_and_redone(q, g)
+        assert redone == 0
+        np.testing.assert_array_equal(order, reference_order(q, g))
+
+    def test_a_zero_score_is_never_negative_zero(self):
+        # what lets equal scores share their keys' high bits: every sq_norms
+        # entry is a sum of squares, so >= +0.0, and a zero sum x + y with
+        # y >= +0.0 is +0.0 whatever the sign of x
+        x = np.array([-0.0, 0.0, -1.5, -5e-324])
+        y = np.array([0.0, 0.0, 1.5, 5e-324])
+        assert (x + y == 0.0).all() and not np.signbit(x + y).any()
+        z = np.full((2, 3), -0.0)
+        assert not np.signbit(np.einsum("ij,ij->i", z, z)).any()
+
+    @pytest.mark.parametrize("perm", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)])
+    def test_zero_scores_tie_by_index(self, perm):
+        # the gallery mean is 0. Against query (0.5, 3), row (1, 0) scores
+        # 1 - 2 * 0.5 = 0 by cancellation, row (0, 0) a GEMM against a -0.0
+        # column plus 0, and row (-1, 0) scores 2
+        rows = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        g = rows[list(perm)]
+        q = np.array([[0.5, 3.0]])
+        order, redone = ranked_and_redone(q, g)
+        zeros = sorted([perm.index(0), perm.index(1)])
+        np.testing.assert_array_equal(order, [zeros + [perm.index(2)]])
+        np.testing.assert_array_equal(order, reference_order(q, g))
+        assert redone == 0
 
 
 class TestRunProtocol:

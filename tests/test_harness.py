@@ -112,6 +112,21 @@ class TestTrainConfig:
     def test_zero_learning_rate_is_allowed(self):
         tiny_config(learning_rate=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("rho", lambda v: LossConfig(rho=v)),
+        ("lambda1", lambda v: LossConfig(lambda1=v)),
+        ("lambda2", lambda v: LossConfig(lambda2=v)),
+        ("bn_epsilon", lambda v: replace(tiny_config().encoder, bn_epsilon=v)),
+        ("cluster_std", lambda v: SynthConfig(cluster_std=v)),
+        ("noise_std", lambda v: SynthConfig(noise_std=v)),
+        ("learning_rate", lambda v: tiny_config(learning_rate=v)),
+    ])
+    def test_config_built_in_code_rejects_a_non_finite_field(self, field, build, value):
+        # NaN passes every range comparison, and +inf most of them
+        with pytest.raises((ValueError, ConfigError), match=f": {field} must be a finite number"):
+            build(value).validate()
+
 
 # ---------------------------------------------------------------------------
 # train()
@@ -1015,6 +1030,28 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "data error: evaluation: the dataset has no samples with modality T\n"
+
+    @pytest.mark.parametrize("query", [VISIBLE, THERMAL])
+    def test_eval_without_a_cross_modality_match_exits_2(self, query, workdir, capsys):
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        # thermal rows move to identities that no visible row has
+        lines = data.read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            if fields[2:3] == ["T"]:
+                fields[1] = str(int(fields[1]) + 1000)
+                lines[i] = ",".join(fields)
+        unmatched = workdir / "unmatched.txt"
+        unmatched.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(unmatched),
+                         "--query-modality", query]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "data error: evaluation: every query lacked a gallery match\n"
 
     def test_unknown_synth_key_exits_1(self, workdir, capsys):
         bad = workdir / "synth_bad.json"
