@@ -7,10 +7,10 @@ import argparse
 import json
 import sys
 
+from .config import ConfigError
 from .data import DataError, generate_synthetic, load_dataset, save_dataset
 from .evaluation import EvalProtocol
 from .harness import (
-    ConfigError,
     TrainConfig,
     ablation_text,
     evaluate,
@@ -44,15 +44,24 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _write(path, text):
+def _save_text(text, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write(path, save, *args):
+    """save(*args, path): every output file is written here, and a path
+    that cannot be written is a usage error."""
+    try:
+        save(*args, path)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_synth(args):
     cfg, _ = parse_synth_config(_load_json(args.config))
     dataset = generate_synthetic(cfg)
-    save_dataset(dataset, args.out)
+    _write(args.out, save_dataset, dataset)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -61,9 +70,9 @@ def _cmd_train(args):
     config = TrainConfig.from_dict(_load_json(args.config))
     dataset = load_dataset(args.data)
     params, enc_cfg, report = train(dataset, config)
-    save_checkpoint(params, enc_cfg, args.out)
+    _write(args.out, save_checkpoint, params, enc_cfg)
     if args.report:
-        _write(args.report, report.to_json())
+        _write(args.report, _save_text, report.to_json())
     print(report.to_text(), end="")
     return 0
 
@@ -82,7 +91,7 @@ def _cmd_eval(args):
     fragment = evaluate(params, enc_cfg, dataset, protocol)
     text = json.dumps(fragment, indent=2, sort_keys=True) + "\n"
     if args.report:
-        _write(args.report, text)
+        _write(args.report, _save_text, text)
     print(text, end="")
     return 0
 
@@ -99,7 +108,7 @@ def _cmd_ablation(args):
                 raise ConfigError(f"--seeds: {token!r} is not an integer") from None
     table = run_ablation(synth_cfg, base, seeds, train_fraction=train_fraction)
     if args.report:
-        _write(args.report, json.dumps(table, indent=2, sort_keys=True) + "\n")
+        _write(args.report, _save_text, json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(ablation_text(table), end="")
     return 0
 
@@ -159,7 +168,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

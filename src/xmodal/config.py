@@ -1,10 +1,17 @@
-"""Checks on config objects read from JSON, before any config is built."""
+"""`ConfigError`, and the check of a config's JSON object before the config
+is built. Each config is a frozen dataclass that checks its ranges in
+`__post_init__`, which `dataclasses.replace` runs too: a config that exists
+has passed its check."""
 
 import dataclasses
 import json
 import sys
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Bad or inconsistent configuration input."""
 
 
 def _is_int(v):
@@ -45,23 +52,23 @@ def json_fields(cls, d, **extra):
 
     Every field without a default must be present, and every value of the
     JSON type its annotation names; a nested config must be an object.
-    Raises ValueError naming `cls` and the field at fault.
+    Raises ConfigError naming `cls` and the field at fault.
     """
     name = cls.__name__
     if not isinstance(d, dict):
-        raise ValueError(f"{name}: expected a JSON object, got {_shown(d)}")
+        raise ConfigError(f"{name}: expected a JSON object, got {_shown(d)}")
     fields = dataclasses.fields(cls)
     types = {f.name: f.type for f in fields} | extra
     unknown = set(d) - set(types)
     if unknown:
-        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
     missing = [f.name for f in fields if f.name not in d
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ValueError(f"{name}: missing keys {missing}")
+        raise ConfigError(f"{name}: missing keys {missing}")
     for key, value in d.items():
         kind = types[key]
         what, ok = _OBJECT if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind]
         if not ok(value):
-            raise ValueError(f"{name}: {key} must be {what}, got {_shown(value)}")
+            raise ConfigError(f"{name}: {key} must be {what}, got {_shown(value)}")
     return dict(d)

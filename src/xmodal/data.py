@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import ConfigError
 from .losses import LabeledBatch, THERMAL, VISIBLE
 
 HEADER_PREFIX = "# xmodal-dataset v1 dim="
@@ -76,7 +77,7 @@ class Dataset:
         return [s for s in self.samples if s.modality == modality]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     num_identities: int = 50
     per_identity_per_modality: int = 20
@@ -87,15 +88,15 @@ class SynthConfig:
     modality_offset: np.ndarray | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_identities < 1 or self.per_identity_per_modality < 1 or self.input_dim < 1:
-            raise ValueError("SynthConfig: counts and dims must be positive")
+            raise ConfigError("SynthConfig: counts and dims must be positive")
         for name in ("cluster_std", "noise_std"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"SynthConfig: {name} must be a finite number >= 0, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"SynthConfig: {name} must be a finite number >= 0, "
+                                   f"got {getattr(self, name)}")
         if self.seed < 0:
-            raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"SynthConfig: seed must be >= 0, got {self.seed}")
         dim = self.input_dim
         for name, shape in (("modality_transform", (dim, dim)), ("modality_offset", (dim,))):
             value = getattr(self, name)
@@ -104,13 +105,13 @@ class SynthConfig:
             try:
                 value = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError):
-                raise ValueError(f"SynthConfig: {name} must be a rectangular (not ragged) "
-                                 "array of numbers") from None
+                raise ConfigError(f"SynthConfig: {name} must be a rectangular (not ragged) "
+                                   "array of numbers") from None
             if value.shape != shape:
-                raise ValueError(f"SynthConfig: {name} has shape {list(value.shape)}, "
-                                 f"input_dim {dim} needs {list(shape)}")
+                raise ConfigError(f"SynthConfig: {name} has shape {list(value.shape)}, "
+                                   f"input_dim {dim} needs {list(shape)}")
             if not np.isfinite(value).all():
-                raise ValueError(f"SynthConfig: {name} holds a non-finite value")
+                raise ConfigError(f"SynthConfig: {name} holds a non-finite value")
 
 
 def random_rotation(dim, rng):
@@ -129,7 +130,6 @@ def generate_synthetic(config):
     thermal samples scatter around the transformed (rotated + offset) center.
     The default transform is a seeded random rotation with an offset of norm 1.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     dim = config.input_dim
     transform = config.modality_transform
@@ -225,10 +225,10 @@ def load_dataset(path):
 def split_identity_disjoint(dataset, train_fraction, seed):
     """Partition by identity; no identity appears in both splits."""
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("split: train_fraction must lie in (0, 1)")
+        raise ConfigError("split: train_fraction must lie in (0, 1)")
     idents = dataset.identities()
     if len(idents) < 2:
-        raise ValueError("split: need at least 2 identities")
+        raise ConfigError("split: need at least 2 identities")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(idents))
     n_train = int(round(train_fraction * len(idents)))

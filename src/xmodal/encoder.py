@@ -15,11 +15,11 @@ them into the running stats.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import json_fields
+from .config import ConfigError, json_fields
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
@@ -34,7 +34,7 @@ from .numerics import (
 MODALITIES = ("visible", "thermal")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
     num_classes: int
@@ -47,48 +47,35 @@ class EncoderConfig:
     bn_epsilon: float = 1e-5
     bn_momentum: float = 0.1
 
-    def validate(self):
+    def __post_init__(self):
         if self.input_dim < 1 or self.d < 1:
-            raise ValueError("EncoderConfig: dims must be >= 1")
+            raise ConfigError("EncoderConfig: dims must be >= 1")
         if self.num_classes < 2 and self.num_classes != 0:
-            raise ValueError("EncoderConfig: num_classes must be >= 2, or 0 to infer from data")
+            raise ConfigError("EncoderConfig: num_classes must be >= 2, or 0 to infer from data")
         if not self.stage_dims or any(s < 1 for s in self.stage_dims):
-            raise ValueError("EncoderConfig: stage_dims must be positive")
+            raise ConfigError("EncoderConfig: stage_dims must be positive")
         if not 1 <= self.tap_stage <= len(self.stage_dims):
-            raise ValueError("EncoderConfig: tap_stage out of range")
+            raise ConfigError("EncoderConfig: tap_stage out of range")
         if self.fusion not in ("sum", "cat"):
-            raise ValueError("EncoderConfig: fusion must be 'sum' or 'cat'")
+            raise ConfigError("EncoderConfig: fusion must be 'sum' or 'cat'")
         if not 0.0 < self.bn_epsilon < math.inf:
-            raise ValueError(f"EncoderConfig: bn_epsilon must be a finite number > 0, got {self.bn_epsilon}")
+            raise ConfigError(f"EncoderConfig: bn_epsilon must be a finite number > 0, got {self.bn_epsilon}")
         if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError(f"EncoderConfig: bn_momentum must lie in (0, 1], got {self.bn_momentum}")
+            raise ConfigError(f"EncoderConfig: bn_momentum must lie in (0, 1], got {self.bn_momentum}")
 
     @property
     def fused_dim(self):
         return 2 * self.d if self.fusion == "cat" else self.d
 
     def to_dict(self):
-        return {
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "stage_dims": list(self.stage_dims),
-            "tap_stage": self.tap_stage,
-            "d": self.d,
-            "fusion": self.fusion,
-            "mfi_enabled": self.mfi_enabled,
-            "backbone_loss_enabled": self.backbone_loss_enabled,
-            "bn_epsilon": self.bn_epsilon,
-            "bn_momentum": self.bn_momentum,
-        }
+        return {**asdict(self), "stage_dims": list(self.stage_dims)}
 
     @classmethod
     def from_dict(cls, d):
         d = json_fields(cls, d)
         if "stage_dims" in d:
             d["stage_dims"] = tuple(d["stage_dims"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 @dataclass
@@ -128,7 +115,6 @@ def _glorot(rng, fan_in, fan_out):
 
 def init_encoder(config, seed):
     """Scaled-uniform Dense weights, zero biases, unit/zero batchnorm affine."""
-    config.validate()
     rng = np.random.default_rng(seed)
     values = {}
     bn_state = {}

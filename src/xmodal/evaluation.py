@@ -5,13 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .data import DataError
 from .encoder import encode, test_feature
 from .losses import THERMAL, VISIBLE
 from .numerics import DIST_BLOCK_BYTES
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalProtocol:
     query_modality: str = VISIBLE
     gallery_modality: str = THERMAL
@@ -20,17 +21,17 @@ class EvalProtocol:
     ranks_reported: tuple = (1, 10, 20)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.query_modality not in (VISIBLE, THERMAL) or self.gallery_modality not in (VISIBLE, THERMAL):
-            raise ValueError("EvalProtocol: modalities must be V or T")
+            raise ConfigError("EvalProtocol: modalities must be V or T")
         if self.query_modality == self.gallery_modality:
-            raise ValueError("EvalProtocol: query and gallery modalities must differ")
+            raise ConfigError("EvalProtocol: query and gallery modalities must differ")
         if self.trials < 1:
-            raise ValueError("EvalProtocol: trials must be >= 1")
+            raise ConfigError("EvalProtocol: trials must be >= 1")
         if any(r < 1 for r in self.ranks_reported):
-            raise ValueError("EvalProtocol: ranks must be >= 1")
+            raise ConfigError("EvalProtocol: ranks must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"EvalProtocol: seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"EvalProtocol: seed must be >= 0, got {self.seed}")
 
     def describe(self):
         names = {VISIBLE: "Visible", THERMAL: "Thermal"}
@@ -215,7 +216,6 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
 
 def run_protocol(test_dataset, params, config, protocol):
     """Repeated-trial evaluation; metrics are trial means, deterministic by seed."""
-    protocol.validate()
     rng = np.random.default_rng(protocol.seed)
     query_feats, query_labels = _encode_features(test_dataset, params, config, protocol.query_modality)
     gallery_feats, gallery_labels = _encode_features(test_dataset, params, config, protocol.gallery_modality)

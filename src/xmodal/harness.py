@@ -6,12 +6,12 @@ import math
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from . import losses as L
-from .config import json_fields
+from .config import ConfigError, json_fields
 from .data import (
     SynthConfig,
     batches_per_epoch,
@@ -54,11 +54,7 @@ CHECKPOINT_HEADER = "xmodal-checkpoint v1"
 ABLATION_ARMS = ("baseline", "DMTL", "MFI", "EDFL")
 
 
-class ConfigError(Exception):
-    """Bad or inconsistent configuration input."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     encoder: EncoderConfig
     loss: LossConfig = field(default_factory=LossConfig)
@@ -71,7 +67,7 @@ class TrainConfig:
     lr_decay_epoch: int = 15
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("TrainConfig: epochs must be >= 1")
         if not 0.0 <= self.learning_rate < math.inf:
@@ -86,26 +82,16 @@ class TrainConfig:
         for name in ("freeze_stage_epochs", "lr_decay_epoch", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"TrainConfig: {name} must be >= 0, got {getattr(self, name)}")
-        self.loss.validate()
 
     def to_dict(self):
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__
-             if f not in ("encoder", "loss")}
-        d["encoder"] = self.encoder.to_dict()
-        d["loss"] = {f: getattr(self.loss, f) for f in self.loss.__dataclass_fields__}
-        return d
+        return {**asdict(self), "encoder": self.encoder.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            d = json_fields(cls, d)
-            d["encoder"] = EncoderConfig.from_dict(d["encoder"])
-            d["loss"] = LossConfig(**json_fields(LossConfig, d.get("loss", {})))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        d = json_fields(cls, d)
+        d["encoder"] = EncoderConfig.from_dict(d["encoder"])
+        d["loss"] = LossConfig(**json_fields(LossConfig, d.get("loss", {})))
+        return cls(**d)
 
 
 @dataclass
@@ -186,10 +172,12 @@ def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets, out=None):
 def train(dataset, config):
     """Single-threaded deterministic training run. The parameters are one flat
     vector, `params.values` its views, led by the stream stages."""
-    config.validate()
+    if len(dataset.eligible) < config.P:
+        raise ConfigError(f"P {config.P} exceeds the {len(dataset.eligible)} training identities "
+                          "with rows in both modalities")
     idents = np.unique(dataset.identity)
     enc_cfg = config.encoder
-    if enc_cfg.num_classes < 2:
+    if enc_cfg.num_classes == 0:  # infer from the data
         enc_cfg = replace(enc_cfg, num_classes=len(idents))
     if enc_cfg.num_classes != len(idents):
         raise ConfigError(
@@ -197,7 +185,6 @@ def train(dataset, config):
     if enc_cfg.input_dim != dataset.input_dim:
         raise ConfigError(
             f"input_dim {enc_cfg.input_dim} does not match dataset dim {dataset.input_dim}")
-    enc_cfg.validate()
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -251,6 +238,9 @@ def _config_echo(config, enc_cfg):
 
 def evaluate(params, enc_cfg, test_dataset, protocol):
     """Metrics fragment for one query direction."""
+    if enc_cfg.input_dim != test_dataset.input_dim:
+        raise ConfigError(
+            f"input_dim {enc_cfg.input_dim} does not match dataset dim {test_dataset.input_dim}")
     result = run_protocol(test_dataset, params, enc_cfg, protocol)
     return {
         "protocol": result.protocol,
@@ -298,7 +288,7 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: missing section {section!r}")
     try:
         enc_cfg = EncoderConfig.from_dict(doc["encoder_config"])
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: encoder_config: {exc}") from None
     expected = init_encoder(enc_cfg, 0)
     params = EncoderParams(values=_unpack_section(path, doc, "params", expected.values),
@@ -750,11 +740,6 @@ def gradcheck_text(report):
 
 
 def parse_synth_config(d):
-    try:
-        d = json_fields(SynthConfig, d, train_fraction=float)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    d = json_fields(SynthConfig, d, train_fraction=float)
     train_fraction = d.pop("train_fraction", 0.5)
-    cfg = SynthConfig(**d)
-    cfg.validate()
-    return cfg, train_fraction
+    return SynthConfig(**d), train_fraction

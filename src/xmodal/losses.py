@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .numerics import (
     concat_broadcast,
     gemm_score_bound,
@@ -47,19 +48,19 @@ VISIBLE = "V"
 THERMAL = "T"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     rho: float = 0.5
     lambda1: float = 0.1
     lambda2: float = 2.0
 
-    def validate(self):
+    def __post_init__(self):
         # a chained comparison fails for NaN and for +inf, which a config
         # built in code (not read through json_fields) can hold
         for name in ("rho", "lambda1", "lambda2"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"LossConfig: {name} must be a finite number >= 0, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"LossConfig: {name} must be a finite number >= 0, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -345,7 +346,6 @@ def _dual_backward(cache):
 
 def dual_modality_triplet(batch, config):
     """cross + lambda1 * intra, with matching gradient composition."""
-    config.validate()
     loss, loss_c, loss_i, cache = _dual_forward(
         np.asarray(batch.features, dtype=np.float64), _dual_offsets(batch), config)
     return loss, _dual_backward(cache), loss_c, loss_i
@@ -417,7 +417,6 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     wants the loss alone drops it. Either bundle may be a stack; then the
     breakdown holds one value per matrix of the stack.
     """
-    config.validate()
     nv, nt = bundle_v.v_post.shape[-2], bundle_t.v_post.shape[-2]
     if (nv, nv + nt) != (targets.n_visible, targets.labels.size):
         raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "

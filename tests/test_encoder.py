@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xmodal.config import ConfigError
 from xmodal.encoder import (
     EncoderConfig,
     EncoderParams,
@@ -38,10 +39,10 @@ class TestInit:
         np.testing.assert_array_equal(p.values["mid.bn.gamma"], np.ones(8))
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(input_dim=5, num_classes=1).validate()
-        with pytest.raises(ValueError):
-            EncoderConfig(input_dim=5, num_classes=3, tap_stage=9).validate()
+        with pytest.raises(ConfigError):
+            EncoderConfig(input_dim=5, num_classes=1)
+        with pytest.raises(ConfigError):
+            EncoderConfig(input_dim=5, num_classes=3, tap_stage=9)
 
 
 class TestFuse:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xmodal.config import ConfigError
 from xmodal.data import DataError, SynthConfig, generate_synthetic
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import (
@@ -400,5 +401,5 @@ class TestRunProtocol:
         assert a.cmc == b.cmc
 
     def test_same_modality_rejected(self):
-        with pytest.raises(ValueError):
-            EvalProtocol(query_modality="V", gallery_modality="V").validate()
+        with pytest.raises(ConfigError):
+            EvalProtocol(query_modality="V", gallery_modality="V")

@@ -105,12 +105,12 @@ class TestTrainConfig:
         {"freeze_stage_epochs": -1},
         {"lr_decay_epoch": -1},
     ])
-    def test_validate_rejects_bad_values(self, overrides):
+    def test_construction_rejects_bad_values(self, overrides):
         with pytest.raises(ConfigError, match=list(overrides)[-1]):
-            tiny_config(**overrides).validate()
+            tiny_config(**overrides)
 
     def test_zero_learning_rate_is_allowed(self):
-        tiny_config(learning_rate=0.0).validate()
+        assert tiny_config(learning_rate=0.0).learning_rate == 0.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, build", [
@@ -124,8 +124,8 @@ class TestTrainConfig:
     ])
     def test_config_built_in_code_rejects_a_non_finite_field(self, field, build, value):
         # NaN passes every range comparison, and +inf most of them
-        with pytest.raises((ValueError, ConfigError), match=f": {field} must be a finite number"):
-            build(value).validate()
+        with pytest.raises(ConfigError, match=f": {field} must be a finite number"):
+            build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1052,84 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "data error: evaluation: every query lacked a gallery match\n"
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_unwritable_output_path_is_a_usage_error(self, command, workdir, capsys):
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        missing = workdir / "missing" / "out.txt"
+        argv = {
+            "synth": ["synth", "--config", str(workdir / "synth.json"), "--out", str(missing)],
+            "train": ["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                      "--out", str(missing)],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--report", str(missing)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: cannot write {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("num_identities, P", [(1, 3), (6, 8)])
+    def test_too_few_identities_for_P_is_named(self, num_identities, P, workdir, capsys):
+        synth = workdir / "few.json"
+        write_json(synth, {**json.loads((workdir / "synth.json").read_text()),
+                           "num_identities": num_identities})
+        train_cfg = workdir / "p.json"
+        write_json(train_cfg, {**json.loads((workdir / "train.json").read_text()), "P": P})
+        data = workdir / "data.txt"
+        assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
+                         "--out", str(workdir / "m.ckpt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: P {P} exceeds the {num_identities} training identities "
+                       "with rows in both modalities\n")
+        assert not (workdir / "m.ckpt").exists()
+
+    def test_eval_on_data_of_another_dimension_is_named(self, workdir, capsys):
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        synth5 = workdir / "synth5.json"
+        write_json(synth5, {**json.loads((workdir / "synth.json").read_text()), "input_dim": 5})
+        data5 = workdir / "data5.txt"
+        assert cli.main(["synth", "--config", str(synth5), "--out", str(data5)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data5)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: input_dim 6 does not match dataset dim 5\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("train_fraction", 1.5, "split: train_fraction must lie in (0, 1)"),
+        ("num_identities", 1, "split: need at least 2 identities"),
+    ])
+    def test_ablation_split_fault_is_named(self, key, value, message, workdir, capsys):
+        synth = workdir / "bad_synth.json"
+        write_json(synth, {**json.loads((workdir / "synth.json").read_text()), key: value})
+        assert cli.main(["ablation", "--data-config", str(synth),
+                         "--config", str(workdir / "train.json"), "--seeds", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_plain_value_error_propagates(self, workdir, monkeypatch):
+        # a ValueError that is no config or data fault is a bug: it must
+        # show as a traceback, not as "config error"
+        def broken(dataset, config):
+            raise ValueError("a bug in training")
+
+        data = workdir / "data.txt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(ValueError, match="a bug in training"):
+            cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                      "--out", str(workdir / "m.ckpt")])
 
     def test_unknown_synth_key_exits_1(self, workdir, capsys):
         bad = workdir / "synth_bad.json"
