@@ -19,6 +19,6 @@ from .losses import (
     intra_modality_triplet,
     total_loss,
 )
-from .numerics import AdamState, adam_step, finite_diff_grad, pairwise_distances, softmax_cross_entropy
+from .numerics import AdamState, adam_step, finite_diff_grad, softmax_cross_entropy
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 verification failur
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .config import ConfigError
@@ -58,6 +60,21 @@ def _write(path, save, *args):
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(*paths):
+    """The usage error `_write` would raise for each given path, found
+    before a long run and without creating a file: the path's directory
+    must exist and take writes, and the path must not be a directory."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        code = (errno.ENOENT if not os.path.exists(folder)
+                else errno.ENOTDIR if not os.path.isdir(folder)
+                else errno.EISDIR if os.path.isdir(path)
+                else errno.EACCES if not os.access(path if os.path.exists(path) else folder, os.W_OK)
+                else None)
+        if code is not None:
+            raise _UsageError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _cmd_synth(args):
     cfg, _ = parse_synth_config(_load_json(args.config))
     dataset = generate_synthetic(cfg)
@@ -67,6 +84,7 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
+    _check_writable(args.out, args.report)
     config = TrainConfig.from_dict(_load_json(args.config))
     dataset = load_dataset(args.data)
     params, enc_cfg, report = train(dataset, config)
@@ -97,6 +115,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ablation(args):
+    _check_writable(args.report)
     synth_cfg, train_fraction = parse_synth_config(_load_json(args.data_config))
     base = TrainConfig.from_dict(_load_json(args.config))
     seeds = []

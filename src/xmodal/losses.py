@@ -18,12 +18,14 @@ each bit-identical to its own unstacked call. In `total_loss_forward` an
 unstacked bundle of one modality joins every matrix of the other's stack.
 The gradient steps take one matrix.
 
-The single triplet losses and `mining_margins` mine on the exact
-`pairwise_distances` matrix. The dual loss, which training runs, mines on
-one GEMM and certifies every pick with `gemm_score_bound`; a pick it cannot
-certify is made again on exact distances. Either way the picks are those of
-`pairwise_distances`' values, ties to the lowest index, and the hinges and
-gradients use the mined pairs' exact distances.
+Every loss mines in one place, `_certified_picks`. A loss's candidate
+pools are a stack of score offsets, a positive and a negative pool per
+hinge: one pair for a single loss, the cross and the intra pair for the
+dual loss. The picks are made on one GEMM of scores and each is certified
+with `gemm_score_bound`; a pick it cannot certify is made again on exact
+distances. Either way the picks are those of the exact distances, ties to
+the lowest index, and the hinges and gradients use the mined pairs' exact
+distances (`pair_distances`).
 """
 
 import math
@@ -39,7 +41,6 @@ from .numerics import (
     l2_normalize_backward,
     l2_normalize_forward,
     pair_distances,
-    pairwise_distances,
     softmax_cross_entropy_backward,
     softmax_cross_entropy_forward,
 )
@@ -96,30 +97,21 @@ class LabeledBatch:
                              f"{(VISIBLE, THERMAL)[m]} rows, expected {self.K}")
 
 
-def _pools(labels, cand):
-    """Each anchor row's (positive, negative) candidate masks.
+def _pools(labels, *cands):
+    """Each anchor row's positive and negative candidate pools for each
+    candidate mask, stacked as (2 * len(cands), n, n) score offsets: 0
+    where column j is a candidate of row i, -inf where it is not.
 
     Row i anchors against the columns where cand[i] holds; positives share
     its label, negatives do not. Every row needs at least one of each.
     """
     same = labels[:, None] == labels[None, :]
-    pools = cand & same, cand & ~same
-    for mask, kind in zip(pools, ("positive", "negative")):
-        empty = np.flatnonzero(~mask.any(axis=1))
-        if empty.size:
-            raise ValueError(f"no {kind} candidates for anchor row {empty[0]}")
-    return pools
-
-
-def _masked_rows(dist, pools):
-    """Each row's positive and negative candidate distances, for every
-    matrix in a stack `dist` of them.
-
-    Non-candidates read -inf among positives and +inf among negatives, so
-    they are never mined.
-    """
-    pos, neg = pools
-    return np.where(pos, dist, -np.inf), np.where(neg, dist, np.inf)
+    pools = np.stack([pool for cand in cands for pool in (cand & same, cand & ~same)])
+    empty = ~pools.any(axis=2)
+    if empty.any():
+        k, i = np.argwhere(empty)[0]  # row-major: the first pool with an empty row
+        raise ValueError(f"no {('positive', 'negative')[k % 2]} candidates for anchor row {i}")
+    return np.where(pools, 0.0, -np.inf)
 
 
 def _hinge(d_pos, d_neg, hp, hn, rho):
@@ -134,18 +126,6 @@ def _hinge(d_pos, d_neg, hp, hn, rho):
     term = rho + d_pos - d_neg
     loss = np.maximum(term, 0.0).sum(axis=-1)
     return (float(loss) if loss.ndim == 0 else loss), (term, hp, hn, d_pos, d_neg)
-
-
-def _hinge_forward(dist, pools, rho):
-    """`_hinge` mined on the exact distance matrix, over every row of `dist`,
-    or of each matrix in a stack of them."""
-    pos, neg = _masked_rows(dist, pools)
-    # argmax/argmin take the lowest index on ties
-    hp = np.argmax(pos, axis=-1)
-    hn = np.argmin(neg, axis=-1)
-    d_pos = np.take_along_axis(dist, hp[..., None], axis=-1)[..., 0]
-    d_neg = np.take_along_axis(dist, hn[..., None], axis=-1)[..., 0]
-    return _hinge(d_pos, d_neg, hp, hn, rho)
 
 
 def _hinge_backward(features, mined):
@@ -200,23 +180,88 @@ def mining_margins(batch, rho):
     (nearly) nondifferentiable: a hinge at zero, or a tie for the hardest
     positive or negative.
     """
-    feats, labels = batch.features, batch.identity
-    dist = pairwise_distances(feats, feats)
+    feats, labels = np.asarray(batch.features, dtype=np.float64), batch.identity
+    n = feats.shape[0]
+    # index row k pairs every row with row k: the exact distance matrix
+    dist = pair_distances(feats, np.broadcast_to(np.arange(n)[:, None], (n, n)))
     cross, intra = _modality_masks(batch)
-    margin = np.inf
-    for cand in (np.ones_like(cross), cross, intra):
-        pos, neg = _masked_rows(dist, _pools(labels, cand))
-        top = -np.partition(-pos, 1, axis=1)[:, :2]
-        low = np.partition(neg, 1, axis=1)[:, :2]
-        # with a single candidate the second pick is infinite and drops out
-        margin = min(margin, np.min(np.abs(rho + top[:, 0] - low[:, 0])),
-                     np.min(top[:, 0] - top[:, 1]), np.min(low[:, 1] - low[:, 0]))
-    return float(margin)
+    pools = _pools(labels, np.ones_like(cross), cross, intra)
+    # non-candidates read -inf among positives and +inf among negatives
+    top = -np.partition(-(dist + pools[0::2]), 1, axis=-1)[..., :2]
+    low = np.partition(dist - pools[1::2], 1, axis=-1)[..., :2]
+    # with a single candidate the second pick is infinite and drops out
+    return float(min(np.min(np.abs(rho + top[..., 0] - low[..., 0])),
+                     np.min(top[..., 0] - top[..., 1]), np.min(low[..., 1] - low[..., 0])))
+
+
+# A positive pool's hardest candidate is the farthest, a negative pool's the
+# nearest: the largest of sign * distance.
+_PAIR_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+def _certified_picks(features, offsets):
+    """Each row's hardest candidate in each stacked pool, as (picks, redone),
+    of shape (..., k, n) for features (..., n, D), one matrix or a stack.
+
+    `offsets` holds the k pools as (k, n, n) score offsets, 0 where a
+    column is a candidate of the row and -inf where it is not: a positive
+    pool, then a negative pool, for each hinge. Ties go to the lowest
+    index, as an argmax on the exact distances picks them. The picks
+    are made on GEMM scores by one argmax; a pick is certified when it
+    leads the runner-up of its pool by more than twice `gemm_score_bound`
+    (of its own matrix's norms) and every score of its row is finite.
+    `redone` marks the picks that were not, and were made again on their
+    rows' exact distances.
+    """
+    n, dim = features.shape[-2:]
+    k = offsets.shape[0]
+    shape = features.shape[:-2] + (k, n)
+    # squared norms that overflow make non-finite scores, whose rows the
+    # exact path mines, so their overflow and inf - inf are not faults
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, sq = gemm_sq_distances(features)
+        # each (positive, negative) pair of pools at once
+        cand = scores[..., None, None, :, :] * _PAIR_SIGNS + offsets.reshape(-1, 2, n, n)
+        rows, flat = cand.reshape(-1, n), cand.reshape(-1)
+        picks = rows.argmax(axis=1)
+        at = np.arange(0, flat.size, n) + picks
+        lead = flat[at]
+        flat[at] = -np.inf  # the runner-up is the best of the rest
+        lead -= flat[at - picks + rows.argmax(axis=1)]
+        # a NaN lead or limit fails the test, and so takes the exact path
+        limit = 2.0 * gemm_score_bound(2.0 * sq.max(axis=-1), dim)  # one per matrix
+        redone = ~(lead.reshape(shape) > limit[..., None, None])
+    if not np.isfinite(scores).all():
+        redone |= ~np.isfinite(scores).all(axis=-1)[..., None, :]
+    picks = picks.reshape(shape)
+    if redone.any():
+        # each redone anchor row, as (matrix, row), against its own matrix:
+        # an index row that repeats the anchor gives its distance to every row
+        stack = features.reshape(-1, n, dim)
+        s, p, i = np.nonzero(redone.reshape(-1, k, n))
+        anchors, row = np.unique(s * n + i, return_inverse=True)
+        a_s, a_i = np.divmod(anchors, n)
+        idx = np.broadcast_to(a_i[:, None, None], (a_i.size, 1, n))
+        exact = pair_distances(stack[a_s], idx)[:, 0][row]
+        masked = np.where(offsets[p, i] == 0.0, exact * _PAIR_SIGNS[p % 2, 0], -np.inf)
+        picks.reshape(-1, k, n)[s, p, i] = masked.argmax(axis=1)
+    return picks, redone
+
+
+def _mined_hinges(features, offsets, rho):
+    """Forward step of the hinges over the stacked pools `offsets`, one per
+    (positive, negative) pair, for one feature matrix or each of a stack:
+    a list of `_hinge`'s (loss, mined), in the order of the pairs."""
+    picks, _ = _certified_picks(features, offsets)
+    dist = pair_distances(features, picks)
+    return [_hinge(dist[..., k, :], dist[..., k + 1, :], picks[..., k, :], picks[..., k + 1, :], rho)
+            for k in range(0, offsets.shape[0], 2)]
 
 
 def _triplet(features, pools, rho):
-    """(loss, grad) of the hinge over `pools`: the forward step, then the gradient step."""
-    loss, mined = _hinge_forward(pairwise_distances(features, features), pools, rho)
+    """(loss, grad) of the one hinge over `pools`: the forward step, then the gradient step."""
+    features = np.asarray(features, dtype=np.float64)
+    (loss, mined), = _mined_hinges(features, pools, rho)
     return loss, _hinge_backward(features, mined)
 
 
@@ -228,18 +273,17 @@ def batch_hard_triplet(features, labels, rho):
 
 def cross_modality_triplet(batch, rho):
     """Bi-directional cross-modality loss: anchors in one modality, pool in the other."""
-    cross, _ = _modality_masks(batch)
-    return _triplet(batch.features, _pools(batch.identity, cross), rho)
+    return _triplet(batch.features, triplet_pools(batch, "cross"), rho)
 
 
 def intra_modality_triplet(batch, rho):
     """Per-modality batch-hard loss, summed over the two modalities."""
-    _, intra = _modality_masks(batch)
-    return _triplet(batch.features, _pools(batch.identity, intra), rho)
+    return _triplet(batch.features, triplet_pools(batch, "intra"), rho)
 
 
 def triplet_pools(batch, kind):
-    """Checked pools of one triplet loss over the rows of `batch`.
+    """Checked pools of one triplet loss over the rows of `batch`, as the
+    (2, n, n) score offsets `_certified_picks` takes.
 
     `kind` names the loss: "batch_hard", "cross" or "intra". The labels are
     checked here, once, so that `triplet_loss` can evaluate the loss at many
@@ -262,63 +306,13 @@ def triplet_loss(features, pools, rho):
     each equal to the matrix's own loss bit for bit. A finite-difference
     sweep evaluates all its points in one call.
     """
-    return _hinge_forward(pairwise_distances(features, features), pools, rho)[0]
-
-
-# The dual loss's four pools, stacked: cross positives and negatives, then
-# intra positives and negatives. A positive pool's hardest candidate is the
-# farthest, a negative pool's the nearest: the largest of sign * distance.
-_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+    return _mined_hinges(np.asarray(features, dtype=np.float64), pools, rho)[0][0]
 
 
 def _dual_offsets(batch):
-    """The validated batch's stacked pools as score offsets: 0 where a column
-    is a candidate of the row, -inf where it is not."""
-    cross, intra = _modality_masks(batch)
-    pools = np.stack([*_pools(batch.identity, cross), *_pools(batch.identity, intra)])
-    return np.where(pools, 0.0, -np.inf)
-
-
-def _certified_picks(features, offsets):
-    """Each row's hardest candidate in each stacked pool, as (picks, redone),
-    of shape (..., 4, n) for features (..., n, D): one matrix or a stack.
-
-    The picks are those an argmax on `pairwise_distances`' values makes,
-    ties to the lowest index. They are made on GEMM scores by one argmax;
-    a pick is certified when it leads the runner-up of its pool by more
-    than twice `gemm_score_bound` (of its own matrix's norms) and every
-    score of its row is finite. `redone` marks the picks that were not,
-    and were made again on their rows' exact distances.
-    """
-    n, dim = features.shape[-2:]
-    # squared norms that overflow make non-finite scores, whose rows the
-    # exact path mines, so their overflow and inf - inf are not faults
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores, sq = gemm_sq_distances(features)
-        cand = scores[..., None, :, :] * _SIGNS
-        cand += offsets
-        rows, flat = cand.reshape(-1, n), cand.reshape(-1)
-        picks = rows.argmax(axis=1)
-        at = np.arange(0, flat.size, n) + picks
-        lead = flat[at]
-        flat[at] = -np.inf  # the runner-up is the best of the rest
-        lead -= flat[at - picks + rows.argmax(axis=1)]
-        # a NaN lead or limit fails the test, and so takes the exact path
-        limit = 2.0 * gemm_score_bound(2.0 * sq.max(axis=-1), dim)  # one per matrix
-        redone = ~(lead.reshape(cand.shape[:-1]) > limit[..., None, None])
-    if not np.isfinite(scores).all():
-        redone |= ~np.isfinite(scores).all(axis=-1)[..., None, :]
-    picks = picks.reshape(cand.shape[:-1])
-    if redone.any():
-        # each redone anchor row, as (matrix, row), against its own matrix
-        stack = features.reshape(-1, n, dim)
-        s, k, i = np.nonzero(redone.reshape(-1, 4, n))
-        anchors, row = np.unique(s * n + i, return_inverse=True)
-        a_s, a_i = np.divmod(anchors, n)
-        exact = pairwise_distances(stack[a_s, a_i][:, None, :], stack[a_s])[:, 0][row]
-        masked = np.where(offsets[k, i] == 0.0, exact * _SIGNS[k, 0], -np.inf)
-        picks.reshape(-1, 4, n)[s, k, i] = masked.argmax(axis=1)
-    return picks, redone
+    """The validated batch's cross pools, then its intra pools, as one
+    (4, n, n) stack of score offsets."""
+    return _pools(batch.identity, *_modality_masks(batch))
 
 
 def _dual_forward(features, offsets, config):
@@ -327,12 +321,7 @@ def _dual_forward(features, offsets, config):
 
     Returns (loss, cross loss, intra loss, cache for `_dual_backward`).
     """
-    picks, _ = _certified_picks(features, offsets)
-    dist = pair_distances(features, picks)
-    loss_c, mined_c = _hinge(dist[..., 0, :], dist[..., 1, :], picks[..., 0, :], picks[..., 1, :],
-                             config.rho)
-    loss_i, mined_i = _hinge(dist[..., 2, :], dist[..., 3, :], picks[..., 2, :], picks[..., 3, :],
-                             config.rho)
+    (loss_c, mined_c), (loss_i, mined_i) = _mined_hinges(features, offsets, config.rho)
     return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, mined_c, mined_i, config)
 
 

@@ -5,8 +5,9 @@ train-mode `batchnorm_forward` its batch statistics as well; the matching
 *_backward consumes the cache and an upstream gradient and returns exact
 analytic gradients. No forward step writes to its arguments. The layers do
 not check for non-finite values; that happens at the boundaries:
-`encoder.encode` rejects non-finite input, `losses.total_loss` a non-finite
-loss and `adam_step`, which updates one flat vector, a non-finite gradient.
+`encoder.encode` rejects non-finite input, `losses.total_loss_forward` a
+non-finite loss and `adam_step`, which updates one flat vector, a
+non-finite gradient.
 
 The forward steps broadcast over leading stack axes. Rows are axis -2 and
 features axis -1; any argument may carry leading axes, which broadcast
@@ -30,13 +31,10 @@ import warnings
 import numpy as np
 
 DIST_STABILIZER = 1e-12
-# Bound on pairwise_distances' difference tensor, on the score block
-# evaluation ranks at a time, and on each stack of points the
-# finite-difference oracle evaluates. At D=128, 256 KiB ran faster than
-# blocks of 64 KiB to 4 MiB for pairwise_distances on both 64x64 and
-# 1200x1200 inputs. Ranking a 1200x1200 gallery by key sort (1 BLAS
-# thread, fastest of 9) took 40 ms at 256 KiB, 36-37 ms at 512 KiB and
-# 1 MiB, 45 ms at 128 KiB and 46 ms at 4 MiB.
+# Bound on the score block evaluation ranks at a time and on each stack of
+# points the finite-difference oracle evaluates. Ranking a 1200x1200
+# gallery by key sort (1 BLAS thread, fastest of 9) took 40 ms at 256 KiB,
+# 36-37 ms at 512 KiB and 1 MiB, 45 ms at 128 KiB and 46 ms at 4 MiB.
 DIST_BLOCK_BYTES = 1 << 18
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -166,52 +164,20 @@ def concat_broadcast(arrays, axis):
 # Distances and classification loss
 # ---------------------------------------------------------------------------
 
-def pairwise_distances(a, b):
-    """Euclidean distance matrix, entry (..., i, j) = ||a[..., i, :] - b[..., j, :]||.
-
-    Leading axes, which a and b must share, index a stack of independent
-    matrices. A tiny stabilizer inside the sqrt keeps the gradient defined
-    at zero distance, so self-distances come out near 1e-6 rather than
-    exactly 0. Memory beyond the output is bounded: the difference tensor
-    is built in blocks of at most DIST_BLOCK_BYTES, square over the last
-    two axes and spanning the leading ones (when one row pair across the
-    leading axes is larger, a block holds that one pair). When `b is a`,
-    only the blocks on or above the diagonal are computed and mirrored
-    below it.
-    """
-    symmetric = b is a
-    a = np.asarray(a, dtype=np.float64)
-    b = a if symmetric else np.asarray(b, dtype=np.float64)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"pairwise_distances: shapes {a.shape} and {b.shape} incompatible")
-    # each entry is the same einsum over one contiguous D-vector, blocked,
-    # stacked or not, and a_j - a_i is exactly -(a_i - a_j), so mirrored
-    # blocks are exact
-    lead = a.shape[:-2]
-    na, nb = a.shape[-2], b.shape[-2]
-    side = max(1, math.isqrt(DIST_BLOCK_BYTES // (8 * max(math.prod(lead) * a.shape[-1], 1))))
-    sq = np.empty(lead + (na, nb))
-    for i in range(0, na, side):
-        for j in range(i if symmetric else 0, nb, side):
-            diff = a[..., i:i + side, None, :] - b[..., None, j:j + side, :]
-            block = np.einsum("...ijk,...ijk->...ij", diff, diff)
-            sq[..., i:i + side, j:j + side] = block
-            if symmetric and j != i:
-                sq[..., j:j + side, i:i + side] = np.swapaxes(block, -1, -2)
-    sq += DIST_STABILIZER
-    return np.sqrt(sq, out=sq)
-
-
 def pair_distances(x, idx):
     """Distance of each row of x to the row `idx` names for it along its last
     axis: out[..., i] = ||x[i] - x[idx[..., i]]||.
 
     For a stack x of shape (..., n, D), idx is (..., k, n) and each matrix
-    is paired with its own k index rows. Each distance is one difference
-    row's einsum, the arithmetic of `pairwise_distances`, so it equals
-    pairwise_distances(x, x)[i, idx[..., i]] bit for bit. The difference
-    rows are formed in place, by one gather of whole rows from the stack's
-    rows laid end to end and one broadcast subtraction.
+    is paired with its own k index rows. Each distance is the einsum of one
+    difference row, plus `DIST_STABILIZER` inside the sqrt, which keeps the
+    gradient defined at zero distance (a self-distance reads about 1e-6).
+    Since x_j - x_i is exactly -(x_i - x_j), out[i] with idx[i] = j equals
+    out[j] with idx[j] = i bit for bit: the index rows k = 0..n-1, each
+    repeating its k, give the whole symmetric distance matrix, and an index
+    row repeating one anchor gives that anchor's distance to every row.
+    The difference rows are formed in place, by one gather of whole rows
+    from the stack's rows laid end to end and one broadcast subtraction.
     """
     n, dim = x.shape[-2:]
     # where each matrix's rows begin; 0 alone for one matrix
@@ -228,7 +194,7 @@ def gemm_sq_distances(x):
     or of each matrix in a stack, from one GEMM per matrix, and the squared
     row norms.
 
-    A score approximates the squared distance `pairwise_distances` takes the
+    A score approximates the squared distance `pair_distances` takes the
     root of; `gemm_score_bound` says when an order of scores is certain to
     be the order of those distances.
     """
@@ -246,7 +212,7 @@ def gemm_score_bound(norm_sum, dim):
 
     Take two pairs of `dim`-wide rows, each pair's squared norms summing to
     at most `norm_sum`, with scores s_a and s_b. If s_a - s_b > 2 * bound,
-    then `pairwise_distances` computes d_a > d_b: the same order, strict,
+    then `pair_distances` computes d_a > d_b: the same order, strict,
     so no tie can appear after a pick. Derivation (Higham, "Accuracy and
     Stability of Numerical Algorithms", ch. 3), with unit roundoff
     u = 2**-53, gamma_n = nu / (1 - nu), N = ||x||^2 + ||y||^2 and the

@@ -235,17 +235,44 @@ def pairwise_distances_reference(a, b):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + STAB)
 
 
+def pair_distances_reference(x, idx):
+    """`numerics.pair_distances` for one matrix: entries of the unblocked
+    matrix, out[k, i] = d(x[i], x[idx[k, i]])."""
+    return pairwise_distances_reference(x, x)[np.arange(x.shape[0]), idx]
+
+
 def certified_picks_reference(features, offsets):
     """`losses._certified_picks` with every pick made on the unblocked exact
-    matrix, candidate by candidate, ties to the lowest index."""
+    matrix, candidate by candidate, ties to the lowest index. Even pools
+    are positive pools, odd pools negative ones."""
     dist = pairwise_distances_reference(features, features)
     pools, n = offsets.shape[:2]
     picks = np.empty((pools, n), dtype=np.intp)
-    for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):  # positive, negative, positive, negative
+    for k in range(pools):
+        sign = -1.0 if k % 2 else 1.0  # the farthest positive, the nearest negative
         for i in range(n):
             cands = [j for j in range(n) if offsets[k, i, j] == 0.0]
             picks[k, i] = max(cands, key=lambda j: (sign * dist[i, j], -j))
     return picks, np.ones((pools, n), dtype=bool)
+
+
+def triplet_reference(features, offsets, rho):
+    """(loss, grad) of the one hinge over the (positive, negative) pools
+    `offsets`, mined by `certified_picks_reference` on the unblocked exact
+    matrix: the hinges summed over the anchors, and each active hinge's
+    gradient scattered by `scatter_pairs_reference`."""
+    dist = pairwise_distances_reference(features, features)
+    (hp, hn), _ = certified_picks_reference(features, offsets)
+    rows = np.arange(features.shape[0])
+    d_pos, d_neg = dist[rows, hp], dist[rows, hn]
+    term = rho + d_pos - d_neg
+    a = np.flatnonzero(term > 0.0)
+    gp = (features[a] - features[hp[a]]) / d_pos[a][:, None]
+    gn = (features[a] - features[hn[a]]) / d_neg[a][:, None]
+    grad = np.zeros(features.shape)
+    grad[a] = gp - gn
+    scatter_pairs_reference(grad, hp[a], hn[a], gp, gn)
+    return float(np.maximum(term, 0.0).sum()), grad
 
 
 def split_batch_reference(batch, idents):

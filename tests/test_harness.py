@@ -43,7 +43,7 @@ from helpers import (
     certified_picks_reference,
     check_full_model_reference,
     check_triplet_reference,
-    pairwise_distances_reference,
+    pair_distances_reference,
     running_stats_reference,
     sample_pk_batch_reference,
     split_batch_reference,
@@ -200,7 +200,7 @@ class TestTrain:
             assert np.array_equal(v, p2.values[name]), name
 
     def test_reference_kernels_give_byte_identical_training(self, monkeypatch):
-        # 24 rows of 128 metric features cross the 16-row distance blocks
+        # 24 rows of 128 metric features
         ds = tiny_dataset(num_identities=8, per=3)
         enc = EncoderConfig(input_dim=6, num_classes=0, stage_dims=(8, 8), tap_stage=1, d=64)
         cfg = tiny_config(encoder=enc, P=4, K=3, epochs=3)
@@ -209,7 +209,7 @@ class TestTrain:
             m.setattr(harness, "sample_pk_batch", sample_pk_batch_reference)
             m.setattr(harness, "_split_batch", split_batch_reference)
             m.setattr(harness, "adam_step", adam_step_via_reference)
-            m.setattr(losses, "pairwise_distances", pairwise_distances_reference)
+            m.setattr(losses, "pair_distances", pair_distances_reference)
             m.setattr(losses, "_certified_picks", certified_picks_reference)
             m.setattr(LabeledBatch, "validate", validate_reference)
             p2, _, r2 = train(ds, cfg)
@@ -1071,6 +1071,38 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"usage error: cannot write {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command, flag, path, reason", [
+        ("train", "--out", "missing/dir/m.ckpt", "No such file or directory"),
+        ("train", "--report", "missing/dir/r.json", "No such file or directory"),
+        ("train", "--out", ".", "Is a directory"),
+        ("ablation", "--report", "missing/dir/a.json", "No such file or directory"),
+    ])
+    def test_unwritable_output_path_is_found_before_the_run(self, command, flag, path, reason,
+                                                            workdir, monkeypatch, capsys):
+        # a typo in an output path must not cost a whole run, nor leave the
+        # other output behind
+        def run(*args, **kwargs):
+            raise AssertionError(f"{command} ran before its output paths were checked")
+
+        monkeypatch.chdir(workdir)
+        assert cli.main(["synth", "--config", "synth.json", "--out", "data.txt"]) == 0
+        monkeypatch.setattr(cli, "train", run)
+        monkeypatch.setattr(cli, "run_ablation", run)
+        outputs = {"--out": "m.ckpt", "--report": "r.json", flag: path}
+        argv = {
+            "train": ["train", "--data", "data.txt", "--config", "train.json",
+                      "--out", outputs["--out"], "--report", outputs["--report"]],
+            "ablation": ["ablation", "--data-config", "synth.json", "--config", "train.json",
+                         "--seeds", "0", "--report", outputs["--report"]],
+        }[command]
+        before = sorted(p.name for p in workdir.iterdir())
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: cannot write {path}: {reason}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before
 
     @pytest.mark.parametrize("num_identities, P", [(1, 3), (6, 8)])
     def test_too_few_identities_for_P_is_named(self, num_identities, P, workdir, capsys):

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -19,7 +18,6 @@ from xmodal.losses import (
     _certified_picks,
     _dual_forward,
     _dual_offsets,
-    _hinge_forward,
     _scatter_pairs,
     total_loss,
     total_loss_forward,
@@ -27,12 +25,10 @@ from xmodal.losses import (
     triplet_pools,
 )
 from xmodal.numerics import (
-    DIST_BLOCK_BYTES,
     finite_diff_entries,
     finite_diff_grad,
     gemm_score_bound,
     max_relative_error,
-    pairwise_distances,
     per_point,
 )
 
@@ -40,12 +36,15 @@ from helpers import (
     FOUR_POINT,
     TWO_POINT,
     batch_hard_oracle,
+    certified_picks_reference,
     cross_modality_oracle,
     finite_differences_reference,
     intra_modality_oracle,
     mining_margins_oracle,
+    pairwise_distances_reference,
     random_pk_batch,
     scatter_pairs_reference,
+    triplet_reference,
     validate_reference,
 )
 
@@ -192,22 +191,30 @@ class TestDualAndComposition:
 
 
 def as_exact_path(batch, lambda1=0.1):
-    """Check the dual loss's certified picks, loss and gradient against the
-    exact path, bit for bit; return which picks were made again exactly.
+    """Check every triplet loss against the exact oracle, bit for bit; return
+    which picks each loss made again exactly, by loss name.
 
-    The exact path mines on `pairwise_distances` (lowest index on ties) and
-    is what the single cross and intra losses compute.
+    The oracle mines each pool candidate by candidate on the unblocked exact
+    matrix, lowest index on ties (`certified_picks_reference`), and takes
+    the hinges and their gradients from that matrix (`triplet_reference`).
+    The dual loss is the cross loss plus lambda1 times the intra loss.
     """
-    picks, redone = _certified_picks(batch.features, _dual_offsets(batch))
-    dist = pairwise_distances(batch.features, batch.features)
-    want = []
-    for kind in ("cross", "intra"):
-        _, (_, hp, hn, _, _) = _hinge_forward(dist, triplet_pools(batch, kind), RHO)
-        want += [hp, hn]
-    np.testing.assert_array_equal(picks, want)
+    feats = batch.features
+    offsets = _dual_offsets(batch)
+    picks, redone = _certified_picks(feats, offsets)
+    np.testing.assert_array_equal(picks, certified_picks_reference(feats, offsets)[0])
+    got = {"batch_hard": batch_hard_triplet(feats, batch.identity, RHO),
+           "cross": cross_modality_triplet(batch, RHO),
+           "intra": intra_modality_triplet(batch, RHO)}
+    redone = {"dual": redone}
+    for kind, (loss, grad) in got.items():
+        pools = triplet_pools(batch, kind)
+        want_loss, want_grad = triplet_reference(feats, pools, RHO)
+        assert loss == want_loss, kind
+        np.testing.assert_array_equal(grad, want_grad)
+        redone[kind] = _certified_picks(feats, pools)[1]
     loss, grad, loss_c, loss_i = dual_modality_triplet(batch, LossConfig(rho=RHO, lambda1=lambda1))
-    lc, gc = cross_modality_triplet(batch, RHO)
-    li, gi = intra_modality_triplet(batch, RHO)
+    (lc, gc), (li, gi) = got["cross"], got["intra"]
     assert (loss_c, loss_i, loss) == (lc, li, lc + lambda1 * li)
     np.testing.assert_array_equal(grad, gc + lambda1 * gi)
     return redone
@@ -225,8 +232,9 @@ def near_duplicate_batch(eps, seed=0, P=4, K=3, dim=16):
 
 
 class TestCertifiedMining:
-    """The dual loss mines on GEMM scores; where the bound cannot certify a
-    pick it mines on exact distances, so it always matches the exact path."""
+    """Every triplet loss mines on GEMM scores; where the bound cannot
+    certify a pick it mines on exact distances, so each loss always
+    matches the exact oracle."""
 
     @pytest.mark.parametrize("seed, P, K, dim, unit", [
         (0, 2, 1, 2, False), (1, 3, 2, 4, False), (2, 4, 3, 5, False),
@@ -235,20 +243,24 @@ class TestCertifiedMining:
         batch = random_pk_batch(np.random.default_rng(seed), P, K, dim)
         if unit:
             batch.features /= np.linalg.norm(batch.features, axis=1, keepdims=True)
-        assert not as_exact_path(batch).any()
+        for kind, redone in as_exact_path(batch).items():
+            assert not redone.any(), kind
 
     def test_exact_duplicate_rows(self):
-        assert as_exact_path(near_duplicate_batch(0.0)).any()
+        for kind, redone in as_exact_path(near_duplicate_batch(0.0)).items():
+            assert redone.any(), kind
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-15])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_near_duplicate_rows(self, eps, seed):
-        assert as_exact_path(near_duplicate_batch(eps, seed)).any()
+        for kind, redone in as_exact_path(near_duplicate_batch(eps, seed)).items():
+            assert redone.any(), kind
 
     def test_hardest_candidates_tied_within_the_bound(self):
         # rows 2 and 3 are visible row 0's cross positives, at squared
         # distances 2 and 2 + 2t + t^2: apart by about 7e-15, less than
-        # twice the bound, yet about 11 ulps apart as distances
+        # twice the bound, yet about 11 ulps apart as distances. Row 1, a
+        # plain positive at squared distance 2, joins the tie there.
         t = 2.0 ** -48
         feats = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0 + t, 0.0],
                           [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-0.5, -0.5, 0.0]])
@@ -256,8 +268,11 @@ class TestCertifiedMining:
                              modality=np.array(list("VVTTVVTT")), P=2, K=2)
         assert 2 * t < 2 * gemm_score_bound(2.0, 3)  # the largest squared norm is about 1
         redone = as_exact_path(batch)
-        assert redone[0, 0]
+        for kind in ("dual", "batch_hard", "cross"):
+            assert redone[kind][0, 0], kind
         assert _certified_picks(feats, _dual_offsets(batch))[0][0, 0] == 3
+        for kind in ("batch_hard", "cross"):
+            assert _certified_picks(feats, triplet_pools(batch, kind))[0][0, 0] == 3
 
     def test_features_that_overflow_the_gemm(self):
         # squared norms overflow; the differences, about 1e151, do not
@@ -268,7 +283,9 @@ class TestCertifiedMining:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             redone = as_exact_path(batch)
-        assert redone.all()
+            mining_margins(batch, RHO)
+        for kind in redone:
+            assert redone[kind].all(), kind
 
 
 def loss_bundles(rng, mfi, num_classes=3, P=3, K=2, d=4):
@@ -379,8 +396,6 @@ class TestStackedForward:
         rng = np.random.default_rng(73)
         P, K, dim, m = 3, 2, 4, 200
         n = 2 * P * K
-        # the stack's distance matrices take several blocks
-        assert math.isqrt(DIST_BLOCK_BYTES // (8 * m * dim)) < n
         batch = random_pk_batch(rng, P, K, dim)
         pools = triplet_pools(batch, kind)
         stack = self.tied_stack(rng, batch, m)
@@ -391,14 +406,15 @@ class TestStackedForward:
                               losses.reshape(8, 25))
         assert type(triplet_loss(stack[0], pools, RHO)) is float
 
-        _, mined = _hinge_forward(pairwise_distances(stack, stack), pools, RHO)
+        picks, redone = _certified_picks(stack, pools)
         for k, v in enumerate(stack):
-            _, ref = _hinge_forward(pairwise_distances(v, v), pools, RHO)
-            assert all(np.array_equal(a[k], b) for a, b in zip(mined, ref))
-        # ties go to the lowest candidate index
-        _, hp, hn, _, _ = mined
-        assert np.array_equal(hp[2], np.argmax(pools[0], axis=1))
-        assert np.array_equal(hn[2], np.argmax(pools[1], axis=1))
+            one_picks, one_redone = _certified_picks(v, pools)
+            assert np.array_equal(picks[k], one_picks) and np.array_equal(redone[k], one_redone)
+            assert np.array_equal(one_picks, certified_picks_reference(v, pools)[0])
+        # a matrix of equal rows ties every pick: the exact path takes the
+        # lowest candidate index
+        assert redone[2].all()
+        assert np.array_equal(picks[2], np.argmax(pools == 0.0, axis=2))
 
     def test_dual_loss_is_each_matrix_loss(self):
         # certified and exact-path picks alike: matrices 1 and 2 hold tied
@@ -464,8 +480,7 @@ class TestProperties:
         thm = np.flatnonzero(batch.modality == "T")
         touched = set()
         for anchors, cands in ((vis, thm), (thm, vis)):
-            from xmodal.numerics import pairwise_distances
-            d = pairwise_distances(feats[anchors], feats[cands])
+            d = pairwise_distances_reference(feats[anchors], feats[cands])
             for ai, a in enumerate(anchors):
                 same = labels[cands] == labels[a]
                 hp = int(np.argmax(np.where(same, d[ai], -np.inf)))
@@ -537,6 +552,15 @@ class TestMiningMargins:
             batch = random_pk_batch(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
             rho = float(rng.uniform(0.1, 1.0))
             assert abs(mining_margins(batch, rho) - mining_margins_oracle(batch, rho)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-12, 1e-9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_duplicate_rows_match_oracle(self, eps, seed):
+        # nearly tied pools, read on the exact distances: exact copies tie
+        batch = near_duplicate_batch(eps, seed)
+        margin = mining_margins(batch, RHO)
+        assert abs(margin - mining_margins_oracle(batch, RHO)) < 1e-12
+        assert margin == 0.0 if eps == 0.0 else margin < 1e-12
 
     def test_tied_negatives_give_zero(self):
         # t1 and v2 sit at the same distance from v1, so v1's hardest plain

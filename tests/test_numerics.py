@@ -8,7 +8,6 @@ import pytest
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.numerics import (
     DIST_BLOCK_BYTES,
-    DIST_STABILIZER,
     AdamState,
     adam_step,
     batchnorm_backward,
@@ -23,7 +22,6 @@ from xmodal.numerics import (
     l2_normalize_forward,
     max_relative_error,
     pair_distances,
-    pairwise_distances,
     per_point,
     relu_backward,
     relu_forward,
@@ -38,6 +36,7 @@ from helpers import (
     adam_step_reference,
     dist_oracle,
     finite_differences_reference,
+    pairwise_distances_reference,
 )
 
 
@@ -160,123 +159,66 @@ class TestLayerBackward:
             relu_backward(cache, np.ones((2, 4)))
 
 
+def full_index(n):
+    """Index rows k = 0..n-1, each repeating its k: with them `pair_distances`
+    gives the whole distance matrix."""
+    return np.broadcast_to(np.arange(n)[:, None], (n, n))
+
+
 class TestPairwiseDistances:
+    """The exact distances, as `pair_distances` gives them."""
+
     def test_3_4_5(self):
-        d = pairwise_distances(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
-        assert abs(d[0, 0] - 5.0) < 1e-6
+        d = pair_distances(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[1, 0]]))
+        assert np.all(np.abs(d - 5.0) < 1e-6)
 
     def test_self_distance_near_zero(self):
         a = np.random.default_rng(0).standard_normal((6, 4))
-        d = pairwise_distances(a, a)
+        d = pair_distances(a, full_index(6))
         assert np.all(np.diag(d) <= 1e-5)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-        d = pairwise_distances(a, b)
+        d = pair_distances(np.concatenate([a, b]), full_index(9))
         for i in range(4):
             for j in range(5):
-                assert abs(d[i, j] - dist_oracle(a[i], b[j])) < 1e-12
+                assert abs(d[i, 4 + j] - dist_oracle(a[i], b[j])) < 1e-12
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((10, 6))
-        d = pairwise_distances(a, a)
-        np.testing.assert_allclose(d, d.T, atol=1e-12)
+        d = pair_distances(a, full_index(10))
+        np.testing.assert_array_equal(d, d.T)
         for i in range(10):
             for j in range(10):
                 for k in range(10):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_distances(np.ones((2, 3)), np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            pairwise_distances(np.ones((2, 3, 4)), np.ones((3, 3, 4)))
-        with pytest.raises(ValueError):
-            pairwise_distances(np.ones(3), np.ones(3))
-        with pytest.raises(ValueError):
-            pairwise_distances(np.ones((2, 3)), np.ones(3))
-
-    @pytest.mark.parametrize("dim", [1, 7, 128])
-    def test_stack_is_bit_identical_to_each_matrix(self, dim):
-        # the last stack makes blocks of fewer than its 30 rows at every dim
-        rng = np.random.default_rng(200 + dim)
-        assert math.isqrt(DIST_BLOCK_BYTES // (8 * 40 * dim)) < 30
-        for lead, n, m in (((3,), 5, 4), ((2, 3), 12, 1), ((40,), 30, 17)):
-            a = rng.standard_normal(lead + (n, dim))
-            a[..., 1, :] = a[..., 0, :]
-            b = rng.standard_normal(lead + (m, dim))
-            own, other = pairwise_distances(a, a), pairwise_distances(a, b)
-            assert own.shape == lead + (n, n) and other.shape == lead + (n, m)
-            for idx in np.ndindex(lead):
-                np.testing.assert_array_equal(own[idx], pairwise_distances(a[idx], a[idx]))
-                np.testing.assert_array_equal(other[idx], pairwise_distances(a[idx], b[idx]))
-
-    @staticmethod
-    def _unblocked(a, b):
-        diff = a[:, None, :] - b[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        return np.sqrt(np.maximum(sq, 0.0) + DIST_STABILIZER)
-
-    @pytest.mark.parametrize("dim", [1, 7, 128])
-    def test_blocked_is_bit_identical_to_unblocked(self, dim):
-        # `side` x `side` pairs make one difference block of DIST_BLOCK_BYTES:
-        # cross it along the rows, the columns and both; `per_block` pairs
-        # would fill one block in a single row
-        side = math.isqrt(DIST_BLOCK_BYTES // (8 * dim))
-        per_block = DIST_BLOCK_BYTES // (8 * dim)
-        rng = np.random.default_rng(dim)
-        shapes = [(1, 1), (0, 5), (5, 0), (3, per_block - 1), (3, per_block),
-                  (3, per_block + 1), (2, 2 * per_block + 3)]
-        for cols in (per_block // 8, per_block // 2):
-            rows = per_block // cols
-            shapes += [(rows - 1, cols), (rows, cols), (rows + 1, cols), (2 * rows + 5, cols)]
-        shapes += [(side + 1, 2), (side - 1, side + 1), (2 * side + 1, side),
-                   (side, 2 * side + 1)]
-        for n, m in shapes:
-            a, b = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
-            np.testing.assert_array_equal(pairwise_distances(a, b), self._unblocked(a, b))
-
-    @pytest.mark.parametrize("dim", [1, 7, 128])
-    def test_symmetric_is_bit_identical_to_unblocked(self, dim):
-        # `side` rows make one square block of DIST_BLOCK_BYTES (16 at D=128)
-        side = math.isqrt(DIST_BLOCK_BYTES // (8 * dim))
-        rng = np.random.default_rng(100 + dim)
-        for n in (0, 1, side - 1, side, side + 1, 2 * side + 1, 4 * side):
-            a = rng.standard_normal((n, dim))
-            d = pairwise_distances(a, a)
-            np.testing.assert_array_equal(d, self._unblocked(a, a))
-            np.testing.assert_array_equal(d, pairwise_distances(a, a.copy()))
-
-    def test_peak_memory_is_bounded(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.standard_normal((1000, 128)), rng.standard_normal((1000, 128))
-        for other in (b, a):
-            tracemalloc.start()
-            try:
-                pairwise_distances(a, other)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # the 8 MB output plus one block
-            assert peak < 32 * 2 ** 20
-
 
 class TestGemmScores:
     @pytest.mark.parametrize("dim", [1, 7, 64, 128, 129])
     def test_pair_distance_is_the_matrix_entry(self, dim):
-        # the mined pairs' distances and the exact rows a certified pick
-        # falls back on are the entries of the full symmetric matrix
+        # the whole matrix, the mined pairs' distances and the exact rows a
+        # certified pick falls back on are the entries of the unblocked
+        # reference matrix, also for exact and near duplicates
         rng = np.random.default_rng(dim)
         for n, scale, offset in ((2, 1.0, 0.0), (12, 1e-3, 0.0), (64, 1.0, 0.0),
                                  (65, 1e3, 0.0), (64, 1.0, 1e6)):
             x = offset + scale * rng.standard_normal((n, dim))
-            full = pairwise_distances(x, x)
+            if n > 2:
+                x[1] = x[0]
+                x[2] = x[0] + 1e-12 * scale * rng.standard_normal(dim)
+            full = pairwise_distances_reference(x, x)
+            np.testing.assert_array_equal(pair_distances(x, full_index(n)), full)
             idx = rng.integers(0, n, (4, n))
             np.testing.assert_array_equal(pair_distances(x, idx), full[np.arange(n), idx])
+            # each anchor against its own copy of the matrix, by an index
+            # row that repeats the anchor
             rows = np.unique(rng.integers(0, n, 5))
-            np.testing.assert_array_equal(pairwise_distances(x[rows], x), full[rows])
+            anchors = np.broadcast_to(rows[:, None, None], (rows.size, 1, n))
+            stacked = pair_distances(np.stack([x] * rows.size), anchors)
+            np.testing.assert_array_equal(stacked[:, 0], full[rows])
         # a stack over two leading axes pairs each matrix with its own rows
         xs = rng.standard_normal((3, 2, 12, dim))
         idx = rng.integers(0, 12, (3, 2, 4, 12))
