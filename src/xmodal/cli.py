@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 verification failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 verification
+failure, 4 a non-finite number computed from finite inputs (the run
+diverged, or its inputs are too large for float64).
 """
 
 import argparse
@@ -25,6 +27,7 @@ from .harness import (
     train,
 )
 from .losses import THERMAL, VISIBLE
+from .numerics import NonFiniteError
 
 
 class _UsageError(Exception):
@@ -193,6 +196,10 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteError as exc:
+        print(f"numeric error: {exc}: the run diverged, or its inputs are too large "
+              "for float64", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -247,21 +247,23 @@ def sample_pk_batch(dataset, P, K, rng):
 
     Draws are without replacement unless an identity's modality pool is
     smaller than K, in which case that pool is sampled with replacement.
-    Rows come visible then thermal for each drawn identity in turn.
+    The draws go identity by identity, visible pool then thermal pool. The
+    rows come as the visible half, then the thermal half, each with K rows
+    per drawn identity in draw order: row r of one half has the identity of
+    row r of the other.
     """
     eligible, pools = dataset.eligible, dataset.pools
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     chosen = rng.choice(len(eligible), size=P, replace=False)
-    rows = []
-    for ci in chosen:
-        for pool in pools[ci]:
-            picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
-            rows.append(pool[picks])
+    rows = np.empty((2, P, K), dtype=np.intp)  # (modality, identity, pick)
+    for p, ci in enumerate(chosen):
+        for m, pool in enumerate(pools[ci]):
+            rows[m, p] = pool[rng.choice(len(pool), size=K, replace=len(pool) < K)]
     return LabeledBatch(
-        features=dataset.features[np.concatenate(rows)],
-        identity=np.repeat(eligible[chosen], 2 * K),
-        modality=np.tile(np.repeat(np.array([VISIBLE, THERMAL]), K), P),
+        features=dataset.features[rows.reshape(-1)],
+        identity=np.tile(np.repeat(eligible[chosen], K), 2),
+        modality=np.repeat(np.array([VISIBLE, THERMAL]), P * K),
         P=P,
         K=K,
     )

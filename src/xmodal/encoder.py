@@ -99,7 +99,6 @@ class FeatureBundle:
     v_pre: np.ndarray
     v_post: np.ndarray
     logits_backbone: np.ndarray
-    v_mid: np.ndarray | None = None
     v_fused: np.ndarray | None = None
     v_fused_post: np.ndarray | None = None
     logits_skip: np.ndarray | None = None
@@ -211,7 +210,6 @@ def encode(params, config, x, modality, mode="train"):
         logits_skip, mid_cls_cache = dense_forward(v_fused_post, v["mid.cls.W"], v["mid.cls.b"])
         if train:
             bundle.batch_stats.update(zip(("mid.bn.running_mean", "mid.bn.running_var"), mid_stats))
-        bundle.v_mid = v_mid
         bundle.v_fused = v_fused
         bundle.v_fused_post = v_fused_post
         bundle.logits_skip = logits_skip

@@ -9,7 +9,7 @@ from .config import ConfigError
 from .data import DataError
 from .encoder import encode, test_feature
 from .losses import THERMAL, VISIBLE
-from .numerics import DIST_BLOCK_BYTES
+from .numerics import DIST_BLOCK_BYTES, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def _ranked_blocks(query_feats, gallery_feats):
     ranked again by a stable argsort of its scores. Two scores must lie
     within 2**bits units in the last place of each other for that, so a
     row of continuous features seldom takes it. Features and scores must be
-    finite: a score that overflows raises ValueError.
+    finite: a non-finite feature, or a score that overflows, raises
+    NonFiniteError.
 
     Unlike the dual loss's mining, which certifies its GEMM picks with
     numerics.gemm_score_bound, this order is not checked against the exact
@@ -87,9 +88,9 @@ def _ranked_blocks(query_feats, gallery_feats):
     if q.shape[0] == 0:
         raise ValueError("evaluation: no queries")
     if not np.isfinite(q).all():
-        raise ValueError("evaluation: non-finite query feature")
+        raise NonFiniteError("evaluation: non-finite query feature")
     if not np.isfinite(g).all():
-        raise ValueError("evaluation: non-finite gallery feature")
+        raise NonFiniteError("evaluation: non-finite gallery feature")
     mean = g.mean(axis=0)
     unique, column = np.unique(g, axis=0, return_inverse=True)
     column = column.reshape(-1)
@@ -104,7 +105,7 @@ def _ranked_blocks(query_feats, gallery_feats):
         scores = (q[start:start + rows] - mean) @ unique.T
         scores += sq_norms
         if not np.isfinite(scores).all():
-            raise ValueError("evaluation: a query-gallery score overflowed; the features are too large")
+            raise NonFiniteError("evaluation: a query-gallery score overflowed; the features are too large")
         keys = scores[:, column].view(np.int64)
         flip = keys >> 63
         flip &= 2**63 - 1
@@ -149,7 +150,7 @@ def rank_gallery(query_feature, gallery_features):
     Ranks through the same path as evaluate_features: one sort of packed
     int64 keys, and a stable argsort only if two unequal scores share a
     key's high bits. Non-finite features, or a score that overflows, raise
-    ValueError.
+    NonFiniteError.
     """
     q = np.asarray(query_feature, dtype=np.float64).reshape(1, -1)
     (_, order), = _ranked_blocks(q, gallery_features)

@@ -135,27 +135,25 @@ class RunReport:
 # Training
 # ---------------------------------------------------------------------------
 
-def _split_batch(batch, idents):
-    """Per-modality feature matrices and class labels, visible first; an
-    identity's class is its position in the sorted array `idents`."""
-    vis = np.flatnonzero(batch.modality == L.VISIBLE)
-    thm = np.flatnonzero(batch.modality == L.THERMAL)
-    xv, xt = batch.features[vis], batch.features[thm]
-    yv = np.searchsorted(idents, batch.identity[vis])
-    yt = np.searchsorted(idents, batch.identity[thm])
-    return xv, xt, yv, yt
+def _encode_streams(params, cfg, x, streams=MODALITIES):
+    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
+    visible stream encodes the first half of x, the thermal stream the
+    second."""
+    n = x.shape[0] // 2
+    halves = dict(zip(MODALITIES, (x[:n], x[n:])))
+    return {mod: encode(params, cfg, halves[mod], mod, mode="train") for mod in streams}
 
 
-def _train_step(params, enc_cfg, loss_cfg, xv, xt, targets, out=None):
+def _train_step(params, enc_cfg, loss_cfg, x, targets, out=None):
     """(LossBreakdown, gradient of every parameter) of one train step on the
-    visible rows xv and thermal rows xt, added into `out` (name -> array) if given.
+    rows x of a PK batch, the visible half then the thermal half, added
+    into `out` (name -> array) if given.
 
     It folds each stream's batch statistics into the running stats in
     `params.bn_state`, in place, visible first:
     running = (1 - momentum) * running + momentum * batch.
     """
-    bundle_v, cache_v = encode(params, enc_cfg, xv, "visible", mode="train")
-    bundle_t, cache_t = encode(params, enc_cfg, xt, "thermal", mode="train")
+    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, enc_cfg, x).values()
     momentum = enc_cfg.bn_momentum
     for bundle in (bundle_v, bundle_t):
         for name, batch in bundle.batch_stats.items():
@@ -200,9 +198,10 @@ def train(dataset, config):
 
     report = RunReport(config_echo=_config_echo(config, enc_cfg), seed=config.seed)
     # sample_pk_batch draws P distinct identities and K rows of each per
-    # modality, so after _split_batch the pools depend on (P, K) alone
-    layout = np.repeat(np.arange(config.P), config.K)
-    targets = L.loss_targets(layout, layout, config.P, config.K)
+    # modality, in the same order in both halves, so the pools depend on
+    # (P, K) alone
+    targets = L.loss_targets(np.tile(np.repeat(np.arange(config.P), config.K), 2),
+                             config.P, config.K)
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate
         if epoch > config.lr_decay_epoch:
@@ -212,10 +211,10 @@ def train(dataset, config):
         sums = None
         for _ in range(n_batches):
             batch = sample_pk_batch(dataset, config.P, config.K, rng)
-            xv, xt, yv, yt = _split_batch(batch, idents)
             grad.fill(0.0)
-            breakdown, _ = _train_step(params, enc_cfg, config.loss, xv, xt,
-                                       replace(targets, labels=np.concatenate([yv, yt])), out=grads)
+            breakdown, _ = _train_step(params, enc_cfg, config.loss, batch.features,
+                                       replace(targets, labels=np.searchsorted(idents, batch.identity)),
+                                       out=grads)
             if frozen:
                 grad[stages] = 0.0
             adam_step(theta, grad, state)
@@ -531,44 +530,24 @@ def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5), input_dim=5, d=
     return cfg, params, loss_cfg, x, labels, P, K
 
 
-def _encode_streams(params, cfg, x, streams=MODALITIES):
-    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
-    visible stream encodes the first half of x, the thermal stream the
-    second."""
-    n = x.shape[0] // 2
-    halves = dict(zip(MODALITIES, (x[:n], x[n:])))
-    return {mod: encode(params, cfg, halves[mod], mod, mode="train") for mod in streams}
-
-
-def _model_forward(params, cfg, loss_cfg, x, labels, P, K):
-    """Total loss of one model instance and its gradient for every parameter,
-    by `train`'s step, which also moves the running stats in `params`."""
-    n = x.shape[0] // 2
-    breakdown, grads = _train_step(params, cfg, loss_cfg, x[:n], x[n:],
-                                   L.loss_targets(labels[:n], labels[n:], P, K))
-    return breakdown.total, grads
-
-
-def _loss_sweep(params, cfg, loss_cfg, x, labels, P, K):
-    """`loss(changed)`: `_model_forward`'s total loss by the forward steps
+def _loss_sweep(params, cfg, loss_cfg, x, targets):
+    """`loss(changed)`: `_train_step`'s total loss by the forward steps
     only, with `changed` (name -> a stack of m values, each vector as
     (m, 1, d)) in place of those arrays of `params`: the m losses, from one
     call of each forward step.
 
-    The targets are checked once here. A `visible.*` or `thermal.*` array
-    feeds only its own stream, so a stream is encoded again only when a
-    changed array is its own or shared; the other stream's unstacked
-    bundle, encoded once here, joins each matrix of the stack. That is
-    exact: train-mode batchnorm output depends only on its own batch's
-    statistics. `encode` writes to nothing, so `params` is left as it was.
+    A `visible.*` or `thermal.*` array feeds only its own stream, so a
+    stream is encoded again only when a changed array is its own or shared;
+    the other stream's unstacked bundle, encoded once here, joins each
+    matrix of the stack. That is exact: train-mode batchnorm output depends
+    only on its own batch's statistics. `encode` writes to nothing, so
+    `params` is left as it was.
 
     A stack is evaluated in parts, so that its memory does not grow with
     its size: each part's intermediates, estimated from one unstacked
     forward's (its encodings, its loss cache and the dual loss's
     (4, 2n, 2n) candidate scores), stay within `DIST_BLOCK_BYTES`.
     """
-    n = x.shape[0] // 2
-    targets = L.loss_targets(labels[:n], labels[n:], P, K)
     encoded = _encode_streams(params, cfg, x)
     unperturbed = {mod: bundle for mod, (bundle, _) in encoded.items()}
     _, loss_cache = L.total_loss_forward(unperturbed["visible"], unperturbed["thermal"],
@@ -637,8 +616,9 @@ def _kink_free_model(rng, mfi, tol, **setup):
 
 def _check_full_model(rng, mfi, **setup):
     cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(rng, mfi, 1e-3, **setup)
-    _, grads = _model_forward(params, cfg, loss_cfg, x, labels, P, K)
-    loss = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+    targets = L.loss_targets(labels, P, K)
+    _, grads = _train_step(params, cfg, loss_cfg, x, targets)
+    loss = _loss_sweep(params, cfg, loss_cfg, x, targets)
     worst = 0.0
     for name in sorted(params.values):
         v = params.values[name]
@@ -669,8 +649,9 @@ def _check_directional(rng, fusion="cat"):
     """
     cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(
         rng, True, DIRECTIONAL_KINK_TOL, fusion=fusion, **REFERENCE_MODEL)
-    _, grads = _model_forward(params, cfg, loss_cfg, x, labels, P, K)
-    loss = _loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+    targets = L.loss_targets(labels, P, K)
+    _, grads = _train_step(params, cfg, loss_cfg, x, targets)
+    loss = _loss_sweep(params, cfg, loss_cfg, x, targets)
     names = sorted(params.values)
     worst = 0.0
     for _ in range(3):

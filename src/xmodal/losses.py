@@ -35,6 +35,7 @@ import numpy as np
 
 from .config import ConfigError
 from .numerics import (
+    NonFiniteError,
     concat_broadcast,
     gemm_score_bound,
     gemm_sq_distances,
@@ -372,28 +373,26 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class LossTargets:
-    """Class labels of one PK batch encoded per modality, visible rows
-    first, with the stacked cross and intra pools of its rows as score
-    offsets (`loss_targets`)."""
+    """Class labels of one PK batch, the visible half of its rows then the
+    thermal half, with the stacked cross and intra pools of its rows as
+    score offsets (`loss_targets`)."""
 
     labels: np.ndarray
-    n_visible: int
     offsets: np.ndarray
 
 
-def loss_targets(labels_v, labels_t, P, K):
-    """Checked `LossTargets` for rows with these per-modality labels.
+def loss_targets(labels, P, K):
+    """Checked `LossTargets` for the 2*P*K rows of a PK batch with these
+    class labels: the first P*K rows visible, the rest thermal.
 
     A finite-difference sweep builds them once and evaluates
     `total_loss_forward` at many encodings of the same rows.
     """
-    labels_v = np.asarray(labels_v, dtype=np.intp)
-    labels_t = np.asarray(labels_t, dtype=np.intp)
-    labels = np.concatenate([labels_v, labels_t])
-    modality = np.array([VISIBLE] * labels_v.size + [THERMAL] * labels_t.size)
+    labels = np.asarray(labels, dtype=np.intp)
+    modality = np.repeat(np.array([VISIBLE, THERMAL]), P * K)
     # the batch checks read only the row count of the features
     batch = LabeledBatch(features=labels[:, None], identity=labels, modality=modality, P=P, K=K)
-    return LossTargets(labels=labels, n_visible=labels_v.size, offsets=_dual_offsets(batch))
+    return LossTargets(labels=labels, offsets=_dual_offsets(batch))
 
 
 def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
@@ -407,9 +406,10 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     breakdown holds one value per matrix of the stack.
     """
     nv, nt = bundle_v.v_post.shape[-2], bundle_t.v_post.shape[-2]
-    if (nv, nv + nt) != (targets.n_visible, targets.labels.size):
+    half = targets.labels.size // 2  # the visible labels, then as many thermal ones
+    if (nv, nt) != (half, half):
         raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "
-                         f"{targets.n_visible} and {targets.labels.size - targets.n_visible} labels")
+                         f"{half} and {half} labels")
     if enc_cfg.mfi_enabled:
         sel_v, sel_t = bundle_v.v_fused_post, bundle_t.v_fused_post
         logits = concat_broadcast([bundle_v.logits_skip, bundle_t.logits_skip], axis=-2)
@@ -429,7 +429,7 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
         loss_bb, bb_cache = softmax_cross_entropy_forward(logits_bb, targets.labels)
         total += loss_bb
     if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
-        raise ValueError(f"total_loss: non-finite loss {total}")
+        raise NonFiniteError(f"total_loss: non-finite loss {total}")
 
     breakdown = LossBreakdown(
         softmax=loss_sm, backbone=loss_bb, cross=loss_c, intra=loss_i,
@@ -465,6 +465,6 @@ def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, enc_cfg, P, K):
     The forward step, then the gradient step: returns the breakdown plus
     per-modality gradients (BundleGrads) on the encoder outputs.
     """
-    targets = loss_targets(labels_v, labels_t, P, K)
+    targets = loss_targets(np.concatenate([labels_v, labels_t]), P, K)
     breakdown, cache = total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg)
     return (breakdown, *total_loss_backward(cache))

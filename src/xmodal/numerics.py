@@ -5,9 +5,10 @@ train-mode `batchnorm_forward` its batch statistics as well; the matching
 *_backward consumes the cache and an upstream gradient and returns exact
 analytic gradients. No forward step writes to its arguments. The layers do
 not check for non-finite values; that happens at the boundaries:
-`encoder.encode` rejects non-finite input, `losses.total_loss_forward` a
-non-finite loss and `adam_step`, which updates one flat vector, a
-non-finite gradient.
+`encoder.encode` rejects non-finite input. `losses.total_loss_forward`
+rejects a non-finite loss and `adam_step`, which updates one flat vector,
+a non-finite gradient, both with `NonFiniteError`: their inputs were
+finite, so the run diverged or overflowed.
 
 The forward steps broadcast over leading stack axes. Rows are axis -2 and
 features axis -1; any argument may carry leading axes, which broadcast
@@ -38,6 +39,11 @@ DIST_STABILIZER = 1e-12
 DIST_BLOCK_BYTES = 1 << 18
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
+
+
+class NonFiniteError(ValueError):
+    """A value computed from finite inputs came out non-finite: the run
+    diverged, or its inputs are too large for float64."""
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +332,7 @@ def adam_step(theta, grad, state):
         raise ValueError(f"adam_step: size mismatch {theta.shape}, {grad.shape}, {m.shape}")
     if not np.all(np.isfinite(grad)):
         bad = next(n for n, g in state.views(grad).items() if not np.all(np.isfinite(g)))
-        raise ValueError(f"adam_step: non-finite gradient for {bad}")
+        raise NonFiniteError(f"adam_step: non-finite gradient for {bad}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t

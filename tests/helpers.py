@@ -182,7 +182,8 @@ def adam_step_via_reference(theta, grad, state):
 
 def sample_pk_batch_reference(dataset, P, K, rng):
     """PK sampling row by row from the `samples` view: per identity, the
-    visible and thermal sample ids in row order, gathered one at a time."""
+    visible and thermal sample ids in row order, gathered one at a time
+    into the visible half or the thermal half of the batch."""
     from xmodal.losses import LabeledBatch
 
     index, by_id = {}, {}
@@ -195,17 +196,16 @@ def sample_pk_batch_reference(dataset, P, K, rng):
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     eligible.sort()
     chosen = rng.choice(len(eligible), size=P, replace=False)
-    rows, idents, mods = [], [], []
+    halves = {"V": [], "T": []}  # (feature, identity, modality) per row
     for ci in chosen:
         ident = eligible[ci]
         vis, thm = index[ident]
         for pool, mod in ((vis, "V"), (thm, "T")):
             picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
             for p in picks:
-                rows.append(by_id[pool[p]].feature)
-                idents.append(ident)
-                mods.append(mod)
-    return LabeledBatch(features=np.stack(rows), identity=np.array(idents),
+                halves[mod].append((by_id[pool[p]].feature, ident, mod))
+    features, idents, mods = zip(*halves["V"], *halves["T"])
+    return LabeledBatch(features=np.stack(features), identity=np.array(idents),
                         modality=np.array(mods), P=P, K=K)
 
 
@@ -275,14 +275,11 @@ def triplet_reference(features, offsets, rho):
     return float(np.maximum(term, 0.0).sum()), grad
 
 
-def split_batch_reference(batch, idents):
-    """`harness._split_batch` with class labels from a dict lookup per row."""
+def class_labels_reference(identity, idents):
+    """The class label of each row by a dict lookup: an identity's class is
+    its position in the sorted `idents`."""
     label_map = {ident: i for i, ident in enumerate(idents)}
-    vis = np.flatnonzero(batch.modality == "V")
-    thm = np.flatnonzero(batch.modality == "T")
-    return (batch.features[vis], batch.features[thm],
-            np.array([label_map[i] for i in batch.identity[vis]]),
-            np.array([label_map[i] for i in batch.identity[thm]]))
+    return np.array([label_map[i] for i in identity])
 
 
 def scatter_pairs_reference(grad, p, n, gp, gn):
@@ -358,6 +355,7 @@ def check_full_model_reference(rng, mfi, **setup):
     `per_point`: each evaluation copies every parameter array and runs the
     whole train step, forward and backward, on one point."""
     from xmodal import harness
+    from xmodal.losses import loss_targets
     from xmodal.numerics import per_point
 
     for _ in range(50):
@@ -366,13 +364,14 @@ def check_full_model_reference(rng, mfi, **setup):
             break
     else:
         raise RuntimeError("could not build a kink-free model instance")
-    _, grads = harness._model_forward(params, cfg, loss_cfg, x, labels, P, K)
+    targets = loss_targets(labels, P, K)
+    _, grads = harness._train_step(params, cfg, loss_cfg, x, targets)
     worst = 0.0
     for name in sorted(params.values):
         def f(v, name=name):
             trial = params.copy()
             trial.values[name] = v
-            return harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+            return harness._train_step(trial, cfg, loss_cfg, x, targets)[0].total
 
         worst = max(worst, harness._gradient_error(grads[name], per_point(f), params.values[name]))
     return worst

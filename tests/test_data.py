@@ -265,6 +265,21 @@ class TestPKSampler:
             seen |= set(sample_pk_batch(ds, 8, 2, rng).identity.tolist())
         assert seen == set(range(20))
 
+    def test_rows_are_the_visible_half_then_the_thermal_half(self):
+        # both halves list the drawn identities in the same order, K rows
+        # each, and every row is a dataset row of its identity and modality
+        ds = generate_synthetic(small_synth(num_identities=10, per_identity_per_modality=3))
+        rng = np.random.default_rng(9)
+        for P, K in ((2, 1), (4, 3), (5, 4)):
+            batch = sample_pk_batch(ds, P, K, rng)
+            n = P * K
+            assert (batch.modality[:n] == "V").all() and (batch.modality[n:] == "T").all()
+            np.testing.assert_array_equal(batch.identity[:n], batch.identity[n:])
+            np.testing.assert_array_equal(batch.identity[:n], np.repeat(batch.identity[:n:K], K))
+            for feature, ident, modality in zip(batch.features, batch.identity, batch.modality):
+                source = (ds.identity == ident) & (ds.modality == modality)
+                assert (ds.features[source] == feature).all(axis=1).any()
+
     def test_matches_row_by_row_reference(self):
         # shuffled rows, sparse sample ids, one identity with no thermal rows
         # (never eligible), and pools of 1 and 2 rows, which K=3 draws with

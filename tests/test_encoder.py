@@ -137,8 +137,7 @@ class TestEncode:
             assert b.v_fused_post.shape == (4, dim)
 
 
-BUNDLE_FIELDS = ("v_pre", "v_post", "logits_backbone", "v_mid", "v_fused", "v_fused_post",
-                 "logits_skip")
+BUNDLE_FIELDS = ("v_pre", "v_post", "logits_backbone", "v_fused", "v_fused_post", "logits_skip")
 LOSS_FIELDS = ("softmax", "backbone", "cross", "intra", "dual", "total")
 
 
@@ -165,8 +164,7 @@ class TestStackedForward:
             params.values[k] = params.values[k] + 0.05 * rng.standard_normal(params.values[k].shape)
         P, K, m = 3, 2, 7
         x = rng.standard_normal((2 * P * K, cfg.input_dim))
-        labels = np.repeat(np.arange(P), K)
-        targets = loss_targets(labels, labels, P, K)
+        targets = loss_targets(np.tile(np.repeat(np.arange(P), K), 2), P, K)
         loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0)
         names = ["visible.stage1.W", "thermal.stage2.b", "head.fc.W", "head.bn.gamma",
                  "head.cls.b", "mid.fc.W", "mid.bn.beta", "mid.cls.W"]

@@ -43,10 +43,10 @@ from helpers import (
     certified_picks_reference,
     check_full_model_reference,
     check_triplet_reference,
+    class_labels_reference,
     pair_distances_reference,
     running_stats_reference,
     sample_pk_batch_reference,
-    split_batch_reference,
     validate_reference,
 )
 
@@ -205,15 +205,31 @@ class TestTrain:
         enc = EncoderConfig(input_dim=6, num_classes=0, stage_dims=(8, 8), tap_stage=1, d=64)
         cfg = tiny_config(encoder=enc, P=4, K=3, epochs=3)
         p1, _, r1 = train(ds, cfg)
+        batches, steps = [], []  # each sampled batch; each step's (rows, class labels)
+        train_step = harness._train_step
+
+        def sampler(*args):
+            batches.append(sample_pk_batch_reference(*args))
+            return batches[-1]
+
+        def step(params, enc_cfg, loss_cfg, x, targets, out=None):
+            steps.append((x, targets.labels))
+            return train_step(params, enc_cfg, loss_cfg, x, targets, out=out)
+
         with monkeypatch.context() as m:
-            m.setattr(harness, "sample_pk_batch", sample_pk_batch_reference)
-            m.setattr(harness, "_split_batch", split_batch_reference)
+            m.setattr(harness, "sample_pk_batch", sampler)
+            m.setattr(harness, "_train_step", step)
             m.setattr(harness, "adam_step", adam_step_via_reference)
             m.setattr(losses, "pair_distances", pair_distances_reference)
             m.setattr(losses, "_certified_picks", certified_picks_reference)
             m.setattr(LabeledBatch, "validate", validate_reference)
             p2, _, r2 = train(ds, cfg)
         assert r1.to_json() == r2.to_json()
+        idents = np.unique(ds.identity)
+        assert len(steps) == len(batches) == cfg.epochs * batches_per_epoch(ds, cfg.P, cfg.K)
+        for batch, (x, labels) in zip(batches, steps):
+            assert x is batch.features
+            assert np.array_equal(labels, class_labels_reference(batch.identity, idents))
         for section in ("values", "bn_state"):
             a, b = getattr(p1, section), getattr(p2, section)
             assert set(a) == set(b)
@@ -264,11 +280,11 @@ class TestTrain:
         for v in params.bn_state.values():
             v[...] = 0.5 + rng.random(v.shape)
         n = P * K
-        targets = losses.loss_targets(labels[:n], labels[n:], P, K)
+        targets = losses.loss_targets(labels, P, K)
         for _ in range(3):
             x = rng.standard_normal((2 * n, cfg.input_dim))
             want = running_stats_reference(params, cfg, x[:n], x[n:])
-            harness._train_step(params, cfg, loss_cfg, x[:n], x[n:], targets)
+            harness._train_step(params, cfg, loss_cfg, x, targets)
             assert set(params.bn_state) == set(want)
             for name, v in want.items():
                 assert np.array_equal(params.bn_state[name], v), name
@@ -281,11 +297,11 @@ class TestTrain:
         rng = np.random.default_rng(3)
         idents = np.unique(ds.identity)
         for P, K in ((2, 1), (3, 2), (7, 3)):
-            layout = np.repeat(np.arange(P), K)
-            want = losses.loss_targets(layout, layout, P, K).offsets
+            layout = np.tile(np.repeat(np.arange(P), K), 2)
+            want = losses.loss_targets(layout, P, K).offsets
             for _ in range(20):
-                _, _, yv, yt = harness._split_batch(sample_pk_batch(ds, P, K, rng), idents)
-                assert np.array_equal(losses.loss_targets(yv, yt, P, K).offsets, want)
+                labels = np.searchsorted(idents, sample_pk_batch(ds, P, K, rng).identity)
+                assert np.array_equal(losses.loss_targets(labels, P, K).offsets, want)
 
     def test_reference_run_certifies_every_pick(self, monkeypatch):
         # acceptance criterion 6's configuration and corpus, two epochs:
@@ -663,10 +679,10 @@ class TestGradcheck:
 
 class TestLossOnlySweep:
     """The full-model sweep evaluates `_loss_sweep`'s forward steps on a
-    stack of points per call, not `_model_forward` point by point."""
+    stack of points per call, not `_train_step` point by point."""
 
     @pytest.mark.parametrize("mfi", [True, False])
-    def test_loss_matches_model_forward_and_leaves_params(self, mfi):
+    def test_loss_matches_train_step_and_leaves_params(self, mfi):
         # every parameter name, as one stack of its value and of copies with
         # the first or last entry moved: a visible.* or thermal.* stack
         # re-encodes one stream, a shared array's both
@@ -674,7 +690,8 @@ class TestLossOnlySweep:
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
         values = {k: v.copy() for k, v in params.values.items()}
         bn_state = {k: v.copy() for k, v in params.bn_state.items()}
-        loss = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+        targets = losses.loss_targets(labels, P, K)
+        loss = harness._loss_sweep(params, cfg, loss_cfg, x, targets)
         prefixes = set()
         for name in sorted(params.values):
             prefixes.add(name.partition(".")[0])
@@ -689,7 +706,7 @@ class TestLossOnlySweep:
             for k, v in enumerate(points):
                 trial = params.copy()
                 trial.values[name] = v
-                want = harness._model_forward(trial, cfg, loss_cfg, x, labels, P, K)[0]
+                want = harness._train_step(trial, cfg, loss_cfg, x, targets)[0].total
                 assert got[k] == want, (name, k)
         assert prefixes == ({"visible", "thermal", "head", "mid"} if mfi
                             else {"visible", "thermal", "head"})
@@ -703,7 +720,7 @@ class TestLossOnlySweep:
         # intermediates at once; in parts the peak stays near one part's
         rng = np.random.default_rng(62)
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, True)
-        loss = harness._loss_sweep(params, cfg, loss_cfg, x, labels, P, K)
+        loss = harness._loss_sweep(params, cfg, loss_cfg, x, losses.loss_targets(labels, P, K))
         value = params.values["head.fc.W"]
         points = value + 1e-6 * rng.standard_normal((200,) + value.shape)
         tracemalloc.start()
@@ -1162,6 +1179,45 @@ class TestCli:
         with pytest.raises(ValueError, match="a bug in training"):
             cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
                       "--out", str(workdir / "m.ckpt")])
+
+    def test_a_diverged_run_exits_4(self, workdir, capsys):
+        # a finite but huge learning rate overflows the parameters, so the
+        # next loss is NaN: a numeric error that names the cause, not a
+        # traceback, and no checkpoint
+        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        doc = json.loads((workdir / "train.json").read_text())
+        doc["learning_rate"] = 1e300
+        write_json(workdir / "huge_lr.json", doc)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli.main(["train", "--data", str(data), "--config", str(workdir / "huge_lr.json"),
+                             "--out", str(ckpt)])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == "" and not ckpt.exists()
+        assert err == ("numeric error: total_loss: non-finite loss nan: the run diverged, "
+                       "or its inputs are too large for float64\n")
+
+    def test_eval_of_overflowing_weights_exits_4(self, workdir, capsys):
+        # finite stage weights scaled by 1e200 overflow the test features
+        data, ckpt, huge = workdir / "data.txt", workdir / "model.ckpt", workdir / "huge.ckpt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        params, enc_cfg = load_checkpoint(ckpt)
+        for name, v in params.values.items():
+            if ".stage" in name:
+                v *= 1e200
+        save_checkpoint(params, enc_cfg, huge)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli.main(["eval", "--checkpoint", str(huge), "--data", str(data)])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numeric error: evaluation: non-finite query feature: the run diverged, "
+                       "or its inputs are too large for float64\n")
 
     def test_unknown_synth_key_exits_1(self, workdir, capsys):
         bad = workdir / "synth_bad.json"

@@ -356,7 +356,7 @@ class TestForwardStep:
         rng = np.random.default_rng(71)
         bv, bt, yv, yt = loss_bundles(rng, mfi)
         cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0)
-        targets = loss_targets(yv, yt, 3, 2)
+        targets = loss_targets(np.concatenate([yv, yt]), 3, 2)
         fields = ("v_fused_post", "logits_skip", "logits_backbone") if mfi else ("v_post", "logits_backbone")
         for bundle in (bv, bt):
             for field in fields:
@@ -371,8 +371,8 @@ class TestForwardStep:
         rng = np.random.default_rng(72)
         bv, bt, yv, yt = loss_bundles(rng, mfi=False)
         with pytest.raises(ValueError, match="LabeledBatch: identity 1 has 3 V rows"):
-            loss_targets(np.array([0, 0, 1, 1, 2, 1]), yt, 3, 2)
-        targets = loss_targets(yv[:4], yt[:4], 2, 2)
+            loss_targets(np.concatenate([[0, 0, 1, 1, 2, 1], yt]), 3, 2)
+        targets = loss_targets(np.concatenate([yv[:4], yt[:4]]), 2, 2)
         with pytest.raises(ValueError, match="total_loss: 6 visible and 6 thermal rows for 4 and 4"):
             total_loss_forward(bv, bt, targets, LossConfig(rho=RHO), branch(False))
 
