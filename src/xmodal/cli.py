@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError
 from .data import DataError, generate_synthetic, load_dataset, save_dataset
 from .evaluation import EvalProtocol
@@ -186,7 +188,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

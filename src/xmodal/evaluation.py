@@ -55,8 +55,10 @@ def _ranked_blocks(query_feats, gallery_feats):
     index. Each block's scores come from one GEMM: ||q||^2 is constant along
     a row and ranking needs no sqrt. Rows are centered on the gallery mean
     first, so that a common offset in the features cannot swamp the cross
-    term. Duplicate gallery rows share one GEMM column, because BLAS may
-    round equal columns differently; they tie exactly. A block holds at most
+    term. The GEMM runs against the gallery in its own row order, and each
+    duplicate row (equal bytes once -0.0 reads as +0.0) gets a copy of its
+    first occurrence's column, because BLAS may round equal columns
+    differently; duplicates tie exactly. A block holds at most
     DIST_BLOCK_BYTES of scores, never a Q x G matrix.
 
     A block is ranked by one in-place sort of int64 keys. A score's float64
@@ -92,24 +94,27 @@ def _ranked_blocks(query_feats, gallery_feats):
     if not np.isfinite(g).all():
         raise NonFiniteError("evaluation: non-finite gallery feature")
     mean = g.mean(axis=0)
-    unique, column = np.unique(g, axis=0, return_inverse=True)
-    column = column.reshape(-1)
-    unique -= mean
-    sq_norms = np.einsum("ij,ij->i", unique, unique)
-    unique *= -2.0
+    row_bytes = (g + 0.0).view(np.dtype((np.void, 8 * g.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+    first = first[inverse]
+    dupes = np.flatnonzero(first != np.arange(len(g)))
+    twins = first[dupes]
+    centered = g - mean
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    centered *= -2.0
     bits = max(1, (len(g) - 1).bit_length())
     low = (1 << bits) - 1
     index = np.arange(len(g), dtype=np.int64)
     rows = max(1, DIST_BLOCK_BYTES // (8 * g.shape[0]))
     for start in range(0, q.shape[0], rows):
-        scores = (q[start:start + rows] - mean) @ unique.T
+        scores = (q[start:start + rows] - mean) @ centered.T
         scores += sq_norms
+        scores[:, dupes] = scores[:, twins]
         if not np.isfinite(scores).all():
             raise NonFiniteError("evaluation: a query-gallery score overflowed; the features are too large")
-        keys = scores[:, column].view(np.int64)
-        flip = keys >> 63
+        flip = scores.view(np.int64) >> 63
         flip &= 2**63 - 1
-        keys ^= flip
+        keys = scores.view(np.int64) ^ flip
         keys &= ~low
         keys |= index
         keys.sort(axis=1)
@@ -118,25 +123,20 @@ def _ranked_blocks(query_feats, gallery_feats):
         order = np.bitwise_and(keys, low, out=keys)
         if shared.size:
             row, pos = divmod(shared, len(g) - 1)
-            ahead, behind = column[order[row, pos]], column[order[row, pos + 1]]
-            redo = np.unique(row[scores[row, ahead] != scores[row, behind]])
-            order[redo] = np.argsort(scores[redo][:, column], axis=1, kind="stable")
+            redo = np.unique(row[scores[row, order[row, pos]] != scores[row, order[row, pos + 1]]])
+            order[redo] = np.argsort(scores[redo], axis=1, kind="stable")
         yield start, order
 
 
-def _average_precisions(rel):
-    """AP of each row of a 2-D relevance block whose every row holds a hit:
+def _hit_scores(rows, cols, queries):
+    """AP and 1-based first-hit position of each of `queries` rows that has a
+    hit, from the (row, position) of every hit in row-major order. AP =
     (1/R) * sum_k Precision@k over the relevant positions k, summed in order."""
-    rows, cols = np.nonzero(rel)
-    counts = np.bincount(rows, minlength=len(rel))
+    counts = np.bincount(rows, minlength=queries)
+    counts = counts[counts > 0]
     starts = np.cumsum(counts) - counts
     seen = np.arange(1, rows.size + 1) - np.repeat(starts, counts)
-    return np.add.reduceat(seen / (cols + 1), starts) / counts
-
-
-def _first_hits(rel):
-    """1-based position of the first relevant item in each row of a block."""
-    return np.argmax(rel, axis=1) + 1
+    return np.add.reduceat(seen / (cols + 1), starts) / counts, cols[starts] + 1
 
 
 def _cmc_rates(first_hits, ranks):
@@ -159,10 +159,11 @@ def rank_gallery(query_feature, gallery_features):
 
 def average_precision(relevance):
     """AP = (1/R) * sum_k Precision@k over relevant positions k."""
-    rel = np.asarray(relevance, dtype=bool).reshape(1, -1)
-    if not rel.any():
+    cols = np.flatnonzero(np.asarray(relevance, dtype=bool))
+    if not cols.size:
         raise ValueError("average_precision: no relevant items")
-    return float(_average_precisions(rel)[0])
+    ap, _ = _hit_scores(np.zeros_like(cols), cols, 1)
+    return float(ap[0])
 
 
 def cmc_curve(relevance_lists, ranks):
@@ -173,19 +174,33 @@ def cmc_curve(relevance_lists, ranks):
     rel = np.asarray(relevance_lists, dtype=bool)
     if rel.ndim != 2 or rel.shape[0] == 0:
         raise ValueError("cmc_curve: no queries")
-    if not rel.any(axis=1).all():
+    _, first_hits = _hit_scores(*np.nonzero(rel), len(rel))
+    if len(first_hits) < len(rel):
         raise ValueError("cmc_curve: query with no relevant gallery item")
-    return _cmc_rates(_first_hits(rel), ranks)
+    return _cmc_rates(first_hits, ranks)
 
 
 def _encode_features(dataset, params, config, modality_tag):
-    """Eval-mode test features for all samples of one modality, plus labels."""
+    """Eval-mode test features for all samples of one modality, plus labels.
+
+    Rows are encoded in blocks whose widest activation holds at most
+    DIST_BLOCK_BYTES, which eval mode leaves bit-identical to one call. No
+    block has a single row unless the modality does: numpy sends a one-row
+    matmul to a BLAS gemv, whose rounding differs.
+    """
     stream = "visible" if modality_tag == VISIBLE else "thermal"
-    rows = dataset.modality == modality_tag
-    if not rows.any():
+    picked = np.flatnonzero(dataset.modality == modality_tag)
+    if not picked.size:
         raise DataError(f"evaluation: the dataset has no samples with modality {modality_tag}")
-    bundle, _ = encode(params, config, dataset.features[rows], stream, mode="eval")
-    return test_feature(bundle, config), dataset.identity[rows]
+    out_dim = config.fused_dim if config.mfi_enabled else config.d
+    widest = max(config.input_dim, *config.stage_dims, out_dim, config.num_classes)
+    step = max(2, DIST_BLOCK_BYTES // (8 * widest))
+    bounds = [*range(0, max(picked.size - 1, 1), step), picked.size]
+    feats = np.empty((picked.size, out_dim))
+    for start, stop in zip(bounds, bounds[1:]):
+        x = dataset.features[picked[start:stop]]
+        feats[start:stop] = test_feature(encode(params, config, x, stream, mode="eval")[0], config)
+    return feats, dataset.identity[picked]
 
 
 def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
@@ -193,23 +208,20 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
     """Single-pass CMC/mAP over explicit feature matrices, in blocks of queries."""
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
-    ap_values, first_hits = [], []
-    skipped = 0
+    rows, cols = [], []
     for start, order in _ranked_blocks(query_feats, gallery_feats):
-        rel = gallery_labels[order] == query_labels[start:start + len(order), None]
-        matched = rel.any(axis=1)
-        skipped += len(rel) - int(np.count_nonzero(matched))
-        rel = rel[matched]
-        ap_values.append(_average_precisions(rel))
-        first_hits.append(_first_hits(rel))
-    ap_values = np.concatenate(ap_values)
+        row, col = np.nonzero(gallery_labels[order] == query_labels[start:start + len(order), None])
+        rows.append(row + start)
+        cols.append(col)
+    ap_values, first_hits = _hit_scores(np.concatenate(rows), np.concatenate(cols), len(query_feats))
     if not ap_values.size:
         raise DataError("evaluation: every query lacked a gallery match")
+    skipped = len(query_feats) - ap_values.size
     if skipped:
         warnings.warn(f"evaluation: {skipped} query(ies) without a gallery match excluded",
                       RuntimeWarning)
     return RankingResult(
-        cmc=_cmc_rates(np.concatenate(first_hits), ranks),
+        cmc=_cmc_rates(first_hits, ranks),
         map_score=float(np.mean(ap_values)),
         skipped_queries=skipped,
     )

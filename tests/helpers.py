@@ -5,6 +5,7 @@ implementations must not share code paths with the library they check.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +93,15 @@ def cmc_oracle(relevance_lists, ranks):
 
 def rank_oracle(query, gallery):
     dists = [dist_oracle(query, g) for g in gallery]
+    return sorted(range(len(gallery)), key=lambda i: (dists[i], i))
+
+
+def exact_rank_oracle(query, gallery):
+    """Gallery indices by ascending exact squared distance, computed in
+    rational arithmetic over the stored float64 values; exact ties break to
+    the lowest index."""
+    q = [Fraction(float(x)) for x in query]
+    dists = [sum((x - Fraction(float(y))) ** 2 for x, y in zip(q, row)) for row in gallery]
     return sorted(range(len(gallery)), key=lambda i: (dists[i], i))
 
 

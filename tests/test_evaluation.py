@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xmodal import encoder, evaluation
 from xmodal.config import ConfigError
-from xmodal.data import DataError, SynthConfig, generate_synthetic
+from xmodal.data import DataError, Dataset, SynthConfig, generate_synthetic
 from xmodal.encoder import EncoderConfig, init_encoder
 from xmodal.evaluation import (
     EvalProtocol,
+    _encode_features,
     _ranked_blocks,
     average_precision,
     cmc_curve,
@@ -18,7 +20,13 @@ from xmodal.evaluation import (
 from xmodal.harness import train, TrainConfig
 from xmodal.numerics import DIST_BLOCK_BYTES
 
-from helpers import average_precision_oracle, cmc_oracle, rank_oracle, ranked_blocks_reference
+from helpers import (
+    average_precision_oracle,
+    cmc_oracle,
+    exact_rank_oracle,
+    rank_oracle,
+    ranked_blocks_reference,
+)
 
 
 class TestRankGallery:
@@ -369,6 +377,164 @@ class TestKeyRanking:
         np.testing.assert_array_equal(order, [zeros + [perm.index(2)]])
         np.testing.assert_array_equal(order, reference_order(q, g))
         assert redone == 0
+
+
+def duplicate_gallery(case, rng):
+    """(queries, gallery) for one way a gallery can hold duplicate rows. Each
+    gallery has 402 or 403 rows: OpenBLAS rounds some equal columns of a
+    GEMM that wide differently, so a twin ranked by its own column would
+    not tie."""
+    base = rng.standard_normal((201, 6))
+    if case == "every row repeats":
+        g = np.repeat(base[:134], 3, axis=0)[rng.permutation(402)]
+    elif case == "signed zeros":
+        base[:, ::2] = 0.0
+        signed = base.copy()
+        signed[:, ::2] = -0.0
+        g = np.concatenate([base, signed])[rng.permutation(402)]
+    elif case == "twins across query blocks":
+        g = base[rng.integers(0, 30, 403)]
+    else:  # "later twin sorts first": descending byte order, and the twin has +0.0 for -0.0
+        base[:, 0] = 0.0
+        base = base[np.argsort(base.view(np.dtype((np.void, 48))).reshape(-1))[::-1]]
+        signed = base.copy()
+        signed[:, 0] = -0.0
+        g = np.concatenate([signed, base])
+    per_block = DIST_BLOCK_BYTES // (8 * len(g))
+    q = rng.standard_normal((2 * per_block + 5, 6))
+    q[::per_block // 2] = g[rng.integers(0, len(g), len(q[::per_block // 2]))]
+    return q, g
+
+
+DUPLICATE_CASES = ["every row repeats", "signed zeros", "twins across query blocks",
+                   "later twin sorts first"]
+
+
+class TestDuplicateGallery:
+    """Each duplicate row gets its first occurrence's GEMM column."""
+
+    @pytest.mark.parametrize("case", DUPLICATE_CASES)
+    def test_twins_tie_by_index_as_the_reference_ranks(self, case):
+        q, g = duplicate_gallery(case, np.random.default_rng(41))
+        _, group = np.unique(g, axis=0, return_inverse=True)  # -0.0 == +0.0
+        group = group.reshape(-1)
+        assert np.unique(group).size < len(g)
+        blocks = list(_ranked_blocks(q, g))
+        assert len(blocks) == 3
+        order = np.concatenate([order for _, order in blocks])
+        np.testing.assert_array_equal(order, reference_order(q, g))
+        # the copies of a row form one run, in ascending index order
+        ranked = group[order]
+        same = ranked[:, 1:] == ranked[:, :-1]
+        assert same.sum() == len(q) * (len(g) - np.unique(group).size)
+        assert (np.diff(order, axis=1)[same] > 0).all()
+
+    @pytest.mark.parametrize("case", DUPLICATE_CASES)
+    def test_evaluate_features_on_duplicates(self, case):
+        rng = np.random.default_rng(42)
+        q, g = duplicate_gallery(case, rng)
+        gl, ql = rng.integers(0, 8, len(g)), rng.integers(0, 8, len(q))
+        ql[[0, -1]] = 98, 99  # no gallery match
+        ranks = (1, 5, 10)
+        with pytest.warns(RuntimeWarning) as caught:
+            res = evaluate_features(q, ql, g, gl, ranks=ranks)
+        assert [str(w.message) for w in caught] == [
+            "evaluation: 2 query(ies) without a gallery match excluded"]
+        want_map, want_cmc, want_skipped = ranking_oracle(q, ql, g, gl, ranks)
+        assert res.skipped_queries == want_skipped == 2
+        assert abs(res.map_score - want_map) < 1e-12
+        assert res.cmc == pytest.approx(want_cmc, abs=1e-12)
+        with pytest.raises(DataError, match="^evaluation: every query lacked a gallery match$"):
+            evaluate_features(q, np.full(len(q), 99), g, gl, ranks=ranks)
+
+
+class TestExactOrder:
+    """GEMM orders against exact rational distances on near-duplicates."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_near_duplicates_rank_in_exact_order(self, eps):
+        rng = np.random.default_rng(43)
+        base = rng.standard_normal((40, 16))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        g = np.concatenate([base, base + eps * rng.standard_normal(base.shape)])
+        q = base[rng.integers(0, 40, 20)] + 0.1 * rng.standard_normal((20, 16))
+        want = np.array([exact_rank_oracle(f, g) for f in q])
+        order = np.concatenate([order for _, order in _ranked_blocks(q, g)])
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(rank_gallery(q[0], g), want[0])
+
+    def test_the_oracle_is_exact_where_floats_are_not(self):
+        # squared distances 1 + 2**-104, 1 + 2**-106 and 1 from the query:
+        # float sums round all three to 1.0
+        g = np.array([[1.0 + 2.0 ** -52, 1.0], [1.0 - 2.0 ** -53, 1.0], [1.0, 1.0]])
+        q = np.array([1.0, 0.0])
+        assert rank_oracle(q, g) == [0, 1, 2]
+        assert exact_rank_oracle(q, g) == [2, 1, 0]
+
+
+def two_stream_model(fusion, mfi):
+    cfg = EncoderConfig(input_dim=12, num_classes=7, stage_dims=(40, 24), tap_stage=1,
+                        d=48, fusion=fusion, mfi_enabled=mfi)
+    params = init_encoder(cfg, 3)
+    rng = np.random.default_rng(5)
+    for v in params.bn_state.values():
+        v += rng.uniform(0.1, 1.0, v.shape)  # running stats away from (0, 1)
+    return cfg, params
+
+
+def modality_dataset(rows, dim, rng):
+    """`rows` visible rows interleaved with as many thermal ones."""
+    return Dataset(features=rng.standard_normal((2 * rows, dim)),
+                   identity=rng.integers(0, 50, 2 * rows),
+                   modality=np.tile(np.array(["V", "T"]), rows),
+                   sample_id=np.arange(2 * rows))
+
+
+class TestBlockedEncode:
+    @pytest.mark.parametrize("fusion", ["cat", "sum"])
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_equals_one_encode_call_bit_for_bit(self, fusion, mfi, monkeypatch):
+        cfg, params = two_stream_model(fusion, mfi)
+        out_dim = cfg.fused_dim if mfi else cfg.d
+        block = DIST_BLOCK_BYTES // (8 * max(cfg.input_dim, *cfg.stage_dims, out_dim, cfg.num_classes))
+        sizes = []
+
+        def spy(p, c, x, *args, **kwargs):
+            sizes.append(len(x))
+            return encoder.encode(p, c, x, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "encode", spy)
+        rng = np.random.default_rng(6)
+        for rows in (1, block - 1, block, block + 1, 3 * block + 7):
+            ds = modality_dataset(rows, cfg.input_dim, rng)
+            sizes.clear()
+            feats, labels = _encode_features(ds, params, cfg, "V")
+            bundle, _ = encoder.encode(params, cfg, ds.features[::2], "visible", mode="eval")
+            want = encoder.test_feature(bundle, cfg)
+            assert feats.shape == want.shape == (rows, out_dim)
+            np.testing.assert_array_equal(feats.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(labels, ds.identity[::2])
+            # no block over the byte bound but for one merged row, and no
+            # one-row block but a one-row modality
+            assert sum(sizes) == rows and max(sizes) <= block + 1
+            assert min(sizes) >= min(rows, 2)
+        feats, _ = _encode_features(ds, params, cfg, "T")
+        bundle, _ = encoder.encode(params, cfg, ds.features[1::2], "thermal", mode="eval")
+        np.testing.assert_array_equal(feats.view(np.int64), encoder.test_feature(bundle, cfg).view(np.int64))
+
+    def test_memory_bounded_by_the_block(self):
+        cfg = EncoderConfig(input_dim=32, num_classes=60, stage_dims=(64, 64, 64), tap_stage=2,
+                            d=64, fusion="cat")
+        params = init_encoder(cfg, 0)
+        ds = modality_dataset(8000, cfg.input_dim, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            feats, _ = _encode_features(ds, params, cfg, "V")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one encode call over all 8000 rows peaks near 300 times the block
+        assert peak < 16 * DIST_BLOCK_BYTES + feats.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRunProtocol:

@@ -1190,10 +1190,13 @@ class TestCli:
         doc["learning_rate"] = 1e300
         write_json(workdir / "huge_lr.json", doc)
         capsys.readouterr()
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(["train", "--data", str(data), "--config", str(workdir / "huge_lr.json"),
                              "--out", str(ckpt)])
         assert code == 4
+        # the numeric error line alone: numpy's overflow warnings stay silent
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert out == "" and not ckpt.exists()
         assert err == ("numeric error: total_loss: non-finite loss nan: the run diverged, "
@@ -1211,9 +1214,11 @@ class TestCli:
                 v *= 1e200
         save_checkpoint(params, enc_cfg, huge)
         capsys.readouterr()
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(["eval", "--checkpoint", str(huge), "--data", str(data)])
         assert code == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert out == ""
         assert err == ("numeric error: evaluation: non-finite query feature: the run diverged, "
