@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError
-from .losses import LabeledBatch, THERMAL, VISIBLE
+from .losses import LabeledBatch, THERMAL, VISIBLE, pk_layout
 
 HEADER_PREFIX = "# xmodal-dataset v1 dim="
 
@@ -243,30 +243,25 @@ def _subset(dataset, rows):
 
 
 def sample_pk_batch(dataset, P, K, rng):
-    """Draw P identities, then K rows per identity per modality.
+    """Draw P identities, then K rows per identity per modality, as a
+    `LabeledBatch` in `pk_layout`'s row order, checked when it is built.
 
     Draws are without replacement unless an identity's modality pool is
     smaller than K, in which case that pool is sampled with replacement.
-    The draws go identity by identity, visible pool then thermal pool. The
-    rows come as the visible half, then the thermal half, each with K rows
-    per drawn identity in draw order: row r of one half has the identity of
-    row r of the other.
+    The draws go identity by identity, visible pool then thermal pool; the
+    p-th drawn identity fills identity slot p of the layout.
     """
     eligible, pools = dataset.eligible, dataset.pools
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     chosen = rng.choice(len(eligible), size=P, replace=False)
-    rows = np.empty((2, P, K), dtype=np.intp)  # (modality, identity, pick)
+    rows = np.empty((2, P, K), dtype=np.intp)  # (modality, slot, pick): the layout's row order
     for p, ci in enumerate(chosen):
         for m, pool in enumerate(pools[ci]):
             rows[m, p] = pool[rng.choice(len(pool), size=K, replace=len(pool) < K)]
-    return LabeledBatch(
-        features=dataset.features[rows.reshape(-1)],
-        identity=np.tile(np.repeat(eligible[chosen], K), 2),
-        modality=np.repeat(np.array([VISIBLE, THERMAL]), P * K),
-        P=P,
-        K=K,
-    )
+    slot, modality = pk_layout(P, K)
+    return LabeledBatch(features=dataset.features[rows.reshape(-1)],
+                        identity=eligible[chosen][slot], modality=modality, P=P, K=K)
 
 
 def batches_per_epoch(dataset, P, K):

@@ -197,11 +197,8 @@ def train(dataset, config):
     n_batches = batches_per_epoch(dataset, config.P, config.K)
 
     report = RunReport(config_echo=_config_echo(config, enc_cfg), seed=config.seed)
-    # sample_pk_batch draws P distinct identities and K rows of each per
-    # modality, in the same order in both halves, so the pools depend on
-    # (P, K) alone
-    targets = L.loss_targets(np.tile(np.repeat(np.arange(config.P), config.K), 2),
-                             config.P, config.K)
+    # every sampled batch is in pk_layout, so the pools depend on (P, K) alone
+    targets = L.loss_targets(L.pk_layout(config.P, config.K)[0], config.P, config.K)
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate
         if epoch > config.lr_decay_epoch:
@@ -308,11 +305,14 @@ def _unpack_section(path, doc, section, expected):
     for name, ref in expected.items():
         key = f"{path}: {section}.{name}"
         try:
-            shape = tuple(stored[name]["shape"])
+            shape = stored[name]["shape"]
             values = np.array(stored[name]["values"], dtype=np.float64)
         except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{key}: needs a numeric 'shape' and a flat 'values' list") from None
-        if shape != ref.shape:
+            shape = None
+        # JSON reads 8.0 as a float and true as a bool; a shape holds ints
+        if not isinstance(shape, list) or any(type(v) is not int for v in shape):
+            raise ConfigError(f"{key}: needs a 'shape' list of integers and a flat 'values' list")
+        if tuple(shape) != ref.shape:
             raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(ref.shape)}")
         if values.shape != (ref.size,):
             raise ConfigError(f"{key}: {values.size} values for shape {list(shape)}, "
@@ -481,12 +481,12 @@ def _check_softmax(rng):
 
 
 def _stable_pk_features(rng, P, K, dim, rho, *, tol=1e-3, max_tries=50):
-    """Random PK metric batch whose hinge terms and mining selections sit
-    safely away from kinks, so finite differences are trustworthy."""
+    """Random PK metric batch, in the sampler's `pk_layout`, whose hinge
+    terms and mining selections sit safely away from kinks, so finite
+    differences are trustworthy."""
+    idents, mods = L.pk_layout(P, K)
     for _ in range(max_tries):
         feats = rng.standard_normal((2 * P * K, dim))
-        idents = np.repeat(np.arange(P), 2 * K)
-        mods = np.array(([L.VISIBLE] * K + [L.THERMAL] * K) * P)
         batch = LabeledBatch(features=feats, identity=idents, modality=mods, P=P, K=K)
         if L.mining_margins(batch, rho) > tol:
             return batch
@@ -524,8 +524,7 @@ def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5), input_dim=5, d=
     for k in params.values:
         params.values[k] = params.values[k] + 0.05 * rng.standard_normal(params.values[k].shape)
     x = rng.standard_normal((2 * P * K, cfg.input_dim))
-    # visible rows first, then thermal rows, K rows per identity in each half
-    labels = np.concatenate([np.repeat(np.arange(P), K)] * 2)
+    labels = L.pk_layout(P, K)[0]
     loss_cfg = LossConfig(rho=0.5, lambda1=0.1, lambda2=2.0)
     return cfg, params, loss_cfg, x, labels, P, K
 
@@ -593,14 +592,12 @@ def _array_bytes(tree):
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     """Smallest distance of a model instance from a kink: of any ReLU input
     from zero, or of the mined triplets (see `mining_margins`)."""
-    n = x.shape[0] // 2
     (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, cfg, x).values()
     # cache[1] holds one (dense cache, relu cache) pair per stage
     relu_margin = min(float(np.min(np.abs(relu_cache[0])))
                       for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
     feats = np.concatenate([test_feature(bundle_v, cfg), test_feature(bundle_t, cfg)])
-    mods = np.array([L.VISIBLE] * n + [L.THERMAL] * n)
-    batch = LabeledBatch(features=feats, identity=labels, modality=mods, P=P, K=K)
+    batch = LabeledBatch(features=feats, identity=labels, modality=L.pk_layout(P, K)[1], P=P, K=K)
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 

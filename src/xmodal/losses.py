@@ -8,8 +8,9 @@ hardest-pair selection break toward the lowest row index.
 
 Each loss is a forward step, which computes the loss value and keeps what
 the gradient needs, and a gradient step. The (loss, grad) functions run
-both; a finite-difference sweep runs the forward step alone, on labels and
-candidate pools checked once per batch.
+both; a finite-difference sweep runs the forward step alone, on candidate
+pools built once per batch. A `LabeledBatch` is checked once, when it is
+built, and each loss only reads it; `pk_layout` defines a PK batch's rows.
 
 The forward steps broadcast over leading stack axes, as the layers in
 `numerics` do: `triplet_loss` and `total_loss_forward` take a stack of
@@ -65,9 +66,16 @@ class LossConfig:
                                   f"got {getattr(self, name)}")
 
 
+def pk_layout(P, K):
+    """(identity slot, modality) of each row of a PK batch: row (m*P + p)*K + k
+    is pick k of slot p in modality m, the visible half (m = 0) first."""
+    return np.tile(np.repeat(np.arange(P), K), 2), np.repeat(np.array([VISIBLE, THERMAL]), P * K)
+
+
 @dataclass
 class LabeledBatch:
-    """A 2*P*K block of rows: K per (identity, modality) for P identities."""
+    """A 2*P*K block of rows: K per (identity, modality) for P identities, in
+    any row order (the sampler's is `pk_layout`), checked once, when built."""
 
     features: np.ndarray
     identity: np.ndarray
@@ -75,7 +83,7 @@ class LabeledBatch:
     P: int
     K: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.P < 2 or self.K < 1:
             raise ValueError("LabeledBatch: need P >= 2 identities and K >= 1 rows each")
         n = self.features.shape[0]
@@ -158,9 +166,8 @@ def _scatter_pairs(grad, p, n, gp, gn):
 
 
 def _modality_masks(batch):
-    """Cross and intra candidate masks of a validated batch."""
-    batch.validate()
-    visible = batch.modality == VISIBLE  # a validated row that is not VISIBLE is THERMAL
+    """Cross and intra candidate masks of a batch."""
+    visible = batch.modality == VISIBLE  # a checked row that is not VISIBLE is THERMAL
     same = visible[:, None] == visible[None, :]
     return ~same, same
 
@@ -286,8 +293,8 @@ def triplet_pools(batch, kind):
     """Checked pools of one triplet loss over the rows of `batch`, as the
     (2, n, n) score offsets `_certified_picks` takes.
 
-    `kind` names the loss: "batch_hard", "cross" or "intra". The labels are
-    checked here, once, so that `triplet_loss` can evaluate the loss at many
+    `kind` names the loss: "batch_hard", "cross" or "intra". The pools are
+    built here, once, so that `triplet_loss` can evaluate the loss at many
     feature matrices for the same rows, as a finite-difference sweep does.
     """
     if kind == "batch_hard":
@@ -311,8 +318,8 @@ def triplet_loss(features, pools, rho):
 
 
 def _dual_offsets(batch):
-    """The validated batch's cross pools, then its intra pools, as one
-    (4, n, n) stack of score offsets."""
+    """The batch's cross pools, then its intra pools, as one (4, n, n)
+    stack of score offsets."""
     return _pools(batch.identity, *_modality_masks(batch))
 
 
@@ -373,9 +380,9 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class LossTargets:
-    """Class labels of one PK batch, the visible half of its rows then the
-    thermal half, with the stacked cross and intra pools of its rows as
-    score offsets (`loss_targets`)."""
+    """Class labels of one PK batch, in `pk_layout`'s row order, with the
+    stacked cross and intra pools of its rows as score offsets
+    (`loss_targets`)."""
 
     labels: np.ndarray
     offsets: np.ndarray
@@ -383,15 +390,15 @@ class LossTargets:
 
 def loss_targets(labels, P, K):
     """Checked `LossTargets` for the 2*P*K rows of a PK batch with these
-    class labels: the first P*K rows visible, the rest thermal.
+    class labels, in `pk_layout`'s row order.
 
     A finite-difference sweep builds them once and evaluates
     `total_loss_forward` at many encodings of the same rows.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    modality = np.repeat(np.array([VISIBLE, THERMAL]), P * K)
     # the batch checks read only the row count of the features
-    batch = LabeledBatch(features=labels[:, None], identity=labels, modality=modality, P=P, K=K)
+    batch = LabeledBatch(features=labels[:, None], identity=labels, modality=pk_layout(P, K)[1],
+                         P=P, K=K)
     return LossTargets(labels=labels, offsets=_dual_offsets(batch))
 
 

@@ -220,7 +220,8 @@ def sample_pk_batch_reference(dataset, P, K, rng):
 
 
 def validate_reference(batch):
-    """`LabeledBatch.validate` as one count per (identity, modality)."""
+    """The check `LabeledBatch` makes when it is built, as one count per
+    (identity, modality), on any object with the batch's fields."""
     if batch.P < 2 or batch.K < 1:
         raise ValueError("LabeledBatch: need P >= 2 identities and K >= 1 rows each")
     n = batch.features.shape[0]

@@ -15,7 +15,7 @@ from xmodal.data import (
     split_identity_disjoint,
 )
 
-from helpers import sample_pk_batch_reference
+from helpers import sample_pk_batch_reference, validate_reference
 
 COLUMNS = ("features", "identity", "modality", "sample_id")
 
@@ -236,12 +236,12 @@ class TestPKSampler:
         ds = generate_synthetic(small_synth(num_identities=10, per_identity_per_modality=6))
         batch = sample_pk_batch(ds, 8, 4, np.random.default_rng(0))
         assert batch.features.shape[0] == 64
-        batch.validate()
+        validate_reference(batch)  # sample_pk_batch's own check ran when it built the batch
 
     def test_replacement_when_pool_small(self):
         ds = generate_synthetic(small_synth(per_identity_per_modality=2))
         batch = sample_pk_batch(ds, 3, 4, np.random.default_rng(0))
-        batch.validate()
+        validate_reference(batch)
         # 4 rows from a 2-sample pool must contain duplicates
         vis = batch.features[(batch.identity == batch.identity[0]) & (batch.modality == "V")]
         assert np.unique(vis, axis=0).shape[0] <= 2
@@ -255,7 +255,7 @@ class TestPKSampler:
         ds = generate_synthetic(small_synth(num_identities=12, per_identity_per_modality=5))
         rng = np.random.default_rng(7)
         for _ in range(300):
-            sample_pk_batch(ds, 4, 3, rng).validate()
+            validate_reference(sample_pk_batch(ds, 4, 3, rng))
 
     def test_identity_coverage(self):
         ds = generate_synthetic(small_synth(num_identities=20, per_identity_per_modality=3))

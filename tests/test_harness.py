@@ -222,7 +222,7 @@ class TestTrain:
             m.setattr(harness, "adam_step", adam_step_via_reference)
             m.setattr(losses, "pair_distances", pair_distances_reference)
             m.setattr(losses, "_certified_picks", certified_picks_reference)
-            m.setattr(LabeledBatch, "validate", validate_reference)
+            m.setattr(LabeledBatch, "__post_init__", validate_reference)
             p2, _, r2 = train(ds, cfg)
         assert r1.to_json() == r2.to_json()
         idents = np.unique(ds.identity)
@@ -378,6 +378,9 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
                          "params.head.fc.W"),
     "nan_weight": (lambda doc: doc["params"]["visible.stage1.W"]["values"].__setitem__(
         3, float("nan")), "params.visible.stage1.W"),
+    # JSON reads 8.0 as a float, which reshape does not take
+    "float_shape": (lambda doc: doc["params"]["head.fc.W"].__setitem__(
+        "shape", [float(v) for v in doc["params"]["head.fc.W"]["shape"]]), "params.head.fc.W"),
     "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
                            "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
 }
@@ -541,6 +544,49 @@ class TestGradcheck:
         r1, _ = gradcheck(trials=4, seed=7)
         r2, _ = gradcheck(trials=4, seed=7)
         assert r1 == r2
+
+    @staticmethod
+    def _mined_triplet_batches(monkeypatch, seed=7, instances=100):
+        """The batches `mining_margins` reads while `instances` triplet
+        instances of each kind are drawn, in call order."""
+        margins, margin = [], losses.mining_margins
+
+        def counted(batch, rho):
+            margins.append(batch)
+            return margin(batch, rho)
+
+        monkeypatch.setattr(losses, "mining_margins", counted)
+        for kind, name in (("batch_hard", "batch_hard_triplet"), ("cross", "cross_modality_triplet"),
+                           ("intra", "intra_modality_triplet")):
+            rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for _ in range(instances):
+                    harness._check_triplet(rng, kind)
+        return margins
+
+    def test_triplet_batches_follow_the_sampler_layout(self, monkeypatch):
+        # the visible half, then the thermal half, with the same identity
+        # slots in the same order in both, as sample_pk_batch lays them out
+        for batch in self._mined_triplet_batches(monkeypatch):
+            pk = batch.P * batch.K
+            assert np.array_equal(batch.identity[:pk], batch.identity[pk:])
+            assert np.array_equal(batch.identity[:pk], np.repeat(np.arange(batch.P), batch.K))
+            assert batch.modality.tolist() == [VISIBLE] * pk + [THERMAL] * pk
+
+    def test_triplet_instances_check_each_batch_once(self, monkeypatch):
+        # each batch is checked when it is built, and only then: one check
+        # per mining_margins call, on the same batch
+        checks, check = [], LabeledBatch.__post_init__
+
+        def counted(batch):
+            checks.append(batch)
+            check(batch)
+
+        monkeypatch.setattr(LabeledBatch, "__post_init__", counted)
+        margins = self._mined_triplet_batches(monkeypatch)
+        assert len(checks) == len(margins) >= 300
+        assert all(c is m for c, m in zip(checks, margins))
 
     @pytest.mark.parametrize("seed", [207, 505, 906])
     def test_full_model_instances_avoid_relu_kinks(self, seed):

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,17 +340,35 @@ class TestForwardStep:
                 assert loss_i == triplet_loss(v, pools["intra"], RHO)
                 assert loss_d == loss_c + 0.1 * loss_i
 
-    def test_triplet_pools_check_the_batch_once(self):
+    def test_triplet_pools_check_the_batch_once(self, monkeypatch):
+        # a LabeledBatch is checked when it is built, and the losses only
+        # read it; the plain pools check the labels of any rows
         batch = four_point_batch()
         with pytest.raises(ValueError, match="unknown kind"):
             triplet_pools(batch, "plain")
-        single = LabeledBatch(features=batch.features, identity=np.zeros(4, dtype=int),
-                              modality=batch.modality, P=2, K=1)
+        single = dict(features=batch.features, identity=np.zeros(4, dtype=int),
+                      modality=batch.modality, P=2, K=1)
         with pytest.raises(ValueError, match="at least 2 identities"):
-            triplet_pools(single, "batch_hard")
-        for kind in ("cross", "intra"):
-            with pytest.raises(ValueError, match="LabeledBatch"):
-                triplet_pools(single, kind)
+            triplet_pools(SimpleNamespace(**single), "batch_hard")
+        with pytest.raises(ValueError, match="LabeledBatch: expected 2 identities, got 1"):
+            LabeledBatch(**single)
+        checks = []
+        check = LabeledBatch.__post_init__
+
+        def counted(b):
+            checks.append(b)
+            check(b)
+
+        monkeypatch.setattr(LabeledBatch, "__post_init__", counted)
+        for kind in ("batch_hard", "cross", "intra"):
+            triplet_pools(batch, kind)
+        cross_modality_triplet(batch, RHO)
+        intra_modality_triplet(batch, RHO)
+        dual_modality_triplet(batch, LossConfig(rho=RHO))
+        mining_margins(batch, RHO)
+        assert checks == []
+        built = four_point_batch()
+        assert len(checks) == 1 and checks[0] is built
 
     @pytest.mark.parametrize("mfi", [True, False])
     def test_total_loss(self, mfi):
@@ -493,18 +512,18 @@ class TestProperties:
 
     def test_labeled_batch_invariants_rejected(self):
         batch = four_point_batch()
-        bad = LabeledBatch(features=batch.features, identity=np.array([1, 1, 1, 1]),
-                           modality=batch.modality, P=2, K=1)
         with pytest.raises(ValueError):
-            bad.validate()
+            LabeledBatch(features=batch.features, identity=np.array([1, 1, 1, 1]),
+                         modality=batch.modality, P=2, K=1)
 
     def test_validate_matches_per_identity_reference(self):
-        # every rejection, in the reference's order and wording, and a pass
+        # every rejection, in the reference's order and wording, and a
+        # pass, each made when the batch is built
         def case(ident, mod, P=3, K=2, n=None, labels=None):
             n = len(ident) if n is None else n
             ident = np.array(ident) if labels is None else labels
-            return LabeledBatch(features=np.zeros((n, 2)), identity=ident,
-                                modality=np.array(list(mod)), P=P, K=K)
+            return dict(features=np.zeros((n, 2)), identity=ident,
+                        modality=np.array(list(mod)), P=P, K=K)
 
         ok_ids, ok_mods = [5, 5, 5, 5, 2, 2, 2, 2, 9, 9, 9, 9], "VVTTVVTTVVTT"
         cases = [
@@ -524,25 +543,23 @@ class TestProperties:
             case([5, 2, 5, 2, 2, 5, 9, 9, 2, 9, 5, 9], "VVTTVXTTVVTT"),
             case([5, 5, 5, 5, 2, 2, 2, 2, 9, 9, 9, 9], "VVTTVVTTVVTv"),
         ]
-        for batch in cases:
+        for fields in cases:
             try:
-                validate_reference(batch)
+                validate_reference(SimpleNamespace(**fields))
                 expected = None
             except ValueError as exc:
                 expected = str(exc)
             if expected is None:
-                batch.validate()
+                LabeledBatch(**fields)
             else:
                 with pytest.raises(ValueError) as err:
-                    batch.validate()
+                    LabeledBatch(**fields)
                 assert str(err.value) == expected
 
     @pytest.mark.parametrize("P, K", [(1, 2), (0, 3)])
     def test_too_small_batch_rejected(self, P, K):
-        batch = random_pk_batch(np.random.default_rng(0), P, K, 3)
-        for fn in (cross_modality_triplet, intra_modality_triplet):
-            with pytest.raises(ValueError, match="need P >= 2"):
-                fn(batch, RHO)
+        with pytest.raises(ValueError, match="need P >= 2"):
+            random_pk_batch(np.random.default_rng(0), P, K, 3)
 
 
 class TestMiningMargins:
