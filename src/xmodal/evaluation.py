@@ -1,5 +1,6 @@
 """Cross-modality retrieval evaluation: ranking, CMC, mAP, repeated trials."""
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -42,10 +43,7 @@ class EvalProtocol:
 class RankingResult:
     cmc: dict
     map_score: float
-    trials: int = 1
-    seed: int = 0
-    protocol: str = ""
-    skipped_queries: int = 0
+    skipped_queries: int
 
 
 def _ranked_blocks(query_feats, gallery_feats):
@@ -228,36 +226,40 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
 
 
 def run_protocol(test_dataset, params, config, protocol):
-    """Repeated-trial evaluation; metrics are trial means, deterministic by seed."""
-    rng = np.random.default_rng(protocol.seed)
+    """CMC and mAP means, and the skipped-query sum, over `protocol.trials`
+    trials, added up in trial order. A multi-shot gallery, every row of the
+    gallery modality, is the same in each trial, so it is scored once.
+    A single-shot trial (SYSU-MM01's) keeps one row per identity: for each
+    identity in ascending order, `rng.integers(len(rows))` picks one of its
+    rows in index order, with one generator seeded by `protocol.seed`.
+    """
     query_feats, query_labels = _encode_features(test_dataset, params, config, protocol.query_modality)
     gallery_feats, gallery_labels = _encode_features(test_dataset, params, config, protocol.gallery_modality)
 
+    def score(keep):
+        return evaluate_features(query_feats, query_labels, gallery_feats[keep], gallery_labels[keep],
+                                 protocol.ranks_reported)
+
+    t = protocol.trials
+    if protocol.single_shot:
+        rng = np.random.default_rng(protocol.seed)
+        # each identity's rows, in index order, are by_label[start:start + count]
+        by_label = np.argsort(gallery_labels, kind="stable")
+        _, starts, counts = np.unique(gallery_labels[by_label], return_index=True, return_counts=True)
+        groups = list(zip(starts.tolist(), counts.tolist()))
+        results = (score(np.sort(by_label[[start + rng.integers(count) for start, count in groups]]))
+                   for _ in range(t))
+    else:
+        results = itertools.repeat(score(slice(None)), t)
     cmc_acc = {int(r): 0.0 for r in protocol.ranks_reported}
-    map_acc = 0.0
-    skipped = 0
-    for _ in range(protocol.trials):
-        if protocol.single_shot:
-            keep = []
-            for ident in np.unique(gallery_labels):
-                pool = np.flatnonzero(gallery_labels == ident)
-                keep.append(pool[rng.integers(len(pool))])
-            keep = np.sort(np.asarray(keep))
-            g_feats, g_labels = gallery_feats[keep], gallery_labels[keep]
-        else:
-            g_feats, g_labels = gallery_feats, gallery_labels
-        result = evaluate_features(query_feats, query_labels, g_feats, g_labels,
-                                   protocol.ranks_reported)
+    map_acc, skipped = 0.0, 0
+    for result in results:
         for r in cmc_acc:
             cmc_acc[r] += result.cmc[r]
         map_acc += result.map_score
         skipped += result.skipped_queries
-    t = protocol.trials
     return RankingResult(
         cmc={r: v / t for r, v in cmc_acc.items()},
         map_score=map_acc / t,
-        trials=t,
-        seed=protocol.seed,
-        protocol=protocol.describe(),
         skipped_queries=skipped,
     )

@@ -99,7 +99,6 @@ class RunReport:
     config_echo: dict
     seed: int
     epoch_records: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
     def to_dict(self):
@@ -109,7 +108,6 @@ class RunReport:
             "config": self.config_echo,
             "seed": self.seed,
             "epochs": self.epoch_records,
-            "metrics": self.metrics,
         }
 
     def to_json(self):
@@ -124,9 +122,6 @@ class RunReport:
                 row = [f"{rec['epoch']:>10d}", f"{rec['lr']:>10.2e}"]
                 row += [f"{rec[c]:>10.4f}" for c in cols[2:]]
                 lines.append("  ".join(row))
-        for name, m in sorted(self.metrics.items()):
-            cmc = "  ".join(f"r={r}: {v:.4f}" for r, v in sorted(m["cmc"].items(), key=lambda kv: int(kv[0])))
-            lines.append(f"{name}:  {cmc}  mAP: {m['map']:.4f}")
         lines.append(f"seed: {self.seed}  wall-clock: {self.wall_clock_seconds:.2f}s")
         return "\n".join(lines) + "\n"
 
@@ -233,17 +228,17 @@ def _config_echo(config, enc_cfg):
 
 
 def evaluate(params, enc_cfg, test_dataset, protocol):
-    """Metrics fragment for one query direction."""
+    """Metrics fragment of `protocol`, one query direction."""
     if enc_cfg.input_dim != test_dataset.input_dim:
         raise ConfigError(
             f"input_dim {enc_cfg.input_dim} does not match dataset dim {test_dataset.input_dim}")
     result = run_protocol(test_dataset, params, enc_cfg, protocol)
     return {
-        "protocol": result.protocol,
+        "protocol": protocol.describe(),
         "cmc": {str(r): v for r, v in sorted(result.cmc.items())},
         "map": result.map_score,
-        "trials": result.trials,
-        "seed": result.seed,
+        "trials": protocol.trials,
+        "seed": protocol.seed,
         "skipped_queries": result.skipped_queries,
     }
 
@@ -293,8 +288,8 @@ def load_checkpoint(path):
 
 
 def _unpack_section(path, doc, section, expected):
-    """One checkpoint section as arrays, checked against the arrays the
-    stored encoder config defines: names, shapes, value counts, finiteness."""
+    """One checkpoint section as arrays, checked against the arrays the stored
+    encoder config defines: names, shapes, value types, counts, finiteness."""
     stored = doc[section]
     if set(stored) != set(expected):
         raise ConfigError(
@@ -304,14 +299,14 @@ def _unpack_section(path, doc, section, expected):
     arrays = {}
     for name, ref in expected.items():
         key = f"{path}: {section}.{name}"
-        try:
-            shape = stored[name]["shape"]
-            values = np.array(stored[name]["values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
-            shape = None
-        # JSON reads 8.0 as a float and true as a bool; a shape holds ints
-        if not isinstance(shape, list) or any(type(v) is not int for v in shape):
-            raise ConfigError(f"{key}: needs a 'shape' list of integers and a flat 'values' list")
+        entry = stored[name] if isinstance(stored[name], dict) else {}
+        shape, values = entry.get("shape"), entry.get("values")
+        # JSON reads 8.0 as a float and true as a bool: a shape holds ints,
+        # values ints or floats, whose types are tested in one pass
+        if (not isinstance(shape, list) or any(type(v) is not int for v in shape)
+                or not isinstance(values, list) or not set(map(type, values)) <= {int, float}):
+            raise ConfigError(f"{key}: needs a 'shape' list of integers and a flat 'values' list of numbers")
+        values = np.array(values, dtype=np.float64)
         if tuple(shape) != ref.shape:
             raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(ref.shape)}")
         if values.shape != (ref.size,):

@@ -72,10 +72,11 @@ def pk_layout(P, K):
     return np.tile(np.repeat(np.arange(P), K), 2), np.repeat(np.array([VISIBLE, THERMAL]), P * K)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledBatch:
     """A 2*P*K block of rows: K per (identity, modality) for P identities, in
-    any row order (the sampler's is `pk_layout`), checked once, when built."""
+    any row order (the sampler's is `pk_layout`), checked once, when built;
+    frozen, so a changed batch is a new one (`dataclasses.replace`), checked."""
 
     features: np.ndarray
     identity: np.ndarray

@@ -38,6 +38,9 @@ DIST_STABILIZER = 1e-12
 # 36-37 ms at 512 KiB and 1 MiB, 45 ms at 128 KiB and 46 ms at 4 MiB.
 DIST_BLOCK_BYTES = 1 << 18
 _UNIT_ROUNDOFF = 2.0 ** -53
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+L2_MIN_NORM = 1e-6  # shorter rows pass l2_normalize unchanged
+RELATIVE_ERROR_FLOOR = 1e-4  # see relative_errors
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
@@ -130,16 +133,16 @@ def batchnorm_backward(cache, g):
     return dx, dgamma, dbeta
 
 
-def l2_normalize_forward(x, *, min_norm=1e-6):
+def l2_normalize_forward(x):
     """Row-wise L2 normalization; (near-)zero rows pass through unchanged."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("l2_normalize expects rows: an array of 2 or more dims")
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
-    small = norms[..., 0] < min_norm
+    small = norms[..., 0] < L2_MIN_NORM
     if np.any(small):
         warnings.warn("l2_normalize: near-zero row(s) left unnormalized", RuntimeWarning)
-    safe = np.where(norms < min_norm, 1.0, norms)
+    safe = np.where(norms < L2_MIN_NORM, 1.0, norms)
     y = x / safe
     return y, (y, safe[..., 0], small)
 
@@ -289,22 +292,17 @@ def softmax_cross_entropy(logits, labels):
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Moment buffers and hyperparameters for one flat parameter vector.
+    """Moment buffers and learning rate for one flat parameter vector.
 
     The vector holds the arrays of `params` end to end, in their order at
     construction; `slices` maps each name to its span and shape.
     """
 
-    def __init__(self, params, *, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError("adam: betas must lie in (0, 1)")
+    def __init__(self, params, *, learning_rate=1e-4):
         # learning_rate 0 is allowed: it makes the update a verifiable no-op
-        if learning_rate < 0.0 or epsilon <= 0.0:
-            raise ValueError("adam: learning_rate must be >= 0 and epsilon > 0")
+        if learning_rate < 0.0:
+            raise ValueError("adam: learning_rate must be >= 0")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.slices = {}
         size = 0
@@ -335,14 +333,14 @@ def adam_step(theta, grad, state):
         raise NonFiniteError(f"adam_step: non-finite gradient for {bad}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     tmp, den = state.scratch
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
     m += tmp
-    v *= state.beta2
-    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= grad
     v += tmp
     # step = lr * (m / bc1) / (sqrt(v / bc2) + eps)
@@ -350,7 +348,7 @@ def adam_step(theta, grad, state):
     tmp *= state.learning_rate
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += state.epsilon
+    den += ADAM_EPSILON
     tmp /= den
     theta -= tmp
 
@@ -428,8 +426,8 @@ def finite_diff_entries(f, x, entries, h=1e-5):
     return _finite_differences(f, np.asarray(x, dtype=np.float64), entries, _FOUR_POINT, h)
 
 
-def relative_errors(analytic, numeric, floor=1e-4):
-    """Elementwise |a - b| / max(|a|, |b|, floor), flattened.
+def relative_errors(analytic, numeric):
+    """Elementwise |a - b| / max(|a|, |b|, RELATIVE_ERROR_FLOOR), flattened.
 
     The floor keeps finite-difference roundoff (~1e-10 absolute) from
     dominating entries whose true gradient is exactly zero, e.g. bias
@@ -437,10 +435,10 @@ def relative_errors(analytic, numeric, floor=1e-4):
     """
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     b = np.asarray(numeric, dtype=np.float64).reshape(-1)
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), RELATIVE_ERROR_FLOOR)
 
 
-def max_relative_error(analytic, numeric, floor=1e-4):
+def max_relative_error(analytic, numeric):
     """The largest of `relative_errors`, 0 for empty arrays."""
-    errors = relative_errors(analytic, numeric, floor)
+    errors = relative_errors(analytic, numeric)
     return float(errors.max()) if errors.size else 0.0

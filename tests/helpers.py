@@ -131,6 +131,37 @@ def ranked_blocks_reference(query_feats, gallery_feats):
         yield start, order
 
 
+def run_protocol_reference(test_dataset, params, config, protocol):
+    """(cmc, map, skipped) of `protocol` by a loop that scores every
+    trial's gallery anew with `evaluate_features`. Single-shot, each trial
+    keeps one row per identity: for each identity in `np.unique` order,
+    `rng.integers` picks one of its `flatnonzero` rows."""
+    from xmodal.evaluation import _encode_features, evaluate_features
+
+    rng = np.random.default_rng(protocol.seed)
+    query_feats, query_labels = _encode_features(test_dataset, params, config, protocol.query_modality)
+    gallery_feats, gallery_labels = _encode_features(test_dataset, params, config,
+                                                     protocol.gallery_modality)
+    cmc = {int(r): 0.0 for r in protocol.ranks_reported}
+    map_score, skipped = 0.0, 0
+    for _ in range(protocol.trials):
+        g_feats, g_labels = gallery_feats, gallery_labels
+        if protocol.single_shot:
+            keep = []
+            for ident in np.unique(gallery_labels):
+                pool = np.flatnonzero(gallery_labels == ident)
+                keep.append(pool[rng.integers(len(pool))])
+            keep = np.sort(np.asarray(keep))
+            g_feats, g_labels = gallery_feats[keep], gallery_labels[keep]
+        result = evaluate_features(query_feats, query_labels, g_feats, g_labels, protocol.ranks_reported)
+        for r in cmc:
+            cmc[r] += result.cmc[r]
+        map_score += result.map_score
+        skipped += result.skipped_queries
+    t = protocol.trials
+    return {r: v / t for r, v in cmc.items()}, map_score / t, skipped
+
+
 def random_pk_batch(rng, P, K, dim, scale=1.0):
     """A structurally valid metric batch with Gaussian features."""
     from xmodal.losses import LabeledBatch
@@ -149,8 +180,11 @@ def random_pk_batch(rng, P, K, dim, scale=1.0):
 class AdamReference:
     """Per-array Adam: one moment pair per named parameter."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.learning_rate, self.beta1, self.beta2, self.epsilon = learning_rate, beta1, beta2, epsilon
+    def __init__(self, params, learning_rate):
+        from xmodal.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+
+        self.learning_rate, self.beta1, self.beta2, self.epsilon = (
+            learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON)
         self.step_count = 0
         self.first_moment = {k: np.zeros_like(v) for k, v in params.items()}
         self.second_moment = {k: np.zeros_like(v) for k, v in params.items()}
@@ -184,8 +218,7 @@ def adam_step_via_reference(theta, grad, state):
     named views of the two vectors, with per-array moments kept on `state`."""
     params = state.views(theta)
     if not hasattr(state, "reference"):
-        state.reference = AdamReference(params, state.learning_rate, state.beta1, state.beta2,
-                                        state.epsilon)
+        state.reference = AdamReference(params, state.learning_rate)
     state.reference.learning_rate = state.learning_rate
     adam_step_reference(params, state.views(grad), state.reference)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from helpers import (
     exact_rank_oracle,
     rank_oracle,
     ranked_blocks_reference,
+    run_protocol_reference,
 )
 
 
@@ -569,3 +571,35 @@ class TestRunProtocol:
     def test_same_modality_rejected(self):
         with pytest.raises(ConfigError):
             EvalProtocol(query_modality="V", gallery_modality="V")
+
+    @pytest.mark.parametrize("single_shot, trials, calls", [
+        (False, 1, 1), (False, 5, 1), (True, 1, 1), (True, 10, 10)])
+    def test_multi_shot_gallery_scored_once(self, monkeypatch, single_shot, trials, calls):
+        ds, params, enc = self._setup()
+        galleries = []
+
+        def spy(q, ql, g, gl, ranks):
+            galleries.append(len(g))
+            return evaluate_features(q, ql, g, gl, ranks)
+
+        monkeypatch.setattr(evaluation, "evaluate_features", spy)
+        run_protocol(ds, params, enc, EvalProtocol(trials=trials, single_shot=single_shot))
+        # 8 identities with 4 thermal rows each; single-shot keeps one of each
+        assert galleries == [8 if single_shot else 32] * calls
+
+    @pytest.mark.parametrize("query, gallery", [("V", "T"), ("T", "V")])
+    @pytest.mark.parametrize("single_shot, trials", [(False, 1), (False, 3), (False, 7), (True, 10)])
+    def test_equals_a_trial_by_trial_loop(self, query, gallery, single_shot, trials):
+        cfg, model = two_stream_model("cat", True)
+        # uneven identity groups, and queries without a gallery match
+        ragged = modality_dataset(90, cfg.input_dim, np.random.default_rng(11))
+        for ds, params, enc in (self._setup(), (ragged, model, cfg)):
+            for seed in (0, 3):
+                proto = EvalProtocol(query_modality=query, gallery_modality=gallery, trials=trials,
+                                     single_shot=single_shot, seed=seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = run_protocol(ds, params, enc, proto)
+                    cmc, map_score, skipped = run_protocol_reference(ds, params, enc, proto)
+                assert got.cmc == cmc and got.map_score == map_score
+                assert got.skipped_queries == skipped

@@ -381,6 +381,12 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
     # JSON reads 8.0 as a float, which reshape does not take
     "float_shape": (lambda doc: doc["params"]["head.fc.W"].__setitem__(
         "shape", [float(v) for v in doc["params"]["head.fc.W"]["shape"]]), "params.head.fc.W"),
+    # numpy would parse "0.18" and read true as 1.0
+    "string_values": (lambda doc: doc["params"]["head.fc.W"].__setitem__(
+        "values", [True] + [str(v) for v in doc["params"]["head.fc.W"]["values"][1:]]),
+        "params.head.fc.W"),
+    "bool_value": (lambda doc: doc["params"]["thermal.stage1.b"]["values"].__setitem__(0, False),
+                   "params.thermal.stage1.b"),
     "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
                            "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -228,8 +229,7 @@ def near_duplicate_batch(eps, seed=0, P=4, K=3, dim=16):
     base = rng.standard_normal((2, dim))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     batch = random_pk_batch(rng, P, K, dim)
-    batch.features = base[rng.integers(0, 2, 2 * P * K)] + eps * batch.features
-    return batch
+    return dataclasses.replace(batch, features=base[rng.integers(0, 2, 2 * P * K)] + eps * batch.features)
 
 
 class TestCertifiedMining:
@@ -243,7 +243,8 @@ class TestCertifiedMining:
     def test_ordinary_batches_need_no_exact_rows(self, seed, P, K, dim, unit):
         batch = random_pk_batch(np.random.default_rng(seed), P, K, dim)
         if unit:
-            batch.features /= np.linalg.norm(batch.features, axis=1, keepdims=True)
+            batch = dataclasses.replace(
+                batch, features=batch.features / np.linalg.norm(batch.features, axis=1, keepdims=True))
         for kind, redone in as_exact_path(batch).items():
             assert not redone.any(), kind
 
@@ -279,7 +280,7 @@ class TestCertifiedMining:
         # squared norms overflow; the differences, about 1e151, do not
         rng = np.random.default_rng(5)
         batch = random_pk_batch(rng, 3, 2, 4)
-        batch.features = 1e154 * (1.0 + 1e-3 * batch.features)
+        batch = dataclasses.replace(batch, features=1e154 * (1.0 + 1e-3 * batch.features))
         # a case the exact path handles is not reported as a fault
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -515,6 +516,16 @@ class TestProperties:
         with pytest.raises(ValueError):
             LabeledBatch(features=batch.features, identity=np.array([1, 1, 1, 1]),
                          modality=batch.modality, P=2, K=1)
+
+    def test_built_batch_is_frozen(self):
+        # a stray tag swapped in after the check would be read as thermal
+        batch = four_point_batch()
+        stray = np.array(["V", "V", "T", "X"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.modality = stray
+        np.testing.assert_array_equal(batch.modality, ["V", "V", "T", "T"])
+        with pytest.raises(ValueError, match="identity 2 has 0 T rows, expected 1"):
+            dataclasses.replace(batch, modality=stray)
 
     def test_validate_matches_per_identity_reference(self):
         # every rejection, in the reference's order and wording, and a
