@@ -12,6 +12,11 @@ and then every output from the first layer it enters is a stack, each
 matrix bit-identical to an encode with that one value. `encode` writes to
 nothing; train mode returns the batch statistics, and the caller folds
 them into the running stats.
+
+The stream pair `MODALITIES` encodes both streams' rows in one call as a
+(2, n, D) stack, visible first, through (2, ...) stacks of the stream
+stages' weights; each output matrix equals its one-stream encode bit for
+bit, and `encode_backward` takes the stack back in one call.
 """
 
 import math
@@ -23,7 +28,6 @@ from .config import ConfigError, json_fields
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
-    concat_broadcast,
     dense_backward,
     dense_forward,
     l2_normalize_forward,
@@ -80,10 +84,12 @@ class EncoderConfig:
 
 @dataclass
 class EncoderParams:
-    """Trainable arrays by name, plus non-trainable batchnorm running stats."""
+    """Trainable arrays by name, non-trainable batchnorm running stats, and
+    optionally each stream array pair's (2, ...) stack, a view of `values`."""
 
     values: dict
     bn_state: dict
+    stream_stacks: dict | None = None
 
     def copy(self):
         return EncoderParams(
@@ -155,24 +161,41 @@ def fuse(v_mid, v_pre, mode):
             raise ValueError("fuse: sum requires equal dims")
         return v_mid + v_pre
     if mode == "cat":
-        return concat_broadcast([v_mid, v_pre], axis=-1)
+        lead = {v_mid.shape[:-2], v_pre.shape[:-2]}
+        if len(lead) > 1:  # an unstacked matrix joins every matrix of a stack
+            shape = np.broadcast_shapes(*lead)
+            v_mid, v_pre = (np.broadcast_to(v, shape + v.shape[-2:]) for v in (v_mid, v_pre))
+        return np.concatenate([v_mid, v_pre], axis=-1)
     raise ValueError(f"fuse: unknown mode {mode!r}")
 
 
+def _stream_array(params, modality, key):
+    """Array `key` (a name after the stream prefix) of one stream, or the pair's
+    (2, ...) stack of it (a vector as (2, 1, d)) from `stream_stacks`, or copied."""
+    if modality != MODALITIES:
+        return params.values[f"{modality}.{key}"]
+    if params.stream_stacks is not None:
+        return params.stream_stacks[key]
+    stack = np.stack([params.values[f"{mod}.{key}"] for mod in MODALITIES])
+    return stack if stack.ndim > 2 else stack[:, None]
+
+
 def encode(params, config, x, modality, mode="train"):
-    """Run one modality's rows through its stream and the shared layers.
+    """Run one modality's rows through its stream and the shared layers, or
+    the stream pair `MODALITIES`' rows as a (2, n, D) stack, visible first.
 
     Returns (FeatureBundle, cache). Train mode uses batch statistics in the
     batchnorm layers and returns them in `FeatureBundle.batch_stats`; eval
     mode reads the running stats. Neither changes `params`. Non-finite
     input is rejected here, since the layers themselves do not check.
     """
-    if modality not in MODALITIES:
+    pair = modality == MODALITIES
+    if not pair and modality not in MODALITIES:
         raise ValueError(f"encode: unknown modality {modality!r}")
     if mode not in ("train", "eval"):
         raise ValueError(f"encode: unknown mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != config.input_dim:
+    if x.ndim < 2 or x.shape[-1] != config.input_dim or (pair and x.shape[:-2] != (2,)):
         raise ValueError(f"encode: input shape {x.shape} does not match input_dim {config.input_dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("encode: non-finite input")
@@ -183,7 +206,8 @@ def encode(params, config, x, modality, mode="train"):
     stage_caches = []
     tap = None
     for i in range(1, len(config.stage_dims) + 1):
-        z, dcache = dense_forward(h, v[f"{modality}.stage{i}.W"], v[f"{modality}.stage{i}.b"])
+        z, dcache = dense_forward(h, _stream_array(params, modality, f"stage{i}.W"),
+                                  _stream_array(params, modality, f"stage{i}.b"))
         h, rcache = relu_forward(z)
         stage_caches.append((dcache, rcache))
         if i == config.tap_stage:
@@ -227,15 +251,25 @@ def encode_backward(params, config, cache, grads, out=None):
     """Backpropagate BundleGrads through one encode call.
 
     Accumulates into `out` (a name -> array dict covering every trainable
-    parameter) and returns (out, input gradient).
-    """
+    parameter) and returns (out, input gradient); for the stream pair, as
+    (2, n, ·) stacks. Each shared array gets the visible matrix's gradient,
+    then the thermal's, as two one-stream calls add them."""
     modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches = cache
+    pair = modality == MODALITIES
+    streams = MODALITIES if pair else (modality,)
     if out is None:
         out = zero_grads(params)
 
+    def add(grad, *names):  # one name per stream, or a shared array's one name for both
+        if pair:
+            out[names[0]] += grad[0]  # visible first
+            out[names[-1]] += grad[1]
+        else:
+            out[names[0]] += grad
+
     d_v_post, dw, db = dense_backward(head_cls_cache, grads.d_logits_backbone)
-    out["head.cls.W"] += dw
-    out["head.cls.b"] += db
+    add(dw, "head.cls.W")
+    add(db, "head.cls.b")
     d_v_post = d_v_post + grads.d_v_post
 
     d_tap = None
@@ -245,31 +279,31 @@ def encode_backward(params, config, cache, grads, out=None):
             raise ValueError("encode_backward: cache lacks skip-branch entries")
         mid_fc_cache, mid_bn_cache, mid_cls_cache = mid_caches
         d_fused_post, dw, db = dense_backward(mid_cls_cache, grads.d_logits_skip)
-        out["mid.cls.W"] += dw
-        out["mid.cls.b"] += db
+        add(dw, "mid.cls.W")
+        add(db, "mid.cls.b")
         if grads.d_v_fused_post is not None:
             d_fused_post = d_fused_post + grads.d_v_fused_post
         d_fused, dgamma, dbeta = batchnorm_backward(mid_bn_cache, d_fused_post)
-        out["mid.bn.gamma"] += dgamma
-        out["mid.bn.beta"] += dbeta
+        add(dgamma, "mid.bn.gamma")
+        add(dbeta, "mid.bn.beta")
         if config.fusion == "sum":
             d_v_mid = d_fused
             d_v_pre_extra = d_fused
         else:
-            d_v_mid = d_fused[:, :config.d]
-            d_v_pre_extra = d_fused[:, config.d:]
+            d_v_mid = d_fused[..., :config.d]
+            d_v_pre_extra = d_fused[..., config.d:]
         d_tap, dw, db = dense_backward(mid_fc_cache, d_v_mid)
-        out["mid.fc.W"] += dw
-        out["mid.fc.b"] += db
+        add(dw, "mid.fc.W")
+        add(db, "mid.fc.b")
 
     d_v_pre, dgamma, dbeta = batchnorm_backward(head_bn_cache, d_v_post)
-    out["head.bn.gamma"] += dgamma
-    out["head.bn.beta"] += dbeta
+    add(dgamma, "head.bn.gamma")
+    add(dbeta, "head.bn.beta")
     d_v_pre = d_v_pre + d_v_pre_extra
 
     d_h, dw, db = dense_backward(head_fc_cache, d_v_pre)
-    out["head.fc.W"] += dw
-    out["head.fc.b"] += db
+    add(dw, "head.fc.W")
+    add(db, "head.fc.b")
 
     for i in range(len(config.stage_dims), 0, -1):
         dcache, rcache = stage_caches[i - 1]
@@ -277,8 +311,8 @@ def encode_backward(params, config, cache, grads, out=None):
             d_h = d_h + d_tap
         dz = relu_backward(rcache, d_h)
         d_h, dw, db = dense_backward(dcache, dz)
-        out[f"{modality}.stage{i}.W"] += dw
-        out[f"{modality}.stage{i}.b"] += db
+        add(dw, *(f"{mod}.stage{i}.W" for mod in streams))
+        add(db, *(f"{mod}.stage{i}.b" for mod in streams))
     return out, d_h
 
 

@@ -23,6 +23,7 @@ from .encoder import (
     MODALITIES,
     EncoderConfig,
     EncoderParams,
+    FeatureBundle,
     encode,
     encode_backward,
     init_encoder,
@@ -130,41 +131,33 @@ class RunReport:
 # Training
 # ---------------------------------------------------------------------------
 
-def _encode_streams(params, cfg, x, streams=MODALITIES):
-    """Train-mode (bundle, cache) of each stream in `streams`, by name: the
-    visible stream encodes the first half of x, the thermal stream the
-    second."""
-    n = x.shape[0] // 2
-    halves = dict(zip(MODALITIES, (x[:n], x[n:])))
-    return {mod: encode(params, cfg, halves[mod], mod, mode="train") for mod in streams}
-
-
 def _train_step(params, enc_cfg, loss_cfg, x, targets, out=None):
     """(LossBreakdown, gradient of every parameter) of one train step on the
     rows x of a PK batch, the visible half then the thermal half, added
-    into `out` (name -> array) if given.
+    into `out` (name -> array) if given. The two halves are encoded as
+    the stream pair's (2, n, D) stack, by one forward and one backward.
 
     It folds each stream's batch statistics into the running stats in
     `params.bn_state`, in place, visible first:
     running = (1 - momentum) * running + momentum * batch.
     """
-    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, enc_cfg, x).values()
+    bundle, cache = encode(params, enc_cfg, x.reshape(2, -1, x.shape[-1]), MODALITIES)
     momentum = enc_cfg.bn_momentum
-    for bundle in (bundle_v, bundle_t):
-        for name, batch in bundle.batch_stats.items():
-            running = params.bn_state[name]
+    for name, stats in bundle.batch_stats.items():
+        running = params.bn_state[name]
+        for batch in stats:  # one row per stream
             running *= 1.0 - momentum
             running += momentum * batch
-    breakdown, cache = L.total_loss_forward(bundle_v, bundle_t, targets, loss_cfg, enc_cfg)
-    gv, gt = L.total_loss_backward(cache)
-    grads, _ = encode_backward(params, enc_cfg, cache_v, gv, out=out)
-    encode_backward(params, enc_cfg, cache_t, gt, out=grads)
+    breakdown, loss_cache = L.total_loss_forward(bundle, targets, loss_cfg, enc_cfg)
+    grads, _ = encode_backward(params, enc_cfg, cache, L.total_loss_backward(loss_cache), out=out)
     return breakdown, grads
 
 
 def train(dataset, config):
     """Single-threaded deterministic training run. The parameters are one flat
-    vector, `params.values` its views, led by the stream stages."""
+    vector, `params.values` its views. The vector is led by the stream
+    stages, each stage's arrays as (visible, thermal) pairs, so that every
+    stream pair's (2, ...) stack is a view of it as well."""
     if len(dataset.eligible) < config.P:
         raise ConfigError(f"P {config.P} exceeds the {len(dataset.eligible)} training identities "
                           "with rows in both modalities")
@@ -182,9 +175,17 @@ def train(dataset, config):
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = init_encoder(enc_cfg, config.seed)
-    state = AdamState(params.values, learning_rate=config.learning_rate)
-    theta = np.concatenate([v.reshape(-1) for v in params.values.values()])
-    params.values = state.views(theta)
+    keys = [name.partition(".")[2] for name in params.values if name.startswith("visible.")]
+    layout = [f"{mod}.{key}" for key in keys for mod in MODALITIES]
+    layout += [name for name in params.values if name not in layout]
+    state = AdamState({name: params.values[name] for name in layout}, learning_rate=config.learning_rate)
+    theta = np.concatenate([params.values[name].reshape(-1) for name in layout])
+    views = state.views(theta)
+    params.values = {name: views[name] for name in params.values}
+    step_params = replace(params, stream_stacks={})
+    for key in keys:  # the pair's two spans lie end to end
+        (first, shape), (last, _) = (state.slices[f"{mod}.{key}"] for mod in MODALITIES)
+        step_params.stream_stacks[key] = theta[first.start:last.stop].reshape((2, -1) + shape[-1:])
     grad = np.empty_like(theta)
     grads = state.views(grad)
     stages = slice(0, sum(v.size for k, v in params.values.items() if k.startswith(MODALITIES)))
@@ -204,7 +205,7 @@ def train(dataset, config):
         for _ in range(n_batches):
             batch = sample_pk_batch(dataset, config.P, config.K, rng)
             grad.fill(0.0)
-            breakdown, _ = _train_step(params, enc_cfg, config.loss, batch.features,
+            breakdown, _ = _train_step(step_params, enc_cfg, config.loss, batch.features,
                                        replace(targets, labels=np.searchsorted(idents, batch.identity)),
                                        out=grads)
             if frozen:
@@ -306,7 +307,10 @@ def _unpack_section(path, doc, section, expected):
         if (not isinstance(shape, list) or any(type(v) is not int for v in shape)
                 or not isinstance(values, list) or not set(map(type, values)) <= {int, float}):
             raise ConfigError(f"{key}: needs a 'shape' list of integers and a flat 'values' list of numbers")
-        values = np.array(values, dtype=np.float64)
+        try:
+            values = np.array(values, dtype=np.float64)
+        except OverflowError:  # a JSON int beyond float64's range
+            raise ConfigError(f"{key}: a value too large for float64") from None
         if tuple(shape) != ref.shape:
             raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(ref.shape)}")
         if values.shape != (ref.size,):
@@ -531,9 +535,10 @@ def _loss_sweep(params, cfg, loss_cfg, x, targets):
     call of each forward step.
 
     A `visible.*` or `thermal.*` array feeds only its own stream, so a
-    stream is encoded again only when a changed array is its own or shared;
-    the other stream's unstacked bundle, encoded once here, joins each
-    matrix of the stack. That is exact: train-mode batchnorm output depends
+    stream is encoded again, on its own, only when a changed array is its
+    own or shared; the other stream's matrix of the unperturbed pair,
+    encoded once here, joins each matrix of the stack in the stream stack
+    the loss reads. That is exact: train-mode batchnorm output depends
     only on its own batch's statistics. `encode` writes to nothing, so
     `params` is left as it was.
 
@@ -542,22 +547,26 @@ def _loss_sweep(params, cfg, loss_cfg, x, targets):
     forward's (its encodings, its loss cache and the dual loss's
     (4, 2n, 2n) candidate scores), stay within `DIST_BLOCK_BYTES`.
     """
-    encoded = _encode_streams(params, cfg, x)
-    unperturbed = {mod: bundle for mod, (bundle, _) in encoded.items()}
-    _, loss_cache = L.total_loss_forward(unperturbed["visible"], unperturbed["thermal"],
-                                         targets, loss_cfg, cfg)
+    halves = x.reshape(2, -1, x.shape[-1])
+    unperturbed, _ = encoded = encode(params, cfg, halves, MODALITIES)
+    _, loss_cache = L.total_loss_forward(unperturbed, targets, loss_cfg, cfg)
     point_bytes = _array_bytes((encoded, loss_cache)) + targets.offsets.nbytes
     part = max(1, DIST_BLOCK_BYTES // point_bytes)
+    fields = (("v_fused_post", "logits_skip", "logits_backbone") if cfg.mfi_enabled
+              else ("v_post", "logits_backbone"))  # the outputs the loss reads
 
     def part_loss(changed):
         owners = {name.partition(".")[0] for name in changed}
-        streams = [mod for mod in MODALITIES if owners - set(MODALITIES) or mod in owners]
         trial = EncoderParams(values={**params.values, **changed}, bn_state=params.bn_state)
-        bundles = dict(unperturbed)
-        for mod, (bundle, _) in _encode_streams(trial, cfg, x, streams).items():
-            bundles[mod] = bundle
-        return L.total_loss_forward(bundles["visible"], bundles["thermal"],
-                                    targets, loss_cfg, cfg)[0].total
+        again = [encode(trial, cfg, halves[k], mod)[0] if owners - set(MODALITIES) or mod in owners
+                 else None for k, mod in enumerate(MODALITIES)]
+        joined = dict.fromkeys(("v_pre", "v_post"))
+        for field in fields:  # an unstacked matrix joins every matrix of a stack
+            v, t = (getattr(unperturbed, field)[k] if bundle is None else getattr(bundle, field)
+                    for k, bundle in enumerate(again))
+            joined[field] = np.empty(max(v.shape, t.shape, key=len)[:-2] + (2,) + v.shape[-2:])
+            joined[field][..., 0, :, :], joined[field][..., 1, :, :] = v, t
+        return L.total_loss_forward(FeatureBundle(**joined), targets, loss_cfg, cfg)[0].total
 
     def loss(changed):
         m = len(next(iter(changed.values())))
@@ -587,11 +596,10 @@ def _array_bytes(tree):
 def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     """Smallest distance of a model instance from a kink: of any ReLU input
     from zero, or of the mined triplets (see `mining_margins`)."""
-    (bundle_v, cache_v), (bundle_t, cache_t) = _encode_streams(params, cfg, x).values()
+    bundle, cache = encode(params, cfg, x.reshape(2, -1, x.shape[-1]), MODALITIES)
     # cache[1] holds one (dense cache, relu cache) pair per stage
-    relu_margin = min(float(np.min(np.abs(relu_cache[0])))
-                      for cache in (cache_v, cache_t) for _, relu_cache in cache[1])
-    feats = np.concatenate([test_feature(bundle_v, cfg), test_feature(bundle_t, cfg)])
+    relu_margin = min(float(np.min(np.abs(relu_cache[0]))) for _, relu_cache in cache[1])
+    feats = test_feature(bundle, cfg).reshape(x.shape[0], -1)
     batch = LabeledBatch(features=feats, identity=labels, modality=L.pk_layout(P, K)[1], P=P, K=K)
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 

@@ -15,8 +15,8 @@ built, and each loss only reads it; `pk_layout` defines a PK batch's rows.
 The forward steps broadcast over leading stack axes, as the layers in
 `numerics` do: `triplet_loss` and `total_loss_forward` take a stack of
 feature matrices or of encoder outputs and return one loss per matrix,
-each bit-identical to its own unstacked call. In `total_loss_forward` an
-unstacked bundle of one modality joins every matrix of the other's stack.
+each bit-identical to its own unstacked call; `total_loss_forward` reads
+both streams' (..., 2, n, ·) outputs as the (..., 2n, ·) batch, a view.
 The gradient steps take one matrix.
 
 Every loss mines in one place, `_certified_picks`. A loss's candidate
@@ -37,7 +37,6 @@ import numpy as np
 from .config import ConfigError
 from .numerics import (
     NonFiniteError,
-    concat_broadcast,
     gemm_score_bound,
     gemm_sq_distances,
     l2_normalize_backward,
@@ -351,7 +350,7 @@ def dual_modality_triplet(batch, config):
 
 @dataclass
 class BundleGrads:
-    """Gradients flowing back into one modality's encoder outputs."""
+    """Gradients flowing back into one stream's encoder outputs, or the stream pair's."""
 
     d_v_post: np.ndarray
     d_logits_backbone: np.ndarray
@@ -403,38 +402,38 @@ def loss_targets(labels, P, K):
     return LossTargets(labels=labels, offsets=_dual_offsets(batch))
 
 
-def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
+def total_loss_forward(bundle, targets, config, enc_cfg):
     """Forward step of `total_loss`: (LossBreakdown, cache).
 
-    Metric features for the triplet terms are the L2-normalized selected
-    features (skip branch when the encoder config `enc_cfg` has MFI on,
-    backbone otherwise); the softmax term uses the matching classifier
-    logits. The cache holds what `total_loss_backward` needs; a caller that
-    wants the loss alone drops it. Either bundle may be a stack; then the
-    breakdown holds one value per matrix of the stack.
+    `bundle` holds both streams' encoder outputs as (..., 2, n, ·) stacks,
+    visible first. Metric features for the triplet terms are the
+    L2-normalized selected features (skip branch when the encoder config
+    `enc_cfg` has MFI on, backbone otherwise); the softmax term uses the
+    matching classifier logits. The cache holds what `total_loss_backward`
+    needs; a caller that wants the loss alone drops it. Axes ahead of the
+    stream axis make the breakdown hold one value per matrix of the stack.
     """
-    nv, nt = bundle_v.v_post.shape[-2], bundle_t.v_post.shape[-2]
-    half = targets.labels.size // 2  # the visible labels, then as many thermal ones
-    if (nv, nt) != (half, half):
-        raise ValueError(f"total_loss: {nv} visible and {nt} thermal rows for "
-                         f"{half} and {half} labels")
     if enc_cfg.mfi_enabled:
-        sel_v, sel_t = bundle_v.v_fused_post, bundle_t.v_fused_post
-        logits = concat_broadcast([bundle_v.logits_skip, bundle_t.logits_skip], axis=-2)
+        sel, logits = bundle.v_fused_post, bundle.logits_skip
     else:
-        sel_v, sel_t = bundle_v.v_post, bundle_t.v_post
-        logits = concat_broadcast([bundle_v.logits_backbone, bundle_t.logits_backbone], axis=-2)
+        sel, logits = bundle.v_post, bundle.logits_backbone
+    rows = targets.labels.size  # the visible labels, then as many thermal ones
+    if sel.shape[-3:-1] != (2, rows // 2):
+        raise ValueError(f"total_loss: streams of shape {sel.shape[-3:-1]} for "
+                         f"{rows // 2} visible and {rows // 2} thermal labels")
 
-    metric, norm_cache = l2_normalize_forward(concat_broadcast([sel_v, sel_t], axis=-2))
-    loss_sm, sm_cache = softmax_cross_entropy_forward(logits, targets.labels)
+    def batch(a):  # the streams' rows as one batch: a view
+        return a.reshape(a.shape[:-3] + (rows, a.shape[-1]))
+
+    metric, norm_cache = l2_normalize_forward(batch(sel))
+    loss_sm, sm_cache = softmax_cross_entropy_forward(batch(logits), targets.labels)
     loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.offsets, config)
 
     total = loss_sm + config.lambda2 * loss_d
     loss_bb = 0.0
     bb_cache = None
     if enc_cfg.mfi_enabled and enc_cfg.backbone_loss_enabled:
-        logits_bb = concat_broadcast([bundle_v.logits_backbone, bundle_t.logits_backbone], axis=-2)
-        loss_bb, bb_cache = softmax_cross_entropy_forward(logits_bb, targets.labels)
+        loss_bb, bb_cache = softmax_cross_entropy_forward(batch(bundle.logits_backbone), targets.labels)
         total += loss_bb
     if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
         raise NonFiniteError(f"total_loss: non-finite loss {total}")
@@ -442,37 +441,33 @@ def total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg):
     breakdown = LossBreakdown(
         softmax=loss_sm, backbone=loss_bb, cross=loss_c, intra=loss_i,
         dual=loss_d, total=total)
-    return breakdown, (config, enc_cfg, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache)
+    return breakdown, (config, enc_cfg, bundle, norm_cache, sm_cache, dual_cache, bb_cache)
 
 
 def total_loss_backward(cache):
-    """Gradient step of `total_loss`: per-modality gradients on the encoder outputs."""
-    config, enc_cfg, bundle_v, bundle_t, norm_cache, sm_cache, dual_cache, bb_cache = cache
-    nv = bundle_v.v_post.shape[0]
-    d_logits = softmax_cross_entropy_backward(sm_cache)
-    d_sel = l2_normalize_backward(norm_cache, config.lambda2 * _dual_backward(dual_cache))
+    """Gradient step of `total_loss`: BundleGrads on the encoder outputs, in
+    the bundle's (2, n, ·) stream stack."""
+    config, enc_cfg, bundle, norm_cache, sm_cache, dual_cache, bb_cache = cache
 
+    def streams(a):  # the batch's rows as the stream stack: a view
+        return a.reshape(bundle.v_post.shape[:-1] + a.shape[-1:])
+
+    d_logits = streams(softmax_cross_entropy_backward(sm_cache))
+    d_sel = streams(l2_normalize_backward(norm_cache, config.lambda2 * _dual_backward(dual_cache)))
     if not enc_cfg.mfi_enabled:
-        return (BundleGrads(d_v_post=d_sel[:nv], d_logits_backbone=d_logits[:nv]),
-                BundleGrads(d_v_post=d_sel[nv:], d_logits_backbone=d_logits[nv:]))
+        return BundleGrads(d_v_post=d_sel, d_logits_backbone=d_logits)
     if bb_cache is None:
-        d_bb_v = np.zeros_like(bundle_v.logits_backbone)
-        d_bb_t = np.zeros_like(bundle_t.logits_backbone)
+        d_bb = np.zeros_like(bundle.logits_backbone)
     else:
-        d_logits_bb = softmax_cross_entropy_backward(bb_cache)
-        d_bb_v, d_bb_t = d_logits_bb[:nv], d_logits_bb[nv:]
-    return (BundleGrads(d_v_post=np.zeros_like(bundle_v.v_post), d_logits_backbone=d_bb_v,
-                        d_v_fused_post=d_sel[:nv], d_logits_skip=d_logits[:nv]),
-            BundleGrads(d_v_post=np.zeros_like(bundle_t.v_post), d_logits_backbone=d_bb_t,
-                        d_v_fused_post=d_sel[nv:], d_logits_skip=d_logits[nv:]))
+        d_bb = streams(softmax_cross_entropy_backward(bb_cache))
+    return BundleGrads(d_v_post=np.zeros_like(bundle.v_post), d_logits_backbone=d_bb,
+                       d_v_fused_post=d_sel, d_logits_skip=d_logits)
 
 
-def total_loss(bundle_v, bundle_t, labels_v, labels_t, config, enc_cfg, P, K):
-    """Final training loss over one PK batch encoded per modality by `enc_cfg`.
-
-    The forward step, then the gradient step: returns the breakdown plus
-    per-modality gradients (BundleGrads) on the encoder outputs.
+def total_loss(bundle, labels, config, enc_cfg, P, K):
+    """Final training loss over one PK batch of `labels`, from both streams'
+    (2, n, ·) encoder outputs by `enc_cfg`: the forward step, then the
+    gradient step. Returns the breakdown and the BundleGrads on the outputs.
     """
-    targets = loss_targets(np.concatenate([labels_v, labels_t]), P, K)
-    breakdown, cache = total_loss_forward(bundle_v, bundle_t, targets, config, enc_cfg)
-    return (breakdown, *total_loss_backward(cache))
+    breakdown, cache = total_loss_forward(bundle, loss_targets(labels, P, K), config, enc_cfg)
+    return breakdown, total_loss_backward(cache)

@@ -15,8 +15,11 @@ features axis -1; any argument may carry leading axes, which broadcast
 against the others' (a stacked vector parameter as (m, 1, d)). Each matrix
 of a stack comes out bit-identical to its own unstacked call, since every
 reduction runs along the same axis in the same order, and numpy's matmul
-makes one BLAS call per matrix of a stack. The backward steps take one
-matrix.
+makes one BLAS call per matrix of a stack. The backward steps of dense,
+relu and batchnorm broadcast the same way; a parameter's gradient comes
+back with the stack's axes, one gradient per matrix, and a caller that
+broadcast the parameter across the stack sums them. The other backward
+steps take one matrix.
 
 The oracle (`finite_diff_grad`, `finite_diff_entries`) takes a function of
 a stack of points: given an (m, *x.shape) array it returns the m values. A
@@ -65,11 +68,11 @@ def dense_forward(x, w, b):
 def dense_backward(cache, g):
     x, w = cache
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (x.shape[0], w.shape[1]):
-        raise ValueError(f"dense backward: upstream shape {g.shape} expected {(x.shape[0], w.shape[1])}")
-    dx = g @ w.T
-    dw = x.T @ g
-    db = g.sum(axis=0)
+    if g.shape != x.shape[:-1] + w.shape[-1:]:
+        raise ValueError(f"dense backward: upstream shape {g.shape} expected {x.shape[:-1] + w.shape[-1:]}")
+    dx = g @ w.swapaxes(-1, -2)
+    dw = x.swapaxes(-1, -2) @ g
+    db = g.sum(axis=-2)
     return dx, dw, db
 
 
@@ -123,11 +126,12 @@ def batchnorm_backward(cache, g):
     g = np.asarray(g, dtype=np.float64)
     if g.shape != xhat.shape:
         raise ValueError("batchnorm backward: shape mismatch")
-    dgamma = (g * xhat).sum(axis=0)
-    dbeta = g.sum(axis=0)
+    dgamma = (g * xhat).sum(axis=-2)
+    dbeta = g.sum(axis=-2)
     dxhat = g * gamma
     if train:
-        dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        dx = inv_std / n * (n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+                            - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))
     else:
         dx = dxhat * inv_std
     return dx, dgamma, dbeta
@@ -156,17 +160,6 @@ def l2_normalize_backward(cache, g):
     dx = (g - y * dot) / norms[:, None]
     dx[small] = g[small]
     return dx
-
-
-def concat_broadcast(arrays, axis):
-    """np.concatenate along the negative `axis`, after broadcasting the
-    arrays' leading stack axes: an unstacked matrix joins every matrix of a
-    stack."""
-    lead = {a.shape[:-2] for a in arrays}
-    if len(lead) > 1:
-        shape = np.broadcast_shapes(*lead)
-        arrays = [np.broadcast_to(a, shape + a.shape[-2:]) for a in arrays]
-    return np.concatenate(arrays, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -446,3 +446,47 @@ def running_stats_reference(params, cfg, xv, xt):
                 running *= 1.0 - momentum
                 running += momentum * batch
     return state
+
+
+# ---------------------------------------------------------------------------
+# The train step stream by stream. The stacked step encodes and
+# backpropagates both streams in one call each, and must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def stack_streams(bundle_v, bundle_t):
+    """The two streams' bundles as one, in the layout `total_loss_forward`
+    reads: each output a (..., 2, n, ·) stack, visible first, with the
+    bundles' leading stack axes broadcast."""
+    from dataclasses import fields
+
+    from xmodal.encoder import FeatureBundle
+
+    stacked = {}
+    for field in fields(FeatureBundle):
+        a, b = getattr(bundle_v, field.name), getattr(bundle_t, field.name)
+        if field.name != "batch_stats" and a is not None:
+            stacked[field.name] = np.stack(np.broadcast_arrays(a, b), axis=-3)
+    return FeatureBundle(**{"v_pre": None, "v_post": None, "logits_backbone": None, **stacked})
+
+
+def train_step_reference(params, cfg, loss_cfg, x, targets, out=None):
+    """`harness._train_step` stream by stream: an encode of each half of x
+    by its own stream, the running stats folded visible first, the loss on
+    the stacked outputs, and one backward call per stream, visible first."""
+    from xmodal import losses as L
+    from xmodal.encoder import MODALITIES, encode, encode_backward
+
+    n = x.shape[0] // 2
+    encoded = [encode(params, cfg, half, mod) for half, mod in zip((x[:n], x[n:]), MODALITIES)]
+    for bundle, _ in encoded:
+        for name, batch in bundle.batch_stats.items():
+            running = params.bn_state[name]
+            running *= 1.0 - cfg.bn_momentum
+            running += cfg.bn_momentum * batch
+    breakdown, cache = L.total_loss_forward(stack_streams(*(b for b, _ in encoded)), targets,
+                                            loss_cfg, cfg)
+    grads = L.total_loss_backward(cache)
+    for k, (_, stream_cache) in enumerate(encoded):
+        stream_grads = L.BundleGrads(**{f: None if g is None else g[k] for f, g in vars(grads).items()})
+        out, _ = encode_backward(params, cfg, stream_cache, stream_grads, out=out)
+    return breakdown, out

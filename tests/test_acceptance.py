@@ -30,7 +30,7 @@ from helpers import (
 )
 from xmodal import cli
 from xmodal.data import Dataset, SynthConfig, generate_synthetic, sample_pk_batch
-from xmodal.encoder import EncoderConfig, encode, init_encoder
+from xmodal.encoder import MODALITIES, EncoderConfig, encode, init_encoder
 from xmodal.evaluation import EvalProtocol, average_precision, cmc_curve
 from xmodal.harness import (
     TrainConfig,
@@ -139,9 +139,8 @@ def test_criterion_3_composition_identities():
                             tap_stage=1, d=5)
     params = init_encoder(enc_cfg, 0)
     x = rng.standard_normal((2 * P * K, 6))
-    labels = np.repeat(np.arange(P), K)
-    bundle_v, _ = encode(params, enc_cfg, x[:P * K], "visible", mode="train")
-    bundle_t, _ = encode(params, enc_cfg, x[P * K:], "thermal", mode="train")
+    labels = np.tile(np.repeat(np.arange(P), K), 2)
+    bundle, _ = encode(params, enc_cfg, x.reshape(2, P * K, 6), MODALITIES, mode="train")
     batch = random_pk_batch(rng, P, K, dim=4)
 
     worst = 0.0
@@ -152,7 +151,7 @@ def test_criterion_3_composition_identities():
                 branch = replace(enc_cfg, mfi_enabled=mfi, backbone_loss_enabled=True)
                 l_d, _, l_c, l_i = dual_modality_triplet(batch, cfg)
                 worst = max(worst, abs(l_d - (l_c + lambda1 * l_i)))
-                bd, _, _ = total_loss(bundle_v, bundle_t, labels, labels, cfg, branch, P, K)
+                bd, _ = total_loss(bundle, labels, cfg, branch, P, K)
                 d = bd.as_dict()
                 worst = max(worst, abs(d["L_d_tri"] - (d["L_c_tri"] + lambda1 * d["L_i_tri"])))
                 worst = max(worst, abs(d["L_all"] - (d["L_softmax"] + d["L_backbone"]

@@ -3,6 +3,7 @@ import pytest
 
 from xmodal.config import ConfigError
 from xmodal.encoder import (
+    MODALITIES,
     EncoderConfig,
     EncoderParams,
     FeatureBundle,
@@ -13,8 +14,10 @@ from xmodal.encoder import (
     test_feature as select_feature,
     zero_grads,
 )
-from xmodal.losses import BundleGrads, LossConfig, loss_targets, total_loss, total_loss_forward
+from xmodal.losses import BundleGrads, LossConfig, loss_targets, total_loss_forward
 from xmodal.numerics import finite_diff_grad, max_relative_error, per_point
+
+from helpers import stack_streams, train_step_reference
 
 
 def small_config(mfi=True, fusion="cat", backbone=True):
@@ -77,6 +80,21 @@ class TestEncode:
         bt, _ = encode(p, cfg, x, "thermal", mode="eval")
         np.testing.assert_array_equal(bv.v_post, bt.v_post)
         np.testing.assert_array_equal(bv.logits_skip, bt.logits_skip)
+
+    def test_stream_pair_takes_a_stack_of_two(self):
+        # the pair's rows are a (2, n, D) stack; its matrices are the
+        # one-stream encodes' bit for bit
+        cfg = small_config()
+        p = init_encoder(cfg, 3)
+        x = np.random.default_rng(0).standard_normal((2, 4, 5))
+        pair, _ = encode(p, cfg, x, MODALITIES, mode="eval")
+        for k, mod in enumerate(MODALITIES):
+            assert np.array_equal(pair.v_fused_post[k], encode(p, cfg, x[k], mod, mode="eval")[0].v_fused_post)
+        for bad in (x.reshape(8, 5), np.concatenate([x, x])):
+            with pytest.raises(ValueError, match="does not match"):
+                encode(p, cfg, bad, MODALITIES)
+        with pytest.raises(ValueError, match="unknown modality"):
+            encode(p, cfg, x, list(MODALITIES))
 
     def test_zero_weights_give_uniform_softmax(self):
         cfg = small_config()
@@ -173,7 +191,7 @@ class TestStackedForward:
             trial = EncoderParams(values={**params.values, **values}, bn_state=params.bn_state)
             bundles = [encode(trial, cfg, x[:P * K], "visible", mode=mode)[0],
                        encode(trial, cfg, x[P * K:], "thermal", mode=mode)[0]]
-            return bundles, total_loss_forward(*bundles, targets, loss_cfg, cfg)[0]
+            return bundles, total_loss_forward(stack_streams(*bundles), targets, loss_cfg, cfg)[0]
 
         for name in (n for n in names if n in params.values):
             value = params.values[name]
@@ -222,14 +240,7 @@ class TestTestFeature:
 
 
 def model_loss(params, cfg, loss_cfg, x, labels, P, K):
-    n = x.shape[0] // 2
-    work = params.copy()
-    bv, cv = encode(work, cfg, x[:n], "visible", mode="train")
-    bt, ct = encode(work, cfg, x[n:], "thermal", mode="train")
-    bd, gv, gt = total_loss(bv, bt, labels[:n], labels[n:], loss_cfg, cfg, P, K)
-    grads = zero_grads(params)
-    encode_backward(work, cfg, cv, gv, out=grads)
-    encode_backward(work, cfg, ct, gt, out=grads)
+    bd, grads = train_step_reference(params.copy(), cfg, loss_cfg, x, loss_targets(labels, P, K))
     return bd.total, grads
 
 

@@ -1,5 +1,6 @@
 """Training harness, checkpoint, ablation, gradcheck, and CLI tests."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -47,6 +48,7 @@ from helpers import (
     pair_distances_reference,
     running_stats_reference,
     sample_pk_batch_reference,
+    train_step_reference,
     validate_reference,
 )
 
@@ -289,6 +291,49 @@ class TestTrain:
             for name, v in want.items():
                 assert np.array_equal(params.bn_state[name], v), name
 
+    @pytest.mark.parametrize("mfi, fusion, backbone", [
+        (True, "cat", True), (True, "sum", True), (True, "cat", False), (True, "sum", False),
+        (False, "cat", True), (False, "sum", True)])
+    def test_stacked_step_equals_the_step_stream_by_stream(self, mfi, fusion, backbone):
+        # one encode and one backward of the (2, n, D) stream stack against
+        # two one-stream encodes and backward calls: the breakdown, every
+        # gradient and the running stats, bit for bit, over three steps
+        rng = np.random.default_rng([43, mfi, backbone, zlib.crc32(fusion.encode())])
+        cfg, params, loss_cfg, _, labels, P, K = harness._full_model_setup(
+            rng, mfi, fusion=fusion, stage_dims=(6, 5, 5))
+        cfg = replace(cfg, backbone_loss_enabled=backbone)
+        reference = params.copy()
+        targets = losses.loss_targets(labels, P, K)
+        for _ in range(3):
+            x = rng.standard_normal((2 * P * K, cfg.input_dim))
+            got, grads = harness._train_step(params, cfg, loss_cfg, x, targets)
+            want, want_grads = train_step_reference(reference, cfg, loss_cfg, x, targets)
+            assert got == want
+            assert set(grads) == set(want_grads) == set(params.values)
+            for name, g in want_grads.items():
+                assert np.array_equal(grads[name], g), name
+            for name, v in reference.bn_state.items():
+                assert np.array_equal(params.bn_state[name], v), name
+
+    def test_train_steps_on_views_of_the_flat_vector(self, monkeypatch):
+        # each stream pair's stack, which the stacked step encodes with, is
+        # a view of the parameters that Adam moves, not a copy
+        seen = []
+        train_step = harness._train_step
+
+        def step(params, *args, **kwargs):
+            for key, stack in params.stream_stacks.items():
+                for k, mod in enumerate(MODALITIES):
+                    one = params.values[f"{mod}.{key}"]
+                    assert np.shares_memory(stack, one) and np.array_equal(stack[k].reshape(one.shape), one)
+            seen.append(sorted(params.stream_stacks))
+            return train_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_train_step", step)
+        params, _, _ = train(tiny_dataset(), tiny_config())
+        assert seen and seen[0] == ["stage1.W", "stage1.b", "stage2.W", "stage2.b"]
+        assert params.stream_stacks is None
+
     def test_every_sampled_batch_has_the_run_pools(self):
         # train builds the pools once per run from (P, K); they must be the
         # pools of each batch sample_pk_batch draws, also when a pool is
@@ -389,6 +434,9 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
                    "params.thermal.stage1.b"),
     "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
                            "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
+    # JSON reads 10**400 as an int, which no float64 holds
+    "huge_int_value": (lambda doc: doc["params"]["head.fc.W"]["values"].__setitem__(0, 10 ** 400),
+                       "params.head.fc.W"),
 }
 
 
@@ -643,6 +691,7 @@ class TestGradcheck:
         # gradient fits the shapes; the per-entry check of the inner-tap model
         # and the directional check of the reference model catch the values
         def misplaced(params, cfg, cache, grads, out=None):
+            assert cache[0] == MODALITIES  # the train step's one backward call, of both streams
             last = replace(cfg, tap_stage=len(cfg.stage_dims))
             return encoder.encode_backward(params, last, cache, grads, out=out)
 
@@ -662,7 +711,12 @@ class TestGradcheck:
             gradcheck(trials=trials, seed=0)
 
     def test_detects_a_batchnorm_dx_off_by_a_thousandth(self, monkeypatch):
+        # the layer check calls it on one matrix, the train step on the
+        # streams' (2, n, d) stack
+        ndims = set()
+
         def skewed(cache, g):
+            ndims.add(np.ndim(g))
             dx, dgamma, dbeta = batchnorm_backward(cache, g)
             return dx * (1.0 + 1e-3), dgamma, dbeta
 
@@ -670,6 +724,7 @@ class TestGradcheck:
         monkeypatch.setattr(encoder, "batchnorm_backward", skewed)
         assert failing_components(monkeypatch) == {"batchnorm", "full_model_mfi",
                                                    "full_model_backbone"}
+        assert ndims == {2, 3}
 
     def test_detects_a_mined_hinge_scatter_off_by_a_thousandth(self, monkeypatch):
         class ScaledScatter:
@@ -709,12 +764,18 @@ class TestGradcheck:
                                                    "full_model_backbone"}
 
     def test_detects_a_train_step_that_drops_the_thermal_gradient(self, monkeypatch):
-        # train and the full-model instances run one step: broken, it leaves
-        # the thermal stream untrained, and gradcheck fails
+        # train and the full-model instances run one step: broken, its one
+        # backward call gets no thermal upstream gradient, which leaves the
+        # thermal stream untrained, and gradcheck fails
         def visible_only(params, cfg, cache, grads, out=None):
-            if cache[0] == "thermal":
-                return out, None
-            return encoder.encode_backward(params, cfg, cache, grads, out=out)
+            assert cache[0] == MODALITIES
+            dropped = {}
+            for field, g in vars(grads).items():
+                if g is not None:
+                    g = g.copy()
+                    g[1] = 0.0  # the thermal matrix of the (2, n, ·) stack
+                dropped[field] = g
+            return encoder.encode_backward(params, cfg, cache, losses.BundleGrads(**dropped), out=out)
 
         def broken_step(*args, step=harness._train_step, **kwargs):
             with monkeypatch.context() as m:
@@ -848,6 +909,34 @@ class TestLossOnlySweep:
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc) + "\n")
+
+
+# sha256 of `xmodal train`'s checkpoint and report for the tiny configuration
+# of the CI step "Installed command", by the MFI flag: the skip-branch arm and
+# the backbone arm. A change that moves trained bits updates them on purpose
+# and says so in CHANGES.md.
+TRAINED_DIGESTS = {
+    True: ("1e025760fa5609a66324dfa1d465f15de0f4ad4300a02650b2a362f221077fd6",
+           "086e068a5fc1092db12c45ae45f34353c75f2ecd7438b273fc52731016271d57"),
+    False: ("daeda22f143c19a7acbccc687bf9248935b3158ed76ce4a5587e019187116723",
+            "6860ed47da685dea459b2678f2f3e3f02e251bbd3f458414ee0f6b5fda2de198"),
+}
+
+
+@pytest.mark.parametrize("mfi", [True, False])
+def test_trained_bytes_are_pinned(tmp_path, mfi):
+    synth, config = tmp_path / "synth.json", tmp_path / "train.json"
+    data, ckpt, report = tmp_path / "data.txt", tmp_path / "model.ckpt", tmp_path / "report.json"
+    write_json(synth, {"num_identities": 6, "per_identity_per_modality": 3, "input_dim": 6, "seed": 0})
+    write_json(config, {"encoder": {"input_dim": 6, "num_classes": 0, "stage_dims": [8, 8],
+                                    "tap_stage": 1, "d": 5, "mfi_enabled": mfi},
+                        "P": 3, "K": 2, "epochs": 2, "freeze_stage_epochs": 1, "lr_decay_epoch": 1,
+                        "seed": 0})
+    assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+    assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt),
+                     "--report", str(report)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, report))
+    assert digests == TRAINED_DIGESTS[mfi]
 
 
 @pytest.fixture

@@ -291,23 +291,20 @@ class TestCertifiedMining:
 
 
 def loss_bundles(rng, mfi, num_classes=3, P=3, K=2, d=4):
-    """Random per-modality encoder outputs and labels for `total_loss`."""
+    """Random encoder outputs of both streams, as the (2, n, ·) stack
+    `total_loss` reads, and the batch's class labels."""
     from xmodal.encoder import FeatureBundle
 
-    def one(n):
-        b = FeatureBundle(
-            v_pre=rng.standard_normal((n, d)),
-            v_post=rng.standard_normal((n, d)),
-            logits_backbone=rng.standard_normal((n, num_classes)),
-        )
-        if mfi:
-            b.v_fused_post = rng.standard_normal((n, 2 * d))
-            b.logits_skip = rng.standard_normal((n, num_classes))
-        return b
-
     n = P * K
-    labels = np.repeat(np.arange(P), K)
-    return one(n), one(n), labels, labels
+    b = FeatureBundle(
+        v_pre=rng.standard_normal((2, n, d)),
+        v_post=rng.standard_normal((2, n, d)),
+        logits_backbone=rng.standard_normal((2, n, num_classes)),
+    )
+    if mfi:
+        b.v_fused_post = rng.standard_normal((2, n, 2 * d))
+        b.logits_skip = rng.standard_normal((2, n, num_classes))
+    return b, np.tile(np.repeat(np.arange(P), K), 2)
 
 
 def perturbations(x, rng, entries=3, h=1e-5):
@@ -374,27 +371,27 @@ class TestForwardStep:
     @pytest.mark.parametrize("mfi", [True, False])
     def test_total_loss(self, mfi):
         rng = np.random.default_rng(71)
-        bv, bt, yv, yt = loss_bundles(rng, mfi)
+        bundle, labels = loss_bundles(rng, mfi)
         cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0)
-        targets = loss_targets(np.concatenate([yv, yt]), 3, 2)
+        targets = loss_targets(labels, 3, 2)
         fields = ("v_fused_post", "logits_skip", "logits_backbone") if mfi else ("v_post", "logits_backbone")
-        for bundle in (bv, bt):
-            for field in fields:
-                original = getattr(bundle, field)
-                for v in perturbations(original, rng):
-                    setattr(bundle, field, v)
-                    forward, _ = total_loss_forward(bv, bt, targets, cfg, branch(mfi))
-                    assert forward == total_loss(bv, bt, yv, yt, cfg, branch(mfi), 3, 2)[0]
-                setattr(bundle, field, original)
+        for field in fields:
+            original = getattr(bundle, field)
+            for v in perturbations(original, rng):
+                setattr(bundle, field, v)
+                forward, _ = total_loss_forward(bundle, targets, cfg, branch(mfi))
+                assert forward == total_loss(bundle, labels, cfg, branch(mfi), 3, 2)[0]
+            setattr(bundle, field, original)
 
     def test_targets_checked(self):
         rng = np.random.default_rng(72)
-        bv, bt, yv, yt = loss_bundles(rng, mfi=False)
+        bundle, labels = loss_bundles(rng, mfi=False)
         with pytest.raises(ValueError, match="LabeledBatch: identity 1 has 3 V rows"):
-            loss_targets(np.concatenate([[0, 0, 1, 1, 2, 1], yt]), 3, 2)
-        targets = loss_targets(np.concatenate([yv[:4], yt[:4]]), 2, 2)
-        with pytest.raises(ValueError, match="total_loss: 6 visible and 6 thermal rows for 4 and 4"):
-            total_loss_forward(bv, bt, targets, LossConfig(rho=RHO), branch(False))
+            loss_targets(np.concatenate([[0, 0, 1, 1, 2, 1], labels[6:]]), 3, 2)
+        targets = loss_targets(np.concatenate([labels[:4], labels[6:10]]), 2, 2)
+        with pytest.raises(ValueError, match=r"total_loss: streams of shape \(2, 6\) for 4 visible "
+                                             "and 4 thermal labels"):
+            total_loss_forward(bundle, targets, LossConfig(rho=RHO), branch(False))
 
 
 class TestStackedForward:
@@ -640,19 +637,19 @@ class TestMiningInvariants:
 class TestTotalLoss:
     def test_composition_identity(self):
         rng = np.random.default_rng(50)
-        bv, bt, yv, yt = loss_bundles(rng, mfi=False)
+        bundle, labels = loss_bundles(rng, mfi=False)
         for lam2 in (0.0, 0.1, 1.0, 2.0, 5.0):
             cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=lam2)
-            bd, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(False), 3, 2)
+            bd, _ = total_loss(bundle, labels, cfg, branch(False), 3, 2)
             assert abs(bd.total - (bd.softmax + lam2 * bd.dual)) < 1e-12
             assert abs(bd.dual - (bd.cross + 0.1 * bd.intra)) < 1e-12
 
     def test_backbone_term_added_when_enabled(self):
         rng = np.random.default_rng(51)
-        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
+        bundle, labels = loss_bundles(rng, mfi=True)
         cfg = LossConfig(rho=RHO, lambda2=1.0)
-        bd_on, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=True), 3, 2)
-        bd_off, _, _ = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=False), 3, 2)
+        bd_on, _ = total_loss(bundle, labels, cfg, branch(True, backbone=True), 3, 2)
+        bd_off, _ = total_loss(bundle, labels, cfg, branch(True, backbone=False), 3, 2)
         assert bd_on.backbone > 0.0
         assert bd_off.backbone == 0.0
         assert abs(bd_on.total - (bd_off.total + bd_on.backbone)) < 1e-12
@@ -660,20 +657,20 @@ class TestTotalLoss:
     def test_branch_selection(self):
         # with MFI on, the softmax term reads the skip logits
         rng = np.random.default_rng(52)
-        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
+        bundle, labels = loss_bundles(rng, mfi=True)
         cfg = LossConfig(rho=RHO, lambda2=0.0)
-        bd, gv, gt = total_loss(bv, bt, yv, yt, cfg, branch(True, backbone=False), 3, 2)
-        assert np.any(gv.d_logits_skip != 0.0)
-        np.testing.assert_array_equal(gv.d_logits_backbone, np.zeros_like(gv.d_logits_backbone))
+        bd, grads = total_loss(bundle, labels, cfg, branch(True, backbone=False), 3, 2)
+        assert np.any(grads.d_logits_skip != 0.0)
+        np.testing.assert_array_equal(grads.d_logits_backbone, np.zeros_like(grads.d_logits_backbone))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected(self, bad):
         rng = np.random.default_rng(53)
-        bv, bt, yv, yt = loss_bundles(rng, mfi=True)
-        bt.logits_skip[1, 0] = bad
+        bundle, labels = loss_bundles(rng, mfi=True)
+        bundle.logits_skip[1, 1, 0] = bad  # thermal row 1
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="total_loss: non-finite loss"):
-            total_loss(bv, bt, yv, yt, LossConfig(rho=RHO), branch(True), 3, 2)
+            total_loss(bundle, labels, LossConfig(rho=RHO), branch(True), 3, 2)
 
 
 class TestHingeScatter:

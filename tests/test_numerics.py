@@ -157,6 +157,40 @@ class TestLayerBackward:
         _, cache = relu_forward(np.ones((2, 3)))
         with pytest.raises(ValueError):
             relu_backward(cache, np.ones((2, 4)))
+        _, cache = dense_forward(np.ones((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
+        with pytest.raises(ValueError, match=r"expected \(2, 4, 5\)"):
+            dense_backward(cache, np.ones((4, 5)))
+
+    @pytest.mark.parametrize("n, d_in, d_out", [(1, 3, 2), (2, 1, 1), (12, 8, 6), (16, 64, 64),
+                                                (16, 64, 25)])
+    def test_stacked_backward_equals_per_matrix_calls(self, n, d_in, d_out):
+        # the train step backpropagates both streams as one (2, n, d) stack;
+        # every gradient must be each matrix's own call's, bit for bit, for
+        # a weight stacked like the stream stages or shared like the head
+        rng = np.random.default_rng(n * d_in * d_out)
+        x, g = rng.standard_normal((2, n, d_in)), rng.standard_normal((2, n, d_out))
+        for w in (rng.standard_normal((d_in, d_out)), rng.standard_normal((2, d_in, d_out))):
+            _, cache = dense_forward(x, w, rng.standard_normal(d_out))
+            stacked = dense_backward(cache, g)
+            for k in range(2):
+                _, cache = dense_forward(x[k], w[k] if w.ndim == 3 else w, np.zeros(d_out))
+                for got, want in zip(stacked, dense_backward(cache, g[k])):
+                    assert np.array_equal(got[k], want)
+        z = rng.standard_normal((2, n, d_out))
+        dz = relu_backward(relu_forward(z)[1], g)
+        for k in range(2):
+            assert np.array_equal(dz[k], relu_backward(relu_forward(z[k])[1], g[k]))
+        if n < 2:  # train-mode batchnorm needs two rows
+            return
+        gamma, beta = 0.5 + rng.random(d_out), rng.standard_normal(d_out)
+        mean, var = rng.standard_normal(d_out), 0.5 + rng.random(d_out)
+        for train in (True, False):
+            _, cache, _ = batchnorm_forward(z, gamma, beta, mean, var, train=train)
+            stacked = batchnorm_backward(cache, g)
+            for k in range(2):
+                _, cache, _ = batchnorm_forward(z[k], gamma, beta, mean, var, train=train)
+                for got, want in zip(stacked, batchnorm_backward(cache, g[k])):
+                    assert np.array_equal(got[k], want), train
 
 
 def full_index(n):
