@@ -33,9 +33,10 @@ class Sample(NamedTuple):
 @dataclass(eq=False)
 class Dataset:
     """N rows as arrays: `features` (N, D) and `identity`, `modality`,
-    `sample_id` (N,). What PK sampling reads is built once, here: `eligible`,
-    the sorted identities with rows in both modalities, and `pools`, each
-    one's (visible, thermal) row indices in row order."""
+    `sample_id` (N,). Built once for PK sampling, in O(N): `eligible`, the sorted
+    identities with rows in both modalities; `pool_rows`, the rows by identity, visible
+    first, in row order; and where each one's visible and thermal pools lie in it,
+    the (E, 2) `pool_start` and `pool_size`."""
     features: np.ndarray
     identity: np.ndarray
     modality: np.ndarray
@@ -51,11 +52,11 @@ class Dataset:
         order = np.lexsort((thermal, self.identity))
         ident, therm = self.identity[order], thermal[order]
         starts = np.flatnonzero(np.r_[True, (ident[1:] != ident[:-1]) | (therm[1:] != therm[:-1])])
-        groups = np.split(order, starts[1:])
         # an identity with both modalities has a visible group, then a thermal one
         pairs = np.flatnonzero(ident[starts[1:]] == ident[starts[:-1]])
         self.eligible = ident[starts[pairs]]
-        self.pools = [(groups[j], groups[j + 1]) for j in pairs]
+        self.pool_rows, groups = order, np.stack([pairs, pairs + 1], axis=1)
+        self.pool_start, self.pool_size = starts[groups], np.diff(np.r_[starts, len(order)])[groups]
 
     def __len__(self):
         return len(self.features)
@@ -246,19 +247,24 @@ def sample_pk_batch(dataset, P, K, rng):
     """Draw P identities, then K rows per identity per modality, as a
     `LabeledBatch` in `pk_layout`'s row order, checked when it is built.
 
-    Draws are without replacement unless an identity's modality pool is
-    smaller than K, in which case that pool is sampled with replacement.
-    The draws go identity by identity, visible pool then thermal pool; the
-    p-th drawn identity fills identity slot p of the layout.
+    One fixed draw, no Python loop: slot p gets the p-th of a stable argsort of `rng.random(E)`
+    over the E eligible identities; a pool takes the first K of a stable argsort of its
+    row of one `rng.random((P, 2, W))`, W the largest chosen pool, +inf past its end, or if
+    smaller than K, K picks with replacement from one `rng.integers` in (slot, modality) order.
     """
-    eligible, pools = dataset.eligible, dataset.pools
+    eligible = dataset.eligible
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
-    chosen = rng.choice(len(eligible), size=P, replace=False)
-    rows = np.empty((2, P, K), dtype=np.intp)  # (modality, slot, pick): the layout's row order
-    for p, ci in enumerate(chosen):
-        for m, pool in enumerate(pools[ci]):
-            rows[m, p] = pool[rng.choice(len(pool), size=K, replace=len(pool) < K)]
+    chosen = np.argsort(rng.random(len(eligible)), kind="stable")[:P]
+    start, size = dataset.pool_start[chosen], dataset.pool_size[chosen]  # (P, 2)
+    keys = rng.random((P, 2, size.max()))
+    keys[np.arange(keys.shape[-1]) >= size[..., None]] = np.inf
+    picks = np.empty((P, 2, K), dtype=np.intp)  # W < K only if every pool is small
+    picks[..., :min(K, keys.shape[-1])] = np.argsort(keys, axis=-1, kind="stable")[..., :K]
+    small = size < K
+    if small.any():
+        picks[small] = rng.integers(size[small][:, None], size=(np.count_nonzero(small), K))
+    rows = dataset.pool_rows[(start[..., None] + picks).transpose(1, 0, 2)]  # (modality, slot, pick)
     slot, modality = pk_layout(P, K)
     return LabeledBatch(features=dataset.features[rows.reshape(-1)],
                         identity=eligible[chosen][slot], modality=modality, P=P, K=K)

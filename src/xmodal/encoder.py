@@ -30,6 +30,7 @@ from .numerics import (
     batchnorm_forward,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     l2_normalize_forward,
     relu_backward,
     relu_forward,
@@ -251,9 +252,9 @@ def encode_backward(params, config, cache, grads, out=None):
     """Backpropagate BundleGrads through one encode call.
 
     Accumulates into `out` (a name -> array dict covering every trainable
-    parameter) and returns (out, input gradient); for the stream pair, as
-    (2, n, ·) stacks. Each shared array gets the visible matrix's gradient,
-    then the thermal's, as two one-stream calls add them."""
+    parameter) and returns it; the input gradient, which nothing reads, is
+    not formed. Each shared array gets the visible matrix's gradient, then
+    the thermal's, as two one-stream calls add them."""
     modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches = cache
     pair = modality == MODALITIES
     streams = MODALITIES if pair else (modality,)
@@ -310,10 +311,10 @@ def encode_backward(params, config, cache, grads, out=None):
         if d_tap is not None and i == config.tap_stage:
             d_h = d_h + d_tap
         dz = relu_backward(rcache, d_h)
-        d_h, dw, db = dense_backward(dcache, dz)
+        d_h, dw, db = dense_backward(dcache, dz) if i > 1 else (None, *dense_param_grads(dcache, dz))
         add(dw, *(f"{mod}.stage{i}.W" for mod in streams))
         add(db, *(f"{mod}.stage{i}.b" for mod in streams))
-    return out, d_h
+    return out
 
 
 def test_feature(bundle, config):

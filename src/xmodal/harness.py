@@ -149,7 +149,7 @@ def _train_step(params, enc_cfg, loss_cfg, x, targets, out=None):
             running *= 1.0 - momentum
             running += momentum * batch
     breakdown, loss_cache = L.total_loss_forward(bundle, targets, loss_cfg, enc_cfg)
-    grads, _ = encode_backward(params, enc_cfg, cache, L.total_loss_backward(loss_cache), out=out)
+    grads = encode_backward(params, enc_cfg, cache, L.total_loss_backward(loss_cache), out=out)
     return breakdown, grads
 
 

@@ -66,14 +66,17 @@ def dense_forward(x, w, b):
 
 
 def dense_backward(cache, g):
+    dw, db = dense_param_grads(cache, g)
+    return np.asarray(g, dtype=np.float64) @ cache[1].swapaxes(-1, -2), dw, db
+
+
+def dense_param_grads(cache, g):
+    """(dw, db) of `dense_backward`: a first layer's, whose input gradient nothing reads."""
     x, w = cache
     g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape[:-1] + w.shape[-1:]:
         raise ValueError(f"dense backward: upstream shape {g.shape} expected {x.shape[:-1] + w.shape[-1:]}")
-    dx = g @ w.swapaxes(-1, -2)
-    dw = x.swapaxes(-1, -2) @ g
-    db = g.sum(axis=-2)
-    return dx, dw, db
+    return x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
 
 def relu_forward(x):

@@ -224,9 +224,14 @@ def adam_step_via_reference(theta, grad, state):
 
 
 def sample_pk_batch_reference(dataset, P, K, rng):
-    """PK sampling row by row from the `samples` view: per identity, the
-    visible and thermal sample ids in row order, gathered one at a time
-    into the visible half or the thermal half of the batch."""
+    """PK sampling row by row from the `samples` view, reading the uniforms
+    of `sample_pk_batch` one identity and one pool at a time: per identity,
+    the visible and thermal sample ids in row order; identities ranked by
+    (uniform, index); then W uniforms per chosen pool, in (identity,
+    modality) order, ranked by (uniform, position) over the pool's own
+    positions; then K integers per pool smaller than K, in the same order.
+    The rows are gathered one at a time into the visible half or the
+    thermal half of the batch."""
     from xmodal.losses import LabeledBatch
 
     index, by_id = {}, {}
@@ -238,15 +243,22 @@ def sample_pk_batch_reference(dataset, P, K, rng):
     if len(eligible) < P:
         raise ValueError(f"sample_pk_batch: only {len(eligible)} identities with both modalities, need {P}")
     eligible.sort()
-    chosen = rng.choice(len(eligible), size=P, replace=False)
+    u = rng.random(len(eligible))
+    chosen = sorted(range(len(eligible)), key=lambda i: (u[i], i))[:P]
+    pools = [(ident, mod, pool) for ident in (eligible[ci] for ci in chosen)
+             for mod, pool in zip("VT", index[ident])]
+    width = max(len(pool) for _, _, pool in pools)
+    picks = []
+    for _, _, pool in pools:
+        keys = rng.random(width)
+        picks.append(sorted(range(len(pool)), key=lambda j: (keys[j], j))[:K])
+    for k, (_, _, pool) in enumerate(pools):
+        if len(pool) < K:
+            picks[k] = [int(rng.integers(len(pool))) for _ in range(K)]
     halves = {"V": [], "T": []}  # (feature, identity, modality) per row
-    for ci in chosen:
-        ident = eligible[ci]
-        vis, thm = index[ident]
-        for pool, mod in ((vis, "V"), (thm, "T")):
-            picks = rng.choice(len(pool), size=K, replace=len(pool) < K)
-            for p in picks:
-                halves[mod].append((by_id[pool[p]].feature, ident, mod))
+    for (ident, mod, pool), chosen_picks in zip(pools, picks):
+        for p in chosen_picks:
+            halves[mod].append((by_id[pool[p]].feature, ident, mod))
     features, idents, mods = zip(*halves["V"], *halves["T"])
     return LabeledBatch(features=np.stack(features), identity=np.array(idents),
                         modality=np.array(mods), P=P, K=K)
@@ -488,5 +500,5 @@ def train_step_reference(params, cfg, loss_cfg, x, targets, out=None):
     grads = L.total_loss_backward(cache)
     for k, (_, stream_cache) in enumerate(encoded):
         stream_grads = L.BundleGrads(**{f: None if g is None else g[k] for f, g in vars(grads).items()})
-        out, _ = encode_backward(params, cfg, stream_cache, stream_grads, out=out)
+        out = encode_backward(params, cfg, stream_cache, stream_grads, out=out)
     return breakdown, out

@@ -280,10 +280,53 @@ class TestPKSampler:
                 source = (ds.identity == ident) & (ds.modality == modality)
                 assert (ds.features[source] == feature).all(axis=1).any()
 
+    def test_draws_are_uniform(self):
+        # unequal pools, some smaller than K, and an identity that is never
+        # eligible; each row's one feature is its row index
+        sizes = {0: (1, 4), 1: (2, 3), 2: (3, 7), 3: (5, 2), 4: (8, 1), 5: (4, 6), 6: (3, 3),
+                 7: (2, 0)}
+        labels = [(i, mod) for i, pair in sizes.items() for mod, n in zip("VT", pair)
+                  for _ in range(n)]
+        ident, modality = (np.array(column) for column in zip(*labels))
+        order = np.random.default_rng(1).permutation(len(labels))
+        ident, modality, n = ident[order], modality[order], len(labels)
+        ds = Dataset(features=np.arange(n, dtype=np.float64)[:, None], identity=ident,
+                     modality=modality, sample_id=np.arange(n))
+        P, K, batches, eligible = 3, 3, 20_000, len(sizes) - 1
+        rng = np.random.default_rng(24)
+        rows = np.empty((batches, 2, P, K), dtype=np.intp)  # the layout's (modality, slot, pick)
+        for b in range(batches):
+            rows[b] = sample_pk_batch(ds, P, K, rng).features[:, 0].reshape(2, P, K)
+        chosen = ident[rows[:, 0, :, 0]]  # (batch, slot)
+        np.testing.assert_array_equal(ident[rows], np.broadcast_to(chosen[:, None, :, None], rows.shape))
+        assert (modality[rows] == np.array(["V", "T"])[:, None, None]).all()
+        # an identity is in a batch with probability q = P/E
+        q = P / eligible
+        counts = np.bincount(chosen.ravel(), minlength=len(sizes))
+        assert counts[7] == 0
+        assert (abs(counts[:7] - batches * q) < 5 * np.sqrt(batches * q * (1 - q))).all()
+        # a row of a pool of s rows: picked once with probability K/s when
+        # s >= K, else Binomial(K, 1/s) times, in each batch that has its identity
+        s = np.array([sizes[i][m == "T"] for i, m in zip(ident, modality)], dtype=np.float64)
+        second = np.where(s >= K, K / s, K / s * (1 - 1 / s) + (K / s) ** 2)  # E[picks^2]
+        sd = np.sqrt(batches * (q * second - (q * K / s) ** 2))
+        picks = np.bincount(rows.ravel(), minlength=n)
+        assert (abs(picks - batches * q * K / s) < 5 * sd)[ident != 7].all()
+        # no pick repeats within a pool of at least K rows; one of exactly K gives all
+        ordered = np.sort(rows, axis=-1)
+        full = s[rows[..., 0]] >= K
+        assert not (np.diff(ordered, axis=-1) == 0)[full].any()
+        for i, pair in sizes.items():
+            for m, mod in enumerate("VT"):
+                if pair[m] == K:
+                    pool = np.flatnonzero((ident == i) & (modality == mod))
+                    got = ordered[:, m][chosen == i]
+                    assert len(got) > 0 and (got == pool).all()
+
     def test_matches_row_by_row_reference(self):
         # shuffled rows, sparse sample ids, one identity with no thermal rows
         # (never eligible), and pools of 1 and 2 rows, which K=3 draws with
-        # replacement
+        # replacement; K=5 exceeds every pool, so every pool draws with replacement
         base = generate_synthetic(small_synth(num_identities=9, per_identity_per_modality=4))
         order = np.random.default_rng(3).permutation(len(base))
         rows, sample_ids = [], []
@@ -297,7 +340,7 @@ class TestPKSampler:
             sample_ids.append(7 * rank + 5)
         ds = Dataset(features=base.features[rows], identity=base.identity[rows],
                      modality=base.modality[rows], sample_id=np.array(sample_ids))
-        for K in (1, 3, 4):
+        for K in (1, 3, 4, 5):
             rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
             for _ in range(200):
                 batch = sample_pk_batch(ds, 5, K, rng)

@@ -285,8 +285,7 @@ class TestSharedHeadAccumulation:
                 d_v_fused_post=np.ones_like(b.v_fused_post),
                 d_logits_skip=np.ones_like(b.logits_skip),
             )
-            out, _ = encode_backward(params, cfg, cache, g)
-            return out
+            return encode_backward(params, cfg, cache, g)
 
         gv = head_grads(xv, "visible")
         gt = head_grads(xt, "thermal")

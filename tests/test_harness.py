@@ -916,10 +916,10 @@ def write_json(path, doc):
 # the backbone arm. A change that moves trained bits updates them on purpose
 # and says so in CHANGES.md.
 TRAINED_DIGESTS = {
-    True: ("1e025760fa5609a66324dfa1d465f15de0f4ad4300a02650b2a362f221077fd6",
-           "086e068a5fc1092db12c45ae45f34353c75f2ecd7438b273fc52731016271d57"),
-    False: ("daeda22f143c19a7acbccc687bf9248935b3158ed76ce4a5587e019187116723",
-            "6860ed47da685dea459b2678f2f3e3f02e251bbd3f458414ee0f6b5fda2de198"),
+    True: ("8c1fb117fc87169a362a23532bd8cbb10c86a33b96f72cd2e3aea254ded28e6c",
+           "8b139aef30d7f2fe5f6440efb51568751f3ba8b208929270c42acbdfe13e75dc"),
+    False: ("0204ba114fa4e74253cee1f0ceb1547a8570a15cf6eec95cf0185a931291ec49",
+            "38d5b5d9ea893458b230fc49c89ab7ee88bbf83425ed38a718b91bf7e92f8e00"),
 }
 
 

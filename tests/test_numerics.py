@@ -14,6 +14,7 @@ from xmodal.numerics import (
     batchnorm_forward,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     finite_diff_entries,
     finite_diff_grad,
     gemm_score_bound,
@@ -158,8 +159,9 @@ class TestLayerBackward:
         with pytest.raises(ValueError):
             relu_backward(cache, np.ones((2, 4)))
         _, cache = dense_forward(np.ones((2, 4, 3)), np.ones((3, 5)), np.zeros(5))
-        with pytest.raises(ValueError, match=r"expected \(2, 4, 5\)"):
-            dense_backward(cache, np.ones((4, 5)))
+        for backward in (dense_backward, dense_param_grads):
+            with pytest.raises(ValueError, match=r"expected \(2, 4, 5\)"):
+                backward(cache, np.ones((4, 5)))
 
     @pytest.mark.parametrize("n, d_in, d_out", [(1, 3, 2), (2, 1, 1), (12, 8, 6), (16, 64, 64),
                                                 (16, 64, 25)])
@@ -172,6 +174,9 @@ class TestLayerBackward:
         for w in (rng.standard_normal((d_in, d_out)), rng.standard_normal((2, d_in, d_out))):
             _, cache = dense_forward(x, w, rng.standard_normal(d_out))
             stacked = dense_backward(cache, g)
+            # a first layer's parameter gradients alone: the same bits
+            for got, want in zip(dense_param_grads(cache, g), stacked[1:]):
+                assert np.array_equal(got, want)
             for k in range(2):
                 _, cache = dense_forward(x[k], w[k] if w.ndim == 3 else w, np.zeros(d_out))
                 for got, want in zip(stacked, dense_backward(cache, g[k])):
