@@ -47,6 +47,11 @@ class Dataset:
         if self.features.ndim != 2 or any(v.shape != (len(self),) for v in labels):
             raise ValueError("Dataset: features must be (N, D) and each label vector (N,)")
         thermal = self.modality == THERMAL
+        stray = ~(thermal | (self.modality == VISIBLE))
+        if stray.any():
+            row = int(np.argmax(stray))
+            raise ValueError(f"Dataset: row {row} has modality tag {str(self.modality[row])!r}, "
+                             f"expected {VISIBLE!r} or {THERMAL!r}")
         # one stable sort: rows grouped by identity, visible before thermal,
         # in row order within each group
         order = np.lexsort((thermal, self.identity))

@@ -290,7 +290,8 @@ def load_checkpoint(path):
 
 def _unpack_section(path, doc, section, expected):
     """One checkpoint section as arrays, checked against the arrays the stored
-    encoder config defines: names, shapes, value types, counts, finiteness."""
+    encoder config defines: names, shapes, value types, counts, finiteness,
+    and running variances >= 0."""
     stored = doc[section]
     if set(stored) != set(expected):
         raise ConfigError(
@@ -318,6 +319,9 @@ def _unpack_section(path, doc, section, expected):
                               f"which needs {ref.size}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"{key}: non-finite value")
+        # training folds only batch variances, each >= 0, into a running variance
+        if name.endswith(".running_var") and (values < 0.0).any():
+            raise ConfigError(f"{key}: negative running variance")
         arrays[name] = values.reshape(shape)
     return arrays
 

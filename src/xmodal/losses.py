@@ -6,11 +6,14 @@ with hardest pairs mined inside the batch. Gradients flow only through
 the selected pair of anchors whose hinge is strictly active. Ties in the
 hardest-pair selection break toward the lowest row index.
 
-Each loss is a forward step, which computes the loss value and keeps what
-the gradient needs, and a gradient step. The (loss, grad) functions run
-both; a finite-difference sweep runs the forward step alone, on candidate
-pools built once per batch. A `LabeledBatch` is checked once, when it is
-built, and each loss only reads it; `pk_layout` defines a PK batch's rows.
+Every triplet loss is one weighted sum of such hinges, computed by one
+forward step (`_hinges_forward`), which keeps each hinge's mined pairs,
+and one gradient step (`_hinges_backward`). A single loss is one hinge of
+weight 1; the dual loss is the cross hinge plus lambda1 times the intra
+hinge. The (loss, grad) functions run both steps; a finite-difference
+sweep runs the forward step alone, on candidate pools built once per batch
+(`triplet_pools`). A `LabeledBatch` is checked once, when it is built, and
+each loss only reads it; `pk_layout` defines a PK batch's rows.
 
 The forward steps broadcast over leading stack axes, as the layers in
 `numerics` do: `triplet_loss` and `total_loss_forward` take a stack of
@@ -21,10 +24,9 @@ The gradient steps take one matrix.
 
 Every loss mines in one place, `_certified_picks`. A loss's candidate
 pools are a stack of score offsets, a positive and a negative pool per
-hinge: one pair for a single loss, the cross and the intra pair for the
-dual loss. The picks are made on one GEMM of scores and each is certified
-with `gemm_score_bound`; a pick it cannot certify is made again on exact
-distances. Either way the picks are those of the exact distances, ties to
+hinge, in its hinges' order. The picks are made on one GEMM of scores and
+each is certified with `gemm_score_bound`; a pick it cannot certify is
+made again on exact distances. Either way the picks are those of the exact distances, ties to
 the lowest index, and the hinges and gradients use the mined pairs' exact
 distances (`pair_distances`).
 """
@@ -111,8 +113,9 @@ def _pools(labels, *cands):
     candidate mask, stacked as (2 * len(cands), n, n) score offsets: 0
     where column j is a candidate of row i, -inf where it is not.
 
-    Row i anchors against the columns where cand[i] holds; positives share
-    its label, negatives do not. Every row needs at least one of each.
+    Row i anchors against the columns where cand[i] holds (a mask of True
+    holds everywhere); positives share its label, negatives do not. Every
+    row needs at least one of each.
     """
     same = labels[:, None] == labels[None, :]
     pools = np.stack([pool for cand in cands for pool in (cand & same, cand & ~same)])
@@ -123,23 +126,9 @@ def _pools(labels, *cands):
     return np.where(pools, 0.0, -np.inf)
 
 
-def _hinge(d_pos, d_neg, hp, hn, rho):
-    """Batch-hard hinge summed over anchor rows 0..n-1, given each row's
-    hardest positive and negative rows and its distances to them, along
-    the last axis.
-
-    Returns (loss, mined), where mined is all that `_hinge_backward` needs.
-    The loss is a float, or an array over the leading axes of a stack; each
-    of its sums is the one sum of a single row vector.
-    """
-    term = rho + d_pos - d_neg
-    loss = np.maximum(term, 0.0).sum(axis=-1)
-    return (float(loss) if loss.ndim == 0 else loss), (term, hp, hn, d_pos, d_neg)
-
-
 def _hinge_backward(features, mined):
-    """Gradient of `_hinge`'s loss w.r.t. the full feature matrix: only the
-    strictly active hinges contribute."""
+    """Gradient of one hinge's loss, from its mined pairs (`_hinges_forward`),
+    w.r.t. the full feature matrix: only the strictly active hinges contribute."""
     term, hp, hn, d_pos, d_neg = mined
     active = term > 0.0
     a, p, n = np.flatnonzero(active), hp[active], hn[active]
@@ -165,22 +154,6 @@ def _scatter_pairs(grad, p, n, gp, gn):
     np.add.at(grad.reshape(-1), flat, np.concatenate([-gp, gn]).reshape(-1))
 
 
-def _modality_masks(batch):
-    """Cross and intra candidate masks of a batch."""
-    visible = batch.modality == VISIBLE  # a checked row that is not VISIBLE is THERMAL
-    same = visible[:, None] == visible[None, :]
-    return ~same, same
-
-
-def _plain_pools(features, labels):
-    """Pools of the plain batch-hard loss: every row against the whole batch."""
-    if labels.shape != features.shape[:1]:
-        raise ValueError("batch_hard_triplet: one label per feature row required")
-    if np.unique(labels).size < 2:
-        raise ValueError("batch_hard_triplet: need at least 2 identities")
-    return _pools(labels, np.ones((labels.size, labels.size), dtype=bool))
-
-
 def mining_margins(batch, rho):
     """Smallest kink distance over plain, cross, and intra minings of a batch.
 
@@ -188,12 +161,11 @@ def mining_margins(batch, rho):
     (nearly) nondifferentiable: a hinge at zero, or a tie for the hardest
     positive or negative.
     """
-    feats, labels = np.asarray(batch.features, dtype=np.float64), batch.identity
+    feats = np.asarray(batch.features, dtype=np.float64)
     n = feats.shape[0]
     # index row k pairs every row with row k: the exact distance matrix
     dist = pair_distances(feats, np.broadcast_to(np.arange(n)[:, None], (n, n)))
-    cross, intra = _modality_masks(batch)
-    pools = _pools(labels, np.ones_like(cross), cross, intra)
+    pools = triplet_pools(batch, "batch_hard", "cross", "intra")
     # non-candidates read -inf among positives and +inf among negatives
     top = -np.partition(-(dist + pools[0::2]), 1, axis=-1)[..., :2]
     low = np.partition(dist - pools[1::2], 1, axis=-1)[..., :2]
@@ -256,27 +228,59 @@ def _certified_picks(features, offsets):
     return picks, redone
 
 
-def _mined_hinges(features, offsets, rho):
-    """Forward step of the hinges over the stacked pools `offsets`, one per
-    (positive, negative) pair, for one feature matrix or each of a stack:
-    a list of `_hinge`'s (loss, mined), in the order of the pairs."""
+def _hinges_forward(features, offsets, weights, rho):
+    """Forward step of every triplet loss: the weighted sum of batch-hard
+    hinges, one per (positive, negative) pair of the stacked pools
+    `offsets` (`triplet_pools`), with one weight per hinge.
+
+    Each hinge sums [rho + hardest-positive distance - hardest-negative
+    distance]_+ over the anchor rows. `features` is one (n, D) matrix,
+    whose losses are floats, or a stack of them over leading axes, whose
+    losses are arrays over those axes; each of their sums is the one sum of
+    a single row vector. Returns (loss, the hinges' own losses, cache for
+    `_hinges_backward`); the cache keeps each hinge's mined pairs.
+    """
     picks, _ = _certified_picks(features, offsets)
     dist = pair_distances(features, picks)
-    return [_hinge(dist[..., k, :], dist[..., k + 1, :], picks[..., k, :], picks[..., k + 1, :], rho)
-            for k in range(0, offsets.shape[0], 2)]
+    losses, mined = [], []
+    for k in range(0, offsets.shape[0], 2):
+        d_pos, d_neg = dist[..., k, :], dist[..., k + 1, :]
+        term = rho + d_pos - d_neg
+        loss = np.maximum(term, 0.0).sum(axis=-1)
+        losses.append(float(loss) if loss.ndim == 0 else loss)
+        mined.append((term, picks[..., k, :], picks[..., k + 1, :], d_pos, d_neg))
+    # 1.0 * x is exact: a single loss is its hinge's sum, bit for bit
+    loss = weights[0] * losses[0]
+    for w, hinge in zip(weights[1:], losses[1:], strict=True):
+        loss += w * hinge
+    return loss, tuple(losses), (features, weights, mined)
+
+
+def _hinges_backward(cache):
+    """Gradient step of `_hinges_forward`'s loss w.r.t. one feature matrix:
+    the hinges' gradients, weighted and summed in hinge order."""
+    features, weights, mined = cache
+    grad = _hinge_backward(features, mined[0])
+    grad *= weights[0]  # in place, as the sums below: no full-size copy
+    for w, hinge in zip(weights[1:], mined[1:]):
+        grad += w * _hinge_backward(features, hinge)
+    return grad
 
 
 def _triplet(features, pools, rho):
     """(loss, grad) of the one hinge over `pools`: the forward step, then the gradient step."""
-    features = np.asarray(features, dtype=np.float64)
-    (loss, mined), = _mined_hinges(features, pools, rho)
-    return loss, _hinge_backward(features, mined)
+    loss, _, cache = _hinges_forward(np.asarray(features, dtype=np.float64), pools, (1.0,), rho)
+    return loss, _hinges_backward(cache)
 
 
 def batch_hard_triplet(features, labels, rho):
     """Plain batch-hard triplet loss: every row anchors against the whole batch."""
-    features = np.asarray(features, dtype=np.float64)
-    return _triplet(features, _plain_pools(features, np.asarray(labels)), rho)
+    labels = np.asarray(labels)
+    if labels.shape != np.shape(features)[:1]:
+        raise ValueError("batch_hard_triplet: one label per feature row required")
+    if np.unique(labels).size < 2:
+        raise ValueError("batch_hard_triplet: need at least 2 identities")
+    return _triplet(features, _pools(labels, True), rho)
 
 
 def cross_modality_triplet(batch, rho):
@@ -289,63 +293,44 @@ def intra_modality_triplet(batch, rho):
     return _triplet(batch.features, triplet_pools(batch, "intra"), rho)
 
 
-def triplet_pools(batch, kind):
-    """Checked pools of one triplet loss over the rows of `batch`, as the
-    (2, n, n) score offsets `_certified_picks` takes.
+def triplet_pools(batch, *kinds):
+    """Checked pools of the triplet hinges `kinds` over the rows of `batch`,
+    stacked in the order given as the (2 * len(kinds), n, n) score offsets
+    `_certified_picks` takes: a positive and a negative pool per hinge.
 
-    `kind` names the loss: "batch_hard", "cross" or "intra". The pools are
-    built here, once, so that `triplet_loss` can evaluate the loss at many
-    feature matrices for the same rows, as a finite-difference sweep does.
+    A kind names a loss's candidates: "batch_hard" the whole batch, "cross"
+    the rows of the other modality, "intra" those of the anchor's own. The
+    pools are built here, once, so that `triplet_loss` can evaluate a loss
+    at many feature matrices for the same rows, as a finite-difference
+    sweep does; the dual loss takes the "cross" and "intra" pools.
     """
-    if kind == "batch_hard":
-        return _plain_pools(batch.features, np.asarray(batch.identity))
-    if kind not in ("cross", "intra"):
-        raise ValueError(f"triplet_pools: unknown kind {kind!r}")
-    cross, intra = _modality_masks(batch)
-    return _pools(batch.identity, cross if kind == "cross" else intra)
+    visible = batch.modality == VISIBLE  # a checked row that is not VISIBLE is THERMAL
+    same = visible[:, None] == visible[None, :]
+    masks = {"batch_hard": True, "cross": ~same, "intra": same}
+    for kind in kinds:
+        if kind not in masks:
+            raise ValueError(f"triplet_pools: unknown kind {kind!r}")
+    return _pools(batch.identity, *(masks[kind] for kind in kinds))
 
 
 def triplet_loss(features, pools, rho):
     """Forward step alone: the loss value of the triplet loss whose checked
-    pools (`triplet_pools`) are given, with no gradient.
+    pools (`triplet_pools`, one kind) are given, with no gradient.
 
     `features` is one (n, D) matrix, whose loss is a float, or a stack of
     them over leading axes, whose losses come as an array over those axes,
     each equal to the matrix's own loss bit for bit. A finite-difference
     sweep evaluates all its points in one call.
     """
-    return _mined_hinges(np.asarray(features, dtype=np.float64), pools, rho)[0][0]
-
-
-def _dual_offsets(batch):
-    """The batch's cross pools, then its intra pools, as one (4, n, n)
-    stack of score offsets."""
-    return _pools(batch.identity, *_modality_masks(batch))
-
-
-def _dual_forward(features, offsets, config):
-    """Forward step of the dual loss over the stacked pools `offsets`
-    (`_dual_offsets`), for one feature matrix or each of a stack.
-
-    Returns (loss, cross loss, intra loss, cache for `_dual_backward`).
-    """
-    (loss_c, mined_c), (loss_i, mined_i) = _mined_hinges(features, offsets, config.rho)
-    return loss_c + config.lambda1 * loss_i, loss_c, loss_i, (features, mined_c, mined_i, config)
-
-
-def _dual_backward(cache):
-    """Gradient of `_dual_forward`'s loss w.r.t. the features."""
-    features, mined_c, mined_i, config = cache
-    grad_c = _hinge_backward(features, mined_c)
-    grad_i = _hinge_backward(features, mined_i)
-    return grad_c + config.lambda1 * grad_i
+    return _hinges_forward(np.asarray(features, dtype=np.float64), pools, (1.0,), rho)[0]
 
 
 def dual_modality_triplet(batch, config):
     """cross + lambda1 * intra, with matching gradient composition."""
-    loss, loss_c, loss_i, cache = _dual_forward(
-        np.asarray(batch.features, dtype=np.float64), _dual_offsets(batch), config)
-    return loss, _dual_backward(cache), loss_c, loss_i
+    loss, (loss_c, loss_i), cache = _hinges_forward(
+        np.asarray(batch.features, dtype=np.float64), triplet_pools(batch, "cross", "intra"),
+        (1.0, config.lambda1), config.rho)
+    return loss, _hinges_backward(cache), loss_c, loss_i
 
 
 @dataclass
@@ -399,7 +384,7 @@ def loss_targets(labels, P, K):
     # the batch checks read only the row count of the features
     batch = LabeledBatch(features=labels[:, None], identity=labels, modality=pk_layout(P, K)[1],
                          P=P, K=K)
-    return LossTargets(labels=labels, offsets=_dual_offsets(batch))
+    return LossTargets(labels=labels, offsets=triplet_pools(batch, "cross", "intra"))
 
 
 def total_loss_forward(bundle, targets, config, enc_cfg):
@@ -427,7 +412,8 @@ def total_loss_forward(bundle, targets, config, enc_cfg):
 
     metric, norm_cache = l2_normalize_forward(batch(sel))
     loss_sm, sm_cache = softmax_cross_entropy_forward(batch(logits), targets.labels)
-    loss_d, loss_c, loss_i, dual_cache = _dual_forward(metric, targets.offsets, config)
+    loss_d, (loss_c, loss_i), dual_cache = _hinges_forward(
+        metric, targets.offsets, (1.0, config.lambda1), config.rho)
 
     total = loss_sm + config.lambda2 * loss_d
     loss_bb = 0.0
@@ -453,7 +439,7 @@ def total_loss_backward(cache):
         return a.reshape(bundle.v_post.shape[:-1] + a.shape[-1:])
 
     d_logits = streams(softmax_cross_entropy_backward(sm_cache))
-    d_sel = streams(l2_normalize_backward(norm_cache, config.lambda2 * _dual_backward(dual_cache)))
+    d_sel = streams(l2_normalize_backward(norm_cache, config.lambda2 * _hinges_backward(dual_cache)))
     if not enc_cfg.mfi_enabled:
         return BundleGrads(d_v_post=d_sel, d_logits_backbone=d_logits)
     if bb_cache is None:

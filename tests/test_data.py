@@ -173,6 +173,15 @@ class TestFileFormat:
         with pytest.raises(DataError, match="modality"):
             load_dataset(path)
 
+    def test_stray_modality_tag_rejected_in_code(self):
+        # a Dataset built in code checks its tags as load_dataset does: a row
+        # tagged neither V nor T would otherwise join the visible pools
+        modality = np.tile(np.array(list("VXTTVV")), 4)
+        identity = np.repeat(np.arange(4), 6)
+        with pytest.raises(ValueError, match="Dataset: row 1 has modality tag 'X', expected 'V' or 'T'"):
+            Dataset(features=np.zeros((24, 2)), identity=identity, modality=modality,
+                    sample_id=np.arange(24))
+
     def test_duplicate_sample_id_names_line(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("# xmodal-dataset v1 dim=1\n0,0,V,1.0\n1,0,T,2.0\n0,1,V,3.0\n")

@@ -434,6 +434,11 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
                    "params.thermal.stage1.b"),
     "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
                            "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
+    # a running variance is never negative: a corrupt file, not a diverged run
+    "negative_mid_running_var": (lambda doc: doc["bn_state"]["mid.bn.running_var"]["values"].__setitem__(
+        0, -1.0), "bn_state.mid.bn.running_var"),
+    "negative_head_running_var": (lambda doc: doc["bn_state"]["head.bn.running_var"]["values"].__setitem__(
+        2, -1e-300), "bn_state.head.bn.running_var"),
     # JSON reads 10**400 as an int, which no float64 holds
     "huge_int_value": (lambda doc: doc["params"]["head.fc.W"]["values"].__setitem__(0, 10 ** 400),
                        "params.head.fc.W"),

@@ -17,9 +17,9 @@ from xmodal.losses import (
     intra_modality_triplet,
     loss_targets,
     mining_margins,
+    pk_layout,
     _certified_picks,
-    _dual_forward,
-    _dual_offsets,
+    _hinges_forward,
     _scatter_pairs,
     total_loss,
     total_loss_forward,
@@ -94,7 +94,7 @@ class TestBatchHard:
             assert abs(loss - batch_hard_oracle(feats, labels, RHO)) < 1e-12
 
     def test_single_identity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 identities"):
             batch_hard_triplet(np.ones((3, 2)), np.zeros(3), RHO)
 
     def test_label_count_mismatch_rejected(self):
@@ -169,13 +169,25 @@ class TestDualAndComposition:
         assert abs(loss - 1.0) < 1e-12
 
     def test_composition_identity_over_lambda_grid(self):
+        # the dual loss is the cross hinge plus lambda1 times the intra hinge
+        # of the single losses' forward and gradient steps: exactly their
+        # composition, loss, per-term losses and gradient alike, in the
+        # per-identity row layout and in the sampler's
         rng = np.random.default_rng(8)
-        batch = random_pk_batch(rng, 3, 2, 4)
-        lc, _ = cross_modality_triplet(batch, RHO)
-        li, _ = intra_modality_triplet(batch, RHO)
-        for lam1 in (0.0, 0.1, 1.0, 2.0, 5.0):
-            ld, _, _, _ = dual_modality_triplet(batch, LossConfig(rho=RHO, lambda1=lam1))
-            assert abs(ld - (lc + lam1 * li)) < 1e-12
+        for P, K, dim in ((2, 1, 2), (3, 2, 4), (4, 3, 5), (8, 4, 16)):
+            idents, mods = pk_layout(P, K)
+            for _ in range(3):
+                per_identity = random_pk_batch(rng, P, K, dim)
+                sampled = LabeledBatch(features=per_identity.features, identity=idents,
+                                       modality=mods, P=P, K=K)
+                for batch in (per_identity, sampled):
+                    lc, gc = cross_modality_triplet(batch, RHO)
+                    li, gi = intra_modality_triplet(batch, RHO)
+                    for lam1 in (0.0, 0.1, 1.0, 2.0, 2.5, 5.0):
+                        ld, grad, loss_c, loss_i = dual_modality_triplet(
+                            batch, LossConfig(rho=RHO, lambda1=lam1))
+                        assert (ld, loss_c, loss_i) == (lc + lam1 * li, lc, li)
+                        np.testing.assert_array_equal(grad, gc + lam1 * gi)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -202,7 +214,7 @@ def as_exact_path(batch, lambda1=0.1):
     The dual loss is the cross loss plus lambda1 times the intra loss.
     """
     feats = batch.features
-    offsets = _dual_offsets(batch)
+    offsets = triplet_pools(batch, "cross", "intra")
     picks, redone = _certified_picks(feats, offsets)
     np.testing.assert_array_equal(picks, certified_picks_reference(feats, offsets)[0])
     got = {"batch_hard": batch_hard_triplet(feats, batch.identity, RHO),
@@ -272,7 +284,7 @@ class TestCertifiedMining:
         redone = as_exact_path(batch)
         for kind in ("dual", "batch_hard", "cross"):
             assert redone[kind][0, 0], kind
-        assert _certified_picks(feats, _dual_offsets(batch))[0][0, 0] == 3
+        assert _certified_picks(feats, triplet_pools(batch, "cross", "intra"))[0][0, 0] == 3
         for kind in ("batch_hard", "cross"):
             assert _certified_picks(feats, triplet_pools(batch, kind))[0][0, 0] == 3
 
@@ -346,7 +358,7 @@ class TestForwardStep:
             triplet_pools(batch, "plain")
         single = dict(features=batch.features, identity=np.zeros(4, dtype=int),
                       modality=batch.modality, P=2, K=1)
-        with pytest.raises(ValueError, match="at least 2 identities"):
+        with pytest.raises(ValueError, match="no negative candidates for anchor row 0"):
             triplet_pools(SimpleNamespace(**single), "batch_hard")
         with pytest.raises(ValueError, match="LabeledBatch: expected 2 identities, got 1"):
             LabeledBatch(**single)
@@ -367,6 +379,23 @@ class TestForwardStep:
         assert checks == []
         built = four_point_batch()
         assert len(checks) == 1 and checks[0] is built
+
+    def test_triplet_pools_stack_in_the_order_given(self):
+        rng = np.random.default_rng(76)
+        kinds = ("batch_hard", "cross", "intra")
+        for P, K in ((2, 1), (3, 2)):
+            idents, mods = pk_layout(P, K)
+            for batch in (random_pk_batch(rng, P, K, 3),
+                          LabeledBatch(features=rng.standard_normal((2 * P * K, 3)),
+                                       identity=idents, modality=mods, P=P, K=K)):
+                single = {kind: triplet_pools(batch, kind) for kind in kinds}
+                assert all(pools.shape == (2, 2 * P * K, 2 * P * K) for pools in single.values())
+                np.testing.assert_array_equal(triplet_pools(batch, "cross", "intra"),
+                                              np.concatenate([single["cross"], single["intra"]]))
+                np.testing.assert_array_equal(triplet_pools(batch, "intra", *kinds),
+                                              np.concatenate([single[k] for k in ("intra",) + kinds]))
+        with pytest.raises(ValueError, match="triplet_pools: unknown kind 'dual'"):
+            triplet_pools(batch, "cross", "dual")
 
     @pytest.mark.parametrize("mfi", [True, False])
     def test_total_loss(self, mfi):
@@ -439,19 +468,23 @@ class TestStackedForward:
         rng = np.random.default_rng(75)
         P, K, dim, m = 3, 2, 4, 12
         batch = random_pk_batch(rng, P, K, dim)
-        offsets = _dual_offsets(batch)
+        offsets = triplet_pools(batch, "cross", "intra")
         stack = self.tied_stack(rng, batch, m)
         stack[5] = near_duplicate_batch(1e-12, 0, P, K, dim).features
-        config = LossConfig(rho=RHO, lambda1=0.1)
+        weights = (1.0, 0.1)
+
+        def dual(v):  # (loss, cross loss, intra loss) of the forward step
+            loss, (loss_c, loss_i), _ = _hinges_forward(v, offsets, weights, RHO)
+            return loss, loss_c, loss_i
+
         picks, redone = _certified_picks(stack, offsets)
-        loss, loss_c, loss_i, _ = _dual_forward(stack, offsets, config)
+        loss, loss_c, loss_i = dual(stack)
         assert redone[[1, 2, 5]].any(axis=(1, 2)).all() and not redone[0].any()
         for k, v in enumerate(stack):
             one_picks, one_redone = _certified_picks(v, offsets)
             assert np.array_equal(picks[k], one_picks) and np.array_equal(redone[k], one_redone)
-            assert (loss[k], loss_c[k], loss_i[k]) == _dual_forward(v, offsets, config)[:3]
-        assert np.array_equal(_dual_forward(stack.reshape(3, 4, 2 * P * K, dim), offsets, config)[0],
-                              loss.reshape(3, 4))
+            assert (loss[k], loss_c[k], loss_i[k]) == dual(v)
+        assert np.array_equal(dual(stack.reshape(3, 4, 2 * P * K, dim))[0], loss.reshape(3, 4))
 
     @pytest.mark.parametrize("kind", ["batch_hard", "cross", "intra"])
     def test_sweeps_match_the_per_point_loop(self, kind):
