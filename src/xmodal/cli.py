@@ -89,6 +89,8 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
+        raise _UsageError(f"--out and --report name one file, {args.out}: the report would replace the model")
     _check_writable(args.out, args.report)
     config = TrainConfig.from_dict(_load_json(args.config))
     dataset = load_dataset(args.data)

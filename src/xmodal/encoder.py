@@ -101,7 +101,8 @@ class EncoderParams:
 
 @dataclass
 class FeatureBundle:
-    """Batched encoder outputs for one modality sub-batch."""
+    """Batched encoder outputs: (n, ·) matrices of one stream's rows, or a
+    pair encode's (..., 2, n, ·) stacks of both streams', visible first."""
 
     v_pre: np.ndarray
     v_post: np.ndarray
@@ -119,36 +120,40 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_encoder(config, seed):
-    """Scaled-uniform Dense weights, zero biases, unit/zero batchnorm affine."""
-    rng = np.random.default_rng(seed)
-    values = {}
-    bn_state = {}
+def param_shapes(config):
+    """(trainable arrays, batchnorm running stats): each a name -> shape
+    dict, in the order `init_encoder` fills them. Nothing is allocated."""
+    values, bn_state = {}, {}
+    dims = (config.input_dim,) + tuple(config.stage_dims)
     for mod in MODALITIES:
-        in_dim = config.input_dim
-        for i, out_dim in enumerate(config.stage_dims, start=1):
-            values[f"{mod}.stage{i}.W"] = _glorot(rng, in_dim, out_dim)
-            values[f"{mod}.stage{i}.b"] = np.zeros(out_dim)
-            in_dim = out_dim
-    last = config.stage_dims[-1]
-    values["head.fc.W"] = _glorot(rng, last, config.d)
-    values["head.fc.b"] = np.zeros(config.d)
-    values["head.bn.gamma"] = np.ones(config.d)
-    values["head.bn.beta"] = np.zeros(config.d)
-    values["head.cls.W"] = _glorot(rng, config.d, config.num_classes)
-    values["head.cls.b"] = np.zeros(config.num_classes)
-    bn_state["head.bn.running_mean"] = np.zeros(config.d)
-    bn_state["head.bn.running_var"] = np.ones(config.d)
+        for i in range(1, len(dims)):
+            values[f"{mod}.stage{i}.W"] = dims[i - 1:i + 1]
+            values[f"{mod}.stage{i}.b"] = dims[i:i + 1]
+    branches = [("head", dims[-1], config.d)]
     if config.mfi_enabled:
-        tap_dim = config.stage_dims[config.tap_stage - 1]
-        values["mid.fc.W"] = _glorot(rng, tap_dim, config.d)
-        values["mid.fc.b"] = np.zeros(config.d)
-        values["mid.bn.gamma"] = np.ones(config.fused_dim)
-        values["mid.bn.beta"] = np.zeros(config.fused_dim)
-        values["mid.cls.W"] = _glorot(rng, config.fused_dim, config.num_classes)
-        values["mid.cls.b"] = np.zeros(config.num_classes)
-        bn_state["mid.bn.running_mean"] = np.zeros(config.fused_dim)
-        bn_state["mid.bn.running_var"] = np.ones(config.fused_dim)
+        branches.append(("mid", dims[config.tap_stage], config.fused_dim))
+    for branch, in_dim, bn_dim in branches:
+        values[f"{branch}.fc.W"] = (in_dim, config.d)
+        values[f"{branch}.fc.b"] = (config.d,)
+        values[f"{branch}.bn.gamma"] = values[f"{branch}.bn.beta"] = (bn_dim,)
+        values[f"{branch}.cls.W"] = (bn_dim, config.num_classes)
+        values[f"{branch}.cls.b"] = (config.num_classes,)
+        bn_state[f"{branch}.bn.running_mean"] = bn_state[f"{branch}.bn.running_var"] = (bn_dim,)
+    return values, bn_state
+
+
+def init_encoder(config, seed):
+    """Scaled-uniform Dense weights, drawn in `param_shapes` order; zero
+    biases; unit/zero batchnorm affine and running variance/mean."""
+    rng = np.random.default_rng(seed)
+
+    def fill(name, shape):
+        if name.endswith(".W"):
+            return _glorot(rng, *shape)
+        return (np.ones if name.endswith((".gamma", ".running_var")) else np.zeros)(shape)
+
+    values, bn_state = ({name: fill(name, shape) for name, shape in section.items()}
+                        for section in param_shapes(config))
     return EncoderParams(values=values, bn_state=bn_state)
 
 
@@ -172,13 +177,16 @@ def fuse(v_mid, v_pre, mode):
 
 def _stream_array(params, modality, key):
     """Array `key` (a name after the stream prefix) of one stream, or the pair's
-    (2, ...) stack of it (a vector as (2, 1, d)) from `stream_stacks`, or copied."""
+    stack of it from `stream_stacks`, or built, visible first and a vector read
+    as a row: (2, ...) of two values, (m, 2, ...) of a stack of m and a value."""
     if modality != MODALITIES:
         return params.values[f"{modality}.{key}"]
     if params.stream_stacks is not None:
         return params.stream_stacks[key]
-    stack = np.stack([params.values[f"{mod}.{key}"] for mod in MODALITIES])
-    return stack if stack.ndim > 2 else stack[:, None]
+    v, t = (np.atleast_2d(params.values[f"{mod}.{key}"]) for mod in MODALITIES)
+    stack = np.empty(np.broadcast_shapes(v.shape[:-2], t.shape[:-2]) + (2,) + v.shape[-2:])
+    stack[..., 0, :, :], stack[..., 1, :, :] = v, t
+    return stack
 
 
 def encode(params, config, x, modality, mode="train"):

@@ -23,10 +23,10 @@ from .encoder import (
     MODALITIES,
     EncoderConfig,
     EncoderParams,
-    FeatureBundle,
     encode,
     encode_backward,
     init_encoder,
+    param_shapes,
     test_feature,
 )
 from .evaluation import EvalProtocol, run_protocol
@@ -282,16 +282,16 @@ def load_checkpoint(path):
         enc_cfg = EncoderConfig.from_dict(doc["encoder_config"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: encoder_config: {exc}") from None
-    expected = init_encoder(enc_cfg, 0)
-    params = EncoderParams(values=_unpack_section(path, doc, "params", expected.values),
-                           bn_state=_unpack_section(path, doc, "bn_state", expected.bn_state))
+    shapes, bn_shapes = param_shapes(enc_cfg)
+    params = EncoderParams(values=_unpack_section(path, doc, "params", shapes),
+                           bn_state=_unpack_section(path, doc, "bn_state", bn_shapes))
     return params, enc_cfg
 
 
 def _unpack_section(path, doc, section, expected):
-    """One checkpoint section as arrays, checked against the arrays the stored
-    encoder config defines: names, shapes, value types, counts, finiteness,
-    and running variances >= 0."""
+    """One checkpoint section as arrays, checked against `expected`, its name
+    -> shape dict from `param_shapes`: names, shapes, value types, counts,
+    finiteness, and running variances >= 0."""
     stored = doc[section]
     if set(stored) != set(expected):
         raise ConfigError(
@@ -299,7 +299,7 @@ def _unpack_section(path, doc, section, expected):
             f"(missing {sorted(set(expected) - set(stored))}, "
             f"unexpected {sorted(set(stored) - set(expected))})")
     arrays = {}
-    for name, ref in expected.items():
+    for name, want in expected.items():
         key = f"{path}: {section}.{name}"
         entry = stored[name] if isinstance(stored[name], dict) else {}
         shape, values = entry.get("shape"), entry.get("values")
@@ -312,11 +312,11 @@ def _unpack_section(path, doc, section, expected):
             values = np.array(values, dtype=np.float64)
         except OverflowError:  # a JSON int beyond float64's range
             raise ConfigError(f"{key}: a value too large for float64") from None
-        if tuple(shape) != ref.shape:
-            raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(ref.shape)}")
-        if values.shape != (ref.size,):
+        if tuple(shape) != want:
+            raise ConfigError(f"{key}: shape {list(shape)}, the encoder config needs {list(want)}")
+        if values.shape != (math.prod(want),):
             raise ConfigError(f"{key}: {values.size} values for shape {list(shape)}, "
-                              f"which needs {ref.size}")
+                              f"which needs {math.prod(want)}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"{key}: non-finite value")
         # training folds only batch variances, each >= 0, into a running variance
@@ -535,16 +535,11 @@ def _full_model_setup(rng, mfi, fusion="cat", stage_dims=(6, 5), input_dim=5, d=
 def _loss_sweep(params, cfg, loss_cfg, x, targets):
     """`loss(changed)`: `_train_step`'s total loss by the forward steps
     only, with `changed` (name -> a stack of m values, each vector as
-    (m, 1, d)) in place of those arrays of `params`: the m losses, from one
-    call of each forward step.
-
-    A `visible.*` or `thermal.*` array feeds only its own stream, so a
-    stream is encoded again, on its own, only when a changed array is its
-    own or shared; the other stream's matrix of the unperturbed pair,
-    encoded once here, joins each matrix of the stack in the stream stack
-    the loss reads. That is exact: train-mode batchnorm output depends
-    only on its own batch's statistics. `encode` writes to nothing, so
-    `params` is left as it was.
+    (m, 1, d)) in place of those arrays of `params`: the m losses, from the
+    train step's pair encode and one loss call per part of the stack. A
+    shared array's stack gets a stream axis, to meet both streams' rows; a
+    stream's stack goes into the pair's (m, 2, ...) stack of that array.
+    `encode` writes to nothing, so `params` is left as it was.
 
     A stack is evaluated in parts, so that its memory does not grow with
     its size: each part's intermediates, estimated from one unstacked
@@ -552,25 +547,16 @@ def _loss_sweep(params, cfg, loss_cfg, x, targets):
     (4, 2n, 2n) candidate scores), stay within `DIST_BLOCK_BYTES`.
     """
     halves = x.reshape(2, -1, x.shape[-1])
-    unperturbed, _ = encoded = encode(params, cfg, halves, MODALITIES)
-    _, loss_cache = L.total_loss_forward(unperturbed, targets, loss_cfg, cfg)
+    encoded = encode(params, cfg, halves, MODALITIES)
+    _, loss_cache = L.total_loss_forward(encoded[0], targets, loss_cfg, cfg)
     point_bytes = _array_bytes((encoded, loss_cache)) + targets.offsets.nbytes
     part = max(1, DIST_BLOCK_BYTES // point_bytes)
-    fields = (("v_fused_post", "logits_skip", "logits_backbone") if cfg.mfi_enabled
-              else ("v_post", "logits_backbone"))  # the outputs the loss reads
 
     def part_loss(changed):
-        owners = {name.partition(".")[0] for name in changed}
+        changed = {name: v if name.startswith(MODALITIES) else v[:, None] for name, v in changed.items()}
         trial = EncoderParams(values={**params.values, **changed}, bn_state=params.bn_state)
-        again = [encode(trial, cfg, halves[k], mod)[0] if owners - set(MODALITIES) or mod in owners
-                 else None for k, mod in enumerate(MODALITIES)]
-        joined = dict.fromkeys(("v_pre", "v_post"))
-        for field in fields:  # an unstacked matrix joins every matrix of a stack
-            v, t = (getattr(unperturbed, field)[k] if bundle is None else getattr(bundle, field)
-                    for k, bundle in enumerate(again))
-            joined[field] = np.empty(max(v.shape, t.shape, key=len)[:-2] + (2,) + v.shape[-2:])
-            joined[field][..., 0, :, :], joined[field][..., 1, :, :] = v, t
-        return L.total_loss_forward(FeatureBundle(**joined), targets, loss_cfg, cfg)[0].total
+        bundle, _ = encode(trial, cfg, halves, MODALITIES)
+        return L.total_loss_forward(bundle, targets, loss_cfg, cfg)[0].total
 
     def loss(changed):
         m = len(next(iter(changed.values())))

@@ -11,6 +11,7 @@ from xmodal.encoder import (
     encode_backward,
     fuse,
     init_encoder,
+    param_shapes,
     test_feature as select_feature,
     zero_grads,
 )
@@ -40,6 +41,13 @@ class TestInit:
         p = init_encoder(small_config(), 0)
         np.testing.assert_array_equal(p.values["head.bn.gamma"], np.ones(4))
         np.testing.assert_array_equal(p.values["mid.bn.gamma"], np.ones(8))
+
+    @pytest.mark.parametrize("mfi", [True, False])
+    def test_param_shapes_name_the_arrays_in_init_order(self, mfi):
+        p = init_encoder(small_config(mfi=mfi), 0)
+        values, bn_state = param_shapes(small_config(mfi=mfi))
+        assert list(values.items()) == [(k, v.shape) for k, v in p.values.items()]
+        assert list(bn_state.items()) == [(k, v.shape) for k, v in p.bn_state.items()]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -173,8 +181,10 @@ class TestStackedForward:
     @pytest.mark.parametrize("mfi,fusion,backbone", [
         (True, "cat", True), (True, "sum", True), (False, "cat", True), (True, "cat", False)])
     def test_stack_equals_per_point_calls(self, mfi, fusion, backbone):
-        # stream, head and mid weights and vectors; a stream's array leaves
-        # the other stream unstacked, and its bundle joins each of the stack
+        # stream, head and mid weights and vectors, through one-stream
+        # encodes and through the pair encode of the train step: a stream's
+        # stack leaves the other stream's value unstacked, and a shared
+        # array's stack gets a stream axis
         rng = np.random.default_rng(90)
         cfg = small_config(mfi=mfi, fusion=fusion, backbone=backbone)
         params = init_encoder(cfg, 21)
@@ -193,25 +203,40 @@ class TestStackedForward:
                        encode(trial, cfg, x[P * K:], "thermal", mode=mode)[0]]
             return bundles, total_loss_forward(stack_streams(*bundles), targets, loss_cfg, cfg)[0]
 
+        def pair_forward(values, mode):
+            values = {n: v if n.startswith(MODALITIES) else v[:, None] for n, v in values.items()}
+            trial = EncoderParams(values={**params.values, **values}, bn_state=params.bn_state)
+            pair = encode(trial, cfg, x.reshape(2, P * K, -1), MODALITIES, mode=mode)[0]
+            return ([stream_of(pair, s) for s in range(2)],
+                    total_loss_forward(pair, targets, loss_cfg, cfg)[0])
+
         for name in (n for n in names if n in params.values):
             value = params.values[name]
             stack = value + 0.1 * rng.standard_normal((m,) + value.shape)
+            stacked = {name: stack[:, None] if value.ndim == 1 else stack}
             for mode in ("train", "eval"):
-                bundles, breakdown = forward(
-                    {name: stack[:, None] if value.ndim == 1 else stack}, mode)
-                for k in range(m):
-                    want_bundles, want = forward({name: stack[k]}, mode)
-                    for got, one in zip(bundles, want_bundles):
-                        for field in BUNDLE_FIELDS:
-                            a, b = getattr(got, field), getattr(one, field)
-                            assert (a is None) == (b is None), field
-                            if b is not None:
-                                assert np.array_equal(matrix(a, k, b), b), (name, mode, field)
-                        for stat, b in (one.batch_stats or {}).items():
-                            assert np.array_equal(matrix(got.batch_stats[stat], k, b), b), stat
-                    for field in LOSS_FIELDS:
-                        b = getattr(want, field)
-                        assert matrix(getattr(breakdown, field), k, b) == b, (name, mode, field)
+                for bundles, breakdown in (forward(stacked, mode), pair_forward(stacked, mode)):
+                    for k in range(m):
+                        want_bundles, want = forward({name: stack[k]}, mode)
+                        for got, one in zip(bundles, want_bundles):
+                            for field in BUNDLE_FIELDS:
+                                a, b = getattr(got, field), getattr(one, field)
+                                assert (a is None) == (b is None), field
+                                if b is not None:
+                                    assert np.array_equal(matrix(a, k, b), b), (name, mode, field)
+                            for stat, b in (one.batch_stats or {}).items():
+                                assert np.array_equal(matrix(got.batch_stats[stat], k, b), b), stat
+                        for field in LOSS_FIELDS:
+                            b = getattr(want, field)
+                            assert matrix(getattr(breakdown, field), k, b) == b, (name, mode, field)
+
+
+def stream_of(pair, s):
+    """Stream s's outputs of a pair encode, each behind its stack axes."""
+    fields = {f: None if getattr(pair, f) is None else getattr(pair, f)[..., s, :, :]
+              for f in BUNDLE_FIELDS}
+    stats = {k: v[..., s, :] for k, v in (pair.batch_stats or {}).items()}
+    return FeatureBundle(**fields, batch_stats=stats or None)
 
 
 class TestTestFeature:

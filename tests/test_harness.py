@@ -442,6 +442,10 @@ CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error
     # JSON reads 10**400 as an int, which no float64 holds
     "huge_int_value": (lambda doc: doc["params"]["head.fc.W"]["values"].__setitem__(0, 10 ** 400),
                        "params.head.fc.W"),
+    # shapes no array can take: checked against the config before any array is made
+    "too_big_encoder_config": (lambda doc: doc["encoder_config"].update(
+        input_dim=10 ** 10, stage_dims=[10 ** 10, 8]),
+        "params.visible.stage1.W: shape [6, 8], the encoder config needs [10000000000, 10000000000]"),
 }
 
 
@@ -802,8 +806,7 @@ class TestLossOnlySweep:
     @pytest.mark.parametrize("mfi", [True, False])
     def test_loss_matches_train_step_and_leaves_params(self, mfi):
         # every parameter name, as one stack of its value and of copies with
-        # the first or last entry moved: a visible.* or thermal.* stack
-        # re-encodes one stream, a shared array's both
+        # the first or last entry moved
         rng = np.random.default_rng(61)
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi)
         values = {k: v.copy() for k, v in params.values.items()}
@@ -1265,6 +1268,26 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"usage error: cannot write {path}: {reason}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("report", ["m.ckpt", "./m.ckpt"])
+    def test_report_over_the_checkpoint_is_found_before_the_run(self, report, workdir,
+                                                                monkeypatch, capsys):
+        # the report would replace the model it was written after
+        def run(*args, **kwargs):
+            raise AssertionError("train ran before its output paths were checked")
+
+        monkeypatch.chdir(workdir)
+        assert cli.main(["synth", "--config", "synth.json", "--out", "data.txt"]) == 0
+        monkeypatch.setattr(cli, "train", run)
+        before = sorted(p.name for p in workdir.iterdir())
+        capsys.readouterr()
+        assert cli.main(["train", "--data", "data.txt", "--config", "train.json",
+                         "--out", "m.ckpt", "--report", report]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: --out and --report name one file, m.ckpt: "
+                       "the report would replace the model\n")
         assert sorted(p.name for p in workdir.iterdir()) == before
 
     @pytest.mark.parametrize("num_identities, P", [(1, 3), (6, 8)])
