@@ -7,14 +7,13 @@ diverged, or its inputs are too large for float64).
 
 import argparse
 import errno
-import json
 import os
 import sys
 
 import numpy as np
 
-from .config import ConfigError
-from .data import DataError, generate_synthetic, load_dataset, save_dataset
+from .config import ConfigError, build_config, json_text, read_json
+from .data import DataError, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .evaluation import EvalProtocol
 from .harness import (
     TrainConfig,
@@ -23,7 +22,6 @@ from .harness import (
     gradcheck,
     gradcheck_text,
     load_checkpoint,
-    parse_synth_config,
     run_ablation,
     save_checkpoint,
     train,
@@ -39,16 +37,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _save_text(text, path):
@@ -81,7 +69,7 @@ def _check_writable(*paths):
 
 
 def _cmd_synth(args):
-    cfg, _ = parse_synth_config(_load_json(args.config))
+    cfg, _ = build_config(SynthConfig, read_json(args.config), train_fraction=0.5)
     dataset = generate_synthetic(cfg)
     _write(args.out, save_dataset, dataset)
     print(f"wrote {len(dataset)} samples to {args.out}")
@@ -92,7 +80,7 @@ def _cmd_train(args):
     if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
         raise _UsageError(f"--out and --report name one file, {args.out}: the report would replace the model")
     _check_writable(args.out, args.report)
-    config = TrainConfig.from_dict(_load_json(args.config))
+    config = build_config(TrainConfig, read_json(args.config))
     dataset = load_dataset(args.data)
     params, enc_cfg, report = train(dataset, config)
     _write(args.out, save_checkpoint, params, enc_cfg)
@@ -114,7 +102,7 @@ def _cmd_eval(args):
         seed=args.seed,
     )
     fragment = evaluate(params, enc_cfg, dataset, protocol)
-    text = json.dumps(fragment, indent=2, sort_keys=True) + "\n"
+    text = json_text(fragment)
     if args.report:
         _write(args.report, _save_text, text)
     print(text, end="")
@@ -123,8 +111,8 @@ def _cmd_eval(args):
 
 def _cmd_ablation(args):
     _check_writable(args.report)
-    synth_cfg, train_fraction = parse_synth_config(_load_json(args.data_config))
-    base = TrainConfig.from_dict(_load_json(args.config))
+    synth_cfg, train_fraction = build_config(SynthConfig, read_json(args.data_config), train_fraction=0.5)
+    base = build_config(TrainConfig, read_json(args.config))
     seeds = []
     for token in args.seeds.split(","):
         if token:
@@ -134,7 +122,7 @@ def _cmd_ablation(args):
                 raise ConfigError(f"--seeds: {token!r} is not an integer") from None
     table = run_ablation(synth_cfg, base, seeds, train_fraction=train_fraction)
     if args.report:
-        _write(args.report, _save_text, json.dumps(table, indent=2, sort_keys=True) + "\n")
+        _write(args.report, _save_text, json_text(table))
     print(ablation_text(table), end="")
     return 0
 

@@ -1,7 +1,9 @@
-"""`ConfigError`, and the check of a config's JSON object before the config
-is built. Each config is a frozen dataclass that checks its ranges in
+"""The JSON boundary: `ConfigError`; `read_json`, the one reader of config
+and checkpoint files; `build_config`, which checks a config's JSON object
+and builds the config; and `json_text`, the one writer of checkpoints and
+reports. Each config is a frozen dataclass that checks its ranges in
 `__post_init__`, which `dataclasses.replace` runs too: a config that exists
-has passed its check."""
+has passed its check, and `dataclasses.asdict` gives its JSON object."""
 
 import dataclasses
 import json
@@ -12,6 +14,28 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Bad or inconsistent configuration input."""
+
+
+def read_json(path, header=None):
+    """The JSON value in the file at `path`, whose first line must be
+    `header` if one is given. Raises ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if header is not None:
+                line = fh.readline().rstrip("\n")
+                if line != header:
+                    raise ConfigError(f"{path}: expected header {header!r}, got {line!r}")
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def json_text(obj):
+    """`obj` as indented JSON with sorted keys, so that equal values give
+    equal bytes; a tuple is written as a list."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _is_int(v):
@@ -72,3 +96,23 @@ def json_fields(cls, d, **extra):
         if not ok(value):
             raise ConfigError(f"{name}: {key} must be {what}, got {_shown(value)}")
     return dict(d)
+
+
+def build_config(cls, d, **extra):
+    """The config `cls` built from its JSON object `d`, checked by
+    `json_fields`: a nested config is built the same way, and a tuple field
+    is made a tuple.
+
+    Each keyword of `extra` names a key `d` may hold beside the fields of
+    `cls`, and gives its default, whose type is the key's JSON type; the
+    result is then (config, *the values of those keys).
+    """
+    d = json_fields(cls, d, **{key: type(default) for key, default in extra.items()})
+    values = [d.pop(key, default) for key, default in extra.items()]
+    for f in dataclasses.fields(cls):
+        if f.name in d and dataclasses.is_dataclass(f.type):
+            d[f.name] = build_config(f.type, d[f.name])
+        elif f.name in d and f.type is tuple:
+            d[f.name] = tuple(d[f.name])
+    config = cls(**d)
+    return (config, *values) if extra else config

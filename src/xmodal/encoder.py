@@ -20,11 +20,11 @@ bit, and `encode_backward` takes the stack back in one call.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, json_fields
+from .config import ConfigError
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
@@ -71,16 +71,6 @@ class EncoderConfig:
     @property
     def fused_dim(self):
         return 2 * self.d if self.fusion == "cat" else self.d
-
-    def to_dict(self):
-        return {**asdict(self), "stage_dims": list(self.stage_dims)}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = json_fields(cls, d)
-        if "stage_dims" in d:
-            d["stage_dims"] = tuple(d["stage_dims"])
-        return cls(**d)
 
 
 @dataclass

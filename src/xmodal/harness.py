@@ -1,7 +1,6 @@
 """Training loop, checkpoints, ablation runner, and gradient verification."""
 
 import hashlib
-import json
 import math
 import time
 import warnings
@@ -11,9 +10,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 import numpy as np
 
 from . import losses as L
-from .config import ConfigError, json_fields
+from .config import ConfigError, build_config, json_text, read_json
 from .data import (
-    SynthConfig,
     batches_per_epoch,
     generate_synthetic,
     sample_pk_batch,
@@ -84,16 +82,6 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"TrainConfig: {name} must be >= 0, got {getattr(self, name)}")
 
-    def to_dict(self):
-        return {**asdict(self), "encoder": self.encoder.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = json_fields(cls, d)
-        d["encoder"] = EncoderConfig.from_dict(d["encoder"])
-        d["loss"] = LossConfig(**json_fields(LossConfig, d.get("loss", {})))
-        return cls(**d)
-
 
 @dataclass
 class RunReport:
@@ -112,7 +100,7 @@ class RunReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_text(self):
         lines = []
@@ -161,6 +149,10 @@ def train(dataset, config):
     if len(dataset.eligible) < config.P:
         raise ConfigError(f"P {config.P} exceeds the {len(dataset.eligible)} training identities "
                           "with rows in both modalities")
+    # a P*K beyond the row count only draws rows again, while the loss's
+    # (2PK, 2PK) pools grow with its square: refused before any is built
+    if config.P * config.K > len(dataset):
+        raise ConfigError(f"P {config.P} times K {config.K} exceeds the {len(dataset)} rows of the dataset")
     idents = np.unique(dataset.identity)
     enc_cfg = config.encoder
     if enc_cfg.num_classes == 0:  # infer from the data
@@ -192,7 +184,7 @@ def train(dataset, config):
     init_stages = theta[stages].copy()
     n_batches = batches_per_epoch(dataset, config.P, config.K)
 
-    report = RunReport(config_echo=_config_echo(config, enc_cfg), seed=config.seed)
+    report = RunReport(config_echo=asdict(replace(config, encoder=enc_cfg)), seed=config.seed)
     # every sampled batch is in pk_layout, so the pools depend on (P, K) alone
     targets = L.loss_targets(L.pk_layout(config.P, config.K)[0], config.P, config.K)
     for epoch in range(1, config.epochs + 1):
@@ -222,12 +214,6 @@ def train(dataset, config):
     return params, enc_cfg, report
 
 
-def _config_echo(config, enc_cfg):
-    echo = config.to_dict()
-    echo["encoder"] = enc_cfg.to_dict()
-    return echo
-
-
 def evaluate(params, enc_cfg, test_dataset, protocol):
     """Metrics fragment of `protocol`, one query direction."""
     if enc_cfg.input_dim != test_dataset.input_dim:
@@ -250,7 +236,7 @@ def evaluate(params, enc_cfg, test_dataset, protocol):
 
 def save_checkpoint(params, enc_cfg, path):
     doc = {
-        "encoder_config": enc_cfg.to_dict(),
+        "encoder_config": asdict(enc_cfg),
         "params": {k: {"shape": list(v.shape), "values": v.reshape(-1).tolist()}
                    for k, v in params.values.items()},
         "bn_state": {k: {"shape": list(v.shape), "values": v.reshape(-1).tolist()}
@@ -258,28 +244,19 @@ def save_checkpoint(params, enc_cfg, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(doc))
 
 
 def load_checkpoint(path):
     """Parameters and encoder config, validated in full before any use."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CHECKPOINT_HEADER:
-                raise ConfigError(f"{path}: expected header {CHECKPOINT_HEADER!r}, got {header!r}")
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    doc = read_json(path, header=CHECKPOINT_HEADER)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object after the header")
     for section in ("encoder_config", "params", "bn_state"):
         if not isinstance(doc.get(section), dict):
             raise ConfigError(f"{path}: missing section {section!r}")
     try:
-        enc_cfg = EncoderConfig.from_dict(doc["encoder_config"])
+        enc_cfg = build_config(EncoderConfig, doc["encoder_config"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: encoder_config: {exc}") from None
     shapes, bn_shapes = param_shapes(enc_cfg)
@@ -345,7 +322,7 @@ def split_hash(dataset):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5, ranks=(1, 10, 20)):
+def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5):
     """Train all four arms per seed on identical data/splits; report rank-1 and mAP."""
     if not seeds:
         raise ConfigError("run_ablation: need at least one seed")
@@ -363,7 +340,7 @@ def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5, ranks=(1, 10
             cfg = replace(arm_config(base_config, arm), seed=seed)
             params, enc_cfg, _ = train(train_ds, cfg)
             protocol = EvalProtocol(query_modality=L.VISIBLE, gallery_modality=L.THERMAL,
-                                    trials=1, single_shot=False, ranks_reported=ranks, seed=seed)
+                                    trials=1, single_shot=False, seed=seed)
             metrics = evaluate(params, enc_cfg, test_ds, protocol)
             rank1 = metrics["cmc"]["1"]
             arms[arm]["rank1"].append(rank1)
@@ -483,15 +460,15 @@ def _check_softmax(rng):
     return _gradient_error(grad, lambda v: softmax_cross_entropy_forward(v, labels)[0], logits)
 
 
-def _stable_pk_features(rng, P, K, dim, rho, *, tol=1e-3, max_tries=50):
+def _stable_pk_features(rng, P, K, dim, rho):
     """Random PK metric batch, in the sampler's `pk_layout`, whose hinge
     terms and mining selections sit safely away from kinks, so finite
     differences are trustworthy."""
     idents, mods = L.pk_layout(P, K)
-    for _ in range(max_tries):
+    for _ in range(50):
         feats = rng.standard_normal((2 * P * K, dim))
         batch = LabeledBatch(features=feats, identity=idents, modality=mods, P=P, K=K)
-        if L.mining_margins(batch, rho) > tol:
+        if L.mining_margins(batch, rho) > 1e-3:
             return batch
     raise RuntimeError("could not build a kink-free triplet batch")
 
@@ -708,9 +685,3 @@ def gradcheck_text(report):
         status = "ok" if rec["ok"] else "FAIL"
         lines.append(f"{name:>24}  {rec['max_relative_error']:>12.3e}  {rec['trials']:>6d}  {status}")
     return "\n".join(lines) + "\n"
-
-
-def parse_synth_config(d):
-    d = json_fields(SynthConfig, d, train_fraction=float)
-    train_fraction = d.pop("train_fraction", 0.5)
-    return SynthConfig(**d), train_fraction

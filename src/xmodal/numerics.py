@@ -423,15 +423,19 @@ def finite_diff_entries(f, x, entries, h=1e-5):
 
 
 def relative_errors(analytic, numeric):
-    """Elementwise |a - b| / max(|a|, |b|, RELATIVE_ERROR_FLOOR), flattened.
+    """Elementwise |a - b| / max(|a|, |b|, RELATIVE_ERROR_FLOOR), flattened,
+    and inf where an analytic entry is not finite.
 
     The floor keeps finite-difference roundoff (~1e-10 absolute) from
     dominating entries whose true gradient is exactly zero, e.g. bias
-    gradients killed by batchnorm shift invariance.
+    gradients killed by batchnorm shift invariance. A NaN error fails every
+    comparison, so Python's `max` drops it (`max(0.0, nan)` is 0.0): a NaN
+    or infinite gradient entry reads as an infinite error instead.
     """
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     b = np.asarray(numeric, dtype=np.float64).reshape(-1)
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), RELATIVE_ERROR_FLOOR)
+    errors = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), RELATIVE_ERROR_FLOOR)
+    return np.where(np.isfinite(a), errors, np.inf)
 
 
 def max_relative_error(analytic, numeric):

@@ -6,12 +6,13 @@ import math
 import tracemalloc
 import warnings
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from xmodal import cli, encoder, harness, losses
+from xmodal.config import build_config, json_text
 from xmodal.data import (
     SynthConfig,
     batches_per_epoch,
@@ -37,7 +38,7 @@ from xmodal.harness import (
     train,
 )
 from xmodal.losses import LabeledBatch, LossConfig, THERMAL, VISIBLE
-from xmodal.numerics import DIST_BLOCK_BYTES, batchnorm_backward, l2_normalize_backward
+from xmodal.numerics import DIST_BLOCK_BYTES, batchnorm_backward, dense_backward, l2_normalize_backward
 
 from helpers import (
     adam_step_via_reference,
@@ -73,28 +74,34 @@ def tiny_config(**overrides):
 # ---------------------------------------------------------------------------
 
 class TestTrainConfig:
-    def test_round_trip_through_dict(self):
-        cfg = tiny_config()
-        restored = TrainConfig.from_dict(cfg.to_dict())
-        assert restored.to_dict() == cfg.to_dict()
+    # the encoder's stage_dims is built as a tuple, which JSON writes as a list
+    @pytest.mark.parametrize("cfg", [tiny_config(), tiny_config().encoder], ids=["train", "encoder"])
+    def test_round_trip_through_dict(self, cfg):
+        restored = build_config(type(cfg), json.loads(json_text(asdict(cfg))))
+        assert asdict(restored) == asdict(cfg)
+        assert restored == cfg
+
+    @pytest.mark.parametrize("doc, train_fraction", [({}, 0.5), ({"train_fraction": 0.25}, 0.25)])
+    def test_synth_config_takes_a_train_fraction(self, doc, train_fraction):
+        assert build_config(SynthConfig, doc, train_fraction=0.5) == (SynthConfig(), train_fraction)
 
     def test_unknown_key_rejected(self):
-        d = tiny_config().to_dict()
+        d = asdict(tiny_config())
         d["momentum"] = 0.9
         with pytest.raises(ConfigError, match="unknown keys"):
-            TrainConfig.from_dict(d)
+            build_config(TrainConfig, d)
 
     def test_unknown_loss_key_rejected(self):
-        d = tiny_config().to_dict()
+        d = asdict(tiny_config())
         d["loss"]["margin"] = 0.3
         with pytest.raises(ConfigError, match="unknown keys"):
-            TrainConfig.from_dict(d)
+            build_config(TrainConfig, d)
 
     def test_missing_encoder_section_rejected(self):
-        d = tiny_config().to_dict()
+        d = asdict(tiny_config())
         del d["encoder"]
         with pytest.raises(ConfigError, match="encoder"):
-            TrainConfig.from_dict(d)
+            build_config(TrainConfig, d)
 
     @pytest.mark.parametrize("overrides", [
         {"epochs": 0},
@@ -580,6 +587,18 @@ def failing_components(monkeypatch):
     return {name for name, rec in report.items() if not rec["ok"]}
 
 
+def nan_dense_dw(cache, g):
+    dx, dw, db = dense_backward(cache, g)
+    dw[0] = np.nan
+    return dx, dw, db
+
+
+def nan_stage_grad(params, cfg, cache, grads, out=None):
+    out = encoder.encode_backward(params, cfg, cache, grads, out=out)
+    out["visible.stage1.W"][0] = np.nan
+    return out
+
+
 class TestGradcheck:
     def test_smoke_on_fast_components(self, monkeypatch):
         fast = {k: v for k, v in harness.GRADCHECK_COMPONENTS.items()
@@ -600,6 +619,20 @@ class TestGradcheck:
         assert not ok
         assert not report["broken"]["ok"]
         assert "FAIL" in gradcheck_text(report)
+
+    @pytest.mark.parametrize("name, poisoned, failing", [
+        ("dense_backward", nan_dense_dw, {"dense"}),
+        ("encode_backward", nan_stage_grad, {"full_model_mfi", "full_model_backbone"}),
+    ], ids=["dense", "full_model"])
+    def test_a_nan_gradient_fails(self, name, poisoned, failing, monkeypatch, capsys):
+        # Python's max drops NaN (max(0.0, nan) is 0.0), so a NaN entry must
+        # read as an infinite error, not vanish from the fold
+        monkeypatch.setattr(harness, name, poisoned)
+        assert failing_components(monkeypatch) == failing
+        assert cli.main(["gradcheck", "--trials", "3"]) == 3
+        out = capsys.readouterr().out
+        assert {line.split()[0] for line in out.splitlines() if line.endswith("FAIL")} == failing
+        assert all(f"{'inf':>12}" in line for line in out.splitlines() if line.endswith("FAIL"))
 
     def test_report_is_deterministic_for_a_seed(self, monkeypatch):
         fast = {"dense": harness.GRADCHECK_COMPONENTS["dense"]}
@@ -1106,9 +1139,12 @@ class TestCli:
          "SynthConfig: cluster_std must be a finite number, got Infinity"),
         ("synth", lambda d: {**d, "noise_std": math.nan},
          "SynthConfig: noise_std must be a finite number, got NaN"),
+        ("synth", lambda d: {**d, "train_fraction": "0.5"},
+         'SynthConfig: train_fraction must be a finite number, got "0.5"'),
     ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "learning_rate-nan", "rho-nan",
             "lambda2-inf", "bn_epsilon-nan", "lr_decay_factor-huge-int", "stage_dims-number",
-            "train-array", "num_identities-string", "synth-array", "cluster_std-inf", "noise_std-nan"])
+            "train-array", "num_identities-string", "synth-array", "cluster_std-inf", "noise_std-nan",
+            "train_fraction-string"])
     def test_config_value_of_the_wrong_type_is_named_and_exits_1(self, command, bad, message,
                                                                  workdir, capsys):
         data = workdir / "data.txt"
@@ -1157,12 +1193,20 @@ class TestCli:
         assert cli.main(["train", "--data", "x"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_bad_config_exits_1(self, workdir, capsys):
+    # JSON text is UTF-8: other bytes are invalid JSON, not a UnicodeDecodeError
+    @pytest.mark.parametrize("command, content", [
+        ("synth", b"{not json\n"),
+        ("synth", b"\xff\xfe{}\n"),
+        ("eval", b"xmodal-checkpoint v1\n\xff\n"),
+    ], ids=["synth-not-json", "synth-not-utf8", "checkpoint-not-utf8"])
+    def test_bad_config_exits_1(self, command, content, workdir, capsys):
         bad = workdir / "bad.json"
-        bad.write_text("{not json\n")
-        assert cli.main(["synth", "--config", str(bad),
-                         "--out", str(workdir / "d.txt")]) == 1
-        assert "config error" in capsys.readouterr().err
+        bad.write_bytes(content)
+        argv = {"synth": ["synth", "--config", str(bad), "--out", str(workdir / "d.txt")],
+                "eval": ["eval", "--checkpoint", str(bad), "--data", str(workdir / "absent.txt")]}[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: invalid JSON ("), err
 
     def test_missing_data_file_exits_2(self, workdir, capsys):
         assert cli.main(["train", "--data", str(workdir / "absent.txt"),
@@ -1306,6 +1350,21 @@ class TestCli:
         assert out == ""
         assert err == (f"config error: P {P} exceeds the {num_identities} training identities "
                        "with rows in both modalities\n")
+        assert not (workdir / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("K", [13, 100000])
+    def test_P_times_K_above_the_row_count_is_named(self, K, workdir, capsys):
+        # 36 rows; at K = 100000 the loss's pool masks alone would need 335 GiB
+        train_cfg = workdir / "k.json"
+        write_json(train_cfg, {**json.loads((workdir / "train.json").read_text()), "K": K})
+        data = workdir / "data.txt"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
+                         "--out", str(workdir / "m.ckpt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: P 3 times K {K} exceeds the 36 rows of the dataset\n"
         assert not (workdir / "m.ckpt").exists()
 
     def test_eval_on_data_of_another_dimension_is_named(self, workdir, capsys):
