@@ -9,8 +9,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Bad or inconsistent configuration input."""
@@ -46,11 +44,6 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_number_list(v):
-    """A list of numbers or of such lists, to any depth, ragged or not."""
-    return isinstance(v, list) and all(_is_number(e) or _is_number_list(e) for e in v)
-
-
 # field annotation -> (what its JSON value must be, the test of a value)
 _JSON_TYPES = {
     int: ("an integer", _is_int),
@@ -59,7 +52,6 @@ _JSON_TYPES = {
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers",
             lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    np.ndarray | None: ("null or a list of numbers", lambda v: v is None or _is_number_list(v)),
 }
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
 

@@ -90,8 +90,6 @@ class SynthConfig:
     input_dim: int = 32
     cluster_std: float = 0.3
     noise_std: float = 0.1
-    modality_transform: np.ndarray | None = None  # (dim, dim)
-    modality_offset: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -103,21 +101,6 @@ class SynthConfig:
                                    f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"SynthConfig: seed must be >= 0, got {self.seed}")
-        dim = self.input_dim
-        for name, shape in (("modality_transform", (dim, dim)), ("modality_offset", (dim,))):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                value = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ConfigError(f"SynthConfig: {name} must be a rectangular (not ragged) "
-                                   "array of numbers") from None
-            if value.shape != shape:
-                raise ConfigError(f"SynthConfig: {name} has shape {list(value.shape)}, "
-                                   f"input_dim {dim} needs {list(shape)}")
-            if not np.isfinite(value).all():
-                raise ConfigError(f"SynthConfig: {name} holds a non-finite value")
 
 
 def random_rotation(dim, rng):
@@ -133,20 +116,14 @@ def generate_synthetic(config):
     """Clustered two-modality corpus with a fixed cross-modality discrepancy.
 
     Per identity one center is drawn; visible samples scatter around it,
-    thermal samples scatter around the transformed (rotated + offset) center.
-    The default transform is a seeded random rotation with an offset of norm 1.
+    thermal samples scatter around the transformed center: a seeded random
+    rotation, drawn first, then an offset of norm 1.
     """
     rng = np.random.default_rng(config.seed)
     dim = config.input_dim
-    transform = config.modality_transform
-    offset = config.modality_offset
-    if transform is None:
-        transform = random_rotation(dim, rng)
-    if offset is None:
-        offset = rng.standard_normal(dim)
-        offset /= np.linalg.norm(offset)
-    transform = np.asarray(transform, dtype=np.float64)
-    offset = np.asarray(offset, dtype=np.float64)
+    transform = random_rotation(dim, rng)
+    offset = rng.standard_normal(dim)
+    offset /= np.linalg.norm(offset)
 
     n_ids, k = config.num_identities, config.per_identity_per_modality
     features = np.empty((n_ids * 2 * k, dim))
@@ -176,7 +153,7 @@ def load_dataset(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the format is UTF-8 text
         raise DataError(f"cannot read {path}: {exc}") from None
     commas, lines = text.count(","), text.splitlines()
     del text  # one copy of the file at a time

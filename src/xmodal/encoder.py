@@ -82,12 +82,6 @@ class EncoderParams:
     bn_state: dict
     stream_stacks: dict | None = None
 
-    def copy(self):
-        return EncoderParams(
-            values={k: v.copy() for k, v in self.values.items()},
-            bn_state={k: v.copy() for k, v in self.bn_state.items()},
-        )
-
 
 @dataclass
 class FeatureBundle:

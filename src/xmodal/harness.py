@@ -143,9 +143,9 @@ def _train_step(params, enc_cfg, loss_cfg, x, targets, out=None):
 
 def train(dataset, config):
     """Single-threaded deterministic training run. The parameters are one flat
-    vector, `params.values` its views. The vector is led by the stream
-    stages, each stage's arrays as (visible, thermal) pairs, so that every
-    stream pair's (2, ...) stack is a view of it as well."""
+    vector in `param_shapes` order, `params.values` its views. The vector is
+    led by the visible stream's arrays, then the thermal stream's in the same
+    order, so that every stream pair's (2, ...) stack is a view of it as well."""
     if len(dataset.eligible) < config.P:
         raise ConfigError(f"P {config.P} exceeds the {len(dataset.eligible)} training identities "
                           "with rows in both modalities")
@@ -167,20 +167,16 @@ def train(dataset, config):
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = init_encoder(enc_cfg, config.seed)
-    keys = [name.partition(".")[2] for name in params.values if name.startswith("visible.")]
-    layout = [f"{mod}.{key}" for key in keys for mod in MODALITIES]
-    layout += [name for name in params.values if name not in layout]
-    state = AdamState({name: params.values[name] for name in layout}, learning_rate=config.learning_rate)
-    theta = np.concatenate([params.values[name].reshape(-1) for name in layout])
-    views = state.views(theta)
-    params.values = {name: views[name] for name in params.values}
-    step_params = replace(params, stream_stacks={})
-    for key in keys:  # the pair's two spans lie end to end
-        (first, shape), (last, _) = (state.slices[f"{mod}.{key}"] for mod in MODALITIES)
-        step_params.stream_stacks[key] = theta[first.start:last.stop].reshape((2, -1) + shape[-1:])
+    state = AdamState(params.values, learning_rate=config.learning_rate)
+    theta = np.concatenate([v.reshape(-1) for v in params.values.values()])
+    params.values = state.views(theta)
+    stages = slice(0, sum(v.size for k, v in params.values.items() if k.startswith(MODALITIES)))
+    streams = theta[stages].reshape(2, -1)  # visible, thermal: the same arrays in the same order
+    step_params = replace(params, stream_stacks={
+        name.partition(".")[2]: streams[:, span].reshape((2, -1) + shape[-1:])
+        for name, (span, shape) in state.slices.items() if name.startswith("visible.")})
     grad = np.empty_like(theta)
     grads = state.views(grad)
-    stages = slice(0, sum(v.size for k, v in params.values.items() if k.startswith(MODALITIES)))
     init_stages = theta[stages].copy()
     n_batches = batches_per_epoch(dataset, config.P, config.K)
 

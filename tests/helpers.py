@@ -4,6 +4,7 @@ Everything here is written as plain scalar loops on purpose: these
 implementations must not share code paths with the library they check.
 """
 
+import copy
 import math
 from fractions import Fraction
 
@@ -425,7 +426,7 @@ def check_full_model_reference(rng, mfi, **setup):
     worst = 0.0
     for name in sorted(params.values):
         def f(v, name=name):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.values[name] = v
             return harness._train_step(trial, cfg, loss_cfg, x, targets)[0].total
 

@@ -27,6 +27,14 @@ def small_synth(**kw):
     return SynthConfig(**base)
 
 
+def modality_transform(cfg):
+    """The rotation and offset `generate_synthetic` draws first from its seed."""
+    rng = np.random.default_rng(cfg.seed)
+    rotation = random_rotation(cfg.input_dim, rng)
+    offset = rng.standard_normal(cfg.input_dim)
+    return rotation, offset / np.linalg.norm(offset)
+
+
 def rows_of(ds, ident, modality):
     return ds.features[(ds.identity == ident) & (ds.modality == modality)]
 
@@ -40,14 +48,17 @@ def assert_same_rows(a, b):
 
 class TestGenerate:
     def test_identity_transform_zero_noise_matches_modalities(self):
-        cfg = small_synth(cluster_std=0.0, noise_std=0.0,
-                          modality_transform=np.eye(3), modality_offset=np.zeros(3))
+        # the rotation, then the offset, are the seed's first draws
+        cfg = small_synth(cluster_std=0.0, noise_std=0.0)
         ds = generate_synthetic(cfg)
+        rotation, offset = modality_transform(cfg)
         assert ds.identities() == list(range(6))
         for ident in ds.identities():
             vis = rows_of(ds, ident, "V")
             assert vis.shape == (4, 3)
-            np.testing.assert_array_equal(vis, rows_of(ds, ident, "T"))
+            assert (vis == vis[0]).all()
+            thermal = rows_of(ds, ident, "T")
+            np.testing.assert_array_equal(thermal, np.broadcast_to(rotation @ vis[0] + offset, (4, 3)))
 
     def test_same_seed_bit_identical(self):
         assert_same_rows(generate_synthetic(small_synth()), generate_synthetic(small_synth()))
@@ -82,19 +93,19 @@ class TestGenerate:
 
     def test_law_of_large_numbers(self):
         cfg = SynthConfig(num_identities=50, per_identity_per_modality=20, input_dim=8,
-                          cluster_std=0.3, noise_std=0.0,
-                          modality_transform=np.eye(8), modality_offset=np.zeros(8), seed=3)
+                          cluster_std=0.3, noise_std=0.0, seed=3)
         ds = generate_synthetic(cfg)
         assert len(ds) == 2000
-        # recover each center from the thermal mean (identity transform, no noise)
+        rotation, offset = modality_transform(cfg)
+        # both means estimate one center, the thermal one moved by the transform
+        # (a rotation keeps the spread), so their gap is within 2x the bound
         bound = 3 * cfg.cluster_std / np.sqrt(20)
         within = 0
         total = 0
         for ident in ds.identities():
             vis_mean = rows_of(ds, ident, "V").mean(axis=0)
             thm_mean = rows_of(ds, ident, "T").mean(axis=0)
-            # both means estimate the same center; their gap is within 2x the bound
-            within += int(np.sum(np.abs(vis_mean - thm_mean) < 2 * bound))
+            within += int(np.sum(np.abs(rotation @ vis_mean + offset - thm_mean) < 2 * bound))
             total += 8
         assert within / total >= 0.95
 

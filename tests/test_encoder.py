@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -265,7 +267,7 @@ class TestTestFeature:
 
 
 def model_loss(params, cfg, loss_cfg, x, labels, P, K):
-    bd, grads = train_step_reference(params.copy(), cfg, loss_cfg, x, loss_targets(labels, P, K))
+    bd, grads = train_step_reference(copy.deepcopy(params), cfg, loss_cfg, x, loss_targets(labels, P, K))
     return bd.total, grads
 
 
@@ -285,7 +287,7 @@ class TestFullModelGradients:
         _, grads = model_loss(params, cfg, loss_cfg, x, labels, P, K)
         for name in sorted(params.values):
             def f(v, name=name):
-                trial = params.copy()
+                trial = copy.deepcopy(params)
                 trial.values[name] = v
                 return model_loss(trial, cfg, loss_cfg, x, labels, P, K)[0]
 
