@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,15 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("0,0,V,1.0\n")
         with pytest.raises(DataError, match="header"):
+            load_dataset(path)
+
+    # the format is UTF-8 text: other bytes are a DataError naming the file
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"# xmodal-dataset v1 dim=1\n\xff,0,V,1.0\n"],
+                             ids=["not-utf8", "row-not-utf8"])
+    def test_not_utf8_names_the_file(self, content, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: .*can't decode byte 0xff"):
             load_dataset(path)
 
 

@@ -1192,6 +1192,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"data error: cannot read {data}: ")
         assert not (workdir / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"# xmodal-dataset v1 dim=6\n\xff,0,V,1,2,3,4,5,6\n"],
+                             ids=["not-utf8", "row-not-utf8"])
+    def test_eval_data_not_utf8_exits_2(self, content, workdir, capsys):
+        data, ckpt, report = workdir / "data.txt", workdir / "model.ckpt", workdir / "r.json"
+        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
+                         "--out", str(ckpt)]) == 0
+        data.write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: cannot read {data}: ") and err.count("\n") == 1, err
+        assert not report.exists()
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_dimension_below_one_exits_2(self, dim, workdir, capsys):
         data = workdir / "bad.txt"
