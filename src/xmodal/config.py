@@ -1,10 +1,12 @@
 """The JSON boundary: `ConfigError`; `read_json`, the one reader of config
 and checkpoint files; `build_config`, which checks a config's JSON object
-and builds the config; and `json_text`, the one writer of checkpoints and
-reports. Each config is a frozen dataclass that checks its ranges in
-`__post_init__`, which `dataclasses.replace` runs too: a config that exists
-has passed its check, and `dataclasses.asdict` gives its JSON object."""
+and builds the config; `json_text`, the one writer of checkpoints and
+reports; and `allocating`, for sizes that numpy refuses. Each config is a
+frozen dataclass that checks its ranges in `__post_init__`, which
+`dataclasses.replace` runs too: a config that exists has passed its check,
+and `dataclasses.asdict` gives its JSON object."""
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -28,6 +30,16 @@ def read_json(path, header=None):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+@contextlib.contextmanager
+def allocating(owner):
+    """Numpy's refusal, in the block, of an array size that config `owner`
+    set, as a ConfigError naming `owner` and numpy's reason."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # a size past numpy's limits: ValueError
+        raise ConfigError(f"{owner}: its sizes cannot be allocated ({exc})") from None
 
 
 def json_text(obj):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, allocating
 from .losses import LabeledBatch, THERMAL, VISIBLE, pk_layout
 
 HEADER_PREFIX = "# xmodal-dataset v1 dim="
@@ -121,12 +121,13 @@ def generate_synthetic(config):
     """
     rng = np.random.default_rng(config.seed)
     dim = config.input_dim
-    transform = random_rotation(dim, rng)
+    n_ids, k = config.num_identities, config.per_identity_per_modality
+    with allocating("SynthConfig"):
+        features = np.empty((n_ids * 2 * k, dim))
+        transform = random_rotation(dim, rng)
     offset = rng.standard_normal(dim)
     offset /= np.linalg.norm(offset)
 
-    n_ids, k = config.num_identities, config.per_identity_per_modality
-    features = np.empty((n_ids * 2 * k, dim))
     for ident in range(n_ids):
         center = rng.standard_normal(dim)
         thermal_center = transform @ center + offset

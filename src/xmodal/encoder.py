@@ -6,6 +6,11 @@ enabled, the activation of the tap stage is projected and fused with the
 pre-batchnorm bottleneck feature (elementwise sum, or concatenation with
 the projected mid feature first).
 
+`encode` alone chooses the model's outputs, a `FeatureBundle`: the
+L2-normalized embedding that is ranked and metric-trained (of the fused
+skip branch with MFI on, of the backbone with it off), that branch's
+classifier logits, and with MFI on the backbone's logits, an auxiliary head.
+
 `encode` broadcasts over leading stack axes, as the layers in `numerics`
 do: any parameter array may be a stack of values (a vector as (m, 1, d)),
 and then every output from the first layer it enters is a stack, each
@@ -24,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, allocating
 from .numerics import (
     batchnorm_backward,
     batchnorm_forward,
     dense_backward,
     dense_forward,
     dense_param_grads,
+    l2_normalize_backward,
     l2_normalize_forward,
     relu_backward,
     relu_forward,
@@ -88,12 +94,9 @@ class FeatureBundle:
     """Batched encoder outputs: (n, ·) matrices of one stream's rows, or a
     pair encode's (..., 2, n, ·) stacks of both streams', visible first."""
 
-    v_pre: np.ndarray
-    v_post: np.ndarray
-    logits_backbone: np.ndarray
-    v_fused: np.ndarray | None = None
-    v_fused_post: np.ndarray | None = None
-    logits_skip: np.ndarray | None = None
+    embedding: np.ndarray
+    logits: np.ndarray
+    backbone_logits: np.ndarray | None = None
     # train mode: each batchnorm's batch mean and variance, by the name of
     # the running stat it folds into
     batch_stats: dict | None = None
@@ -136,8 +139,9 @@ def init_encoder(config, seed):
             return _glorot(rng, *shape)
         return (np.ones if name.endswith((".gamma", ".running_var")) else np.zeros)(shape)
 
-    values, bn_state = ({name: fill(name, shape) for name, shape in section.items()}
-                        for section in param_shapes(config))
+    with allocating("EncoderConfig"):
+        values, bn_state = ({name: fill(name, shape) for name, shape in section.items()}
+                            for section in param_shapes(config))
     return EncoderParams(values=values, bn_state=bn_state)
 
 
@@ -206,34 +210,29 @@ def encode(params, config, x, modality, mode="train"):
         if i == config.tap_stage:
             tap = h
 
-    v_pre, head_fc_cache = dense_forward(h, v["head.fc.W"], v["head.fc.b"])
-    v_post, head_bn_cache, head_stats = batchnorm_forward(
-        v_pre, v["head.bn.gamma"], v["head.bn.beta"],
-        params.bn_state["head.bn.running_mean"], params.bn_state["head.bn.running_var"],
-        eps=config.bn_epsilon, train=train)
-    logits_backbone, head_cls_cache = dense_forward(v_post, v["head.cls.W"], v["head.cls.b"])
+    batch_stats = {} if train else None
 
-    bundle = FeatureBundle(v_pre=v_pre, v_post=v_post, logits_backbone=logits_backbone)
-    if train:
-        bundle.batch_stats = dict(zip(("head.bn.running_mean", "head.bn.running_var"), head_stats))
-    mid_caches = None
-    if config.mfi_enabled:
-        v_mid, mid_fc_cache = dense_forward(tap, v["mid.fc.W"], v["mid.fc.b"])
-        v_fused = fuse(v_mid, v_pre, config.fusion)
-        v_fused_post, mid_bn_cache, mid_stats = batchnorm_forward(
-            v_fused, v["mid.bn.gamma"], v["mid.bn.beta"],
-            params.bn_state["mid.bn.running_mean"], params.bn_state["mid.bn.running_var"],
+    def top(branch, x):  # a branch's batchnorm, then its classifier
+        post, bn_cache, stats = batchnorm_forward(
+            x, v[f"{branch}.bn.gamma"], v[f"{branch}.bn.beta"],
+            params.bn_state[f"{branch}.bn.running_mean"], params.bn_state[f"{branch}.bn.running_var"],
             eps=config.bn_epsilon, train=train)
-        logits_skip, mid_cls_cache = dense_forward(v_fused_post, v["mid.cls.W"], v["mid.cls.b"])
         if train:
-            bundle.batch_stats.update(zip(("mid.bn.running_mean", "mid.bn.running_var"), mid_stats))
-        bundle.v_fused = v_fused
-        bundle.v_fused_post = v_fused_post
-        bundle.logits_skip = logits_skip
-        mid_caches = (mid_fc_cache, mid_bn_cache, mid_cls_cache)
+            batch_stats.update(zip((f"{branch}.bn.running_mean", f"{branch}.bn.running_var"), stats))
+        logits, cls_cache = dense_forward(post, v[f"{branch}.cls.W"], v[f"{branch}.cls.b"])
+        return post, logits, bn_cache, cls_cache
 
-    cache = (modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches)
-    return bundle, cache
+    v_pre, head_fc_cache = dense_forward(h, v["head.fc.W"], v["head.fc.b"])
+    feature, logits, head_bn_cache, head_cls_cache = top("head", v_pre)
+    backbone_logits = mid_caches = None
+    if config.mfi_enabled:
+        backbone_logits = logits
+        v_mid, mid_fc_cache = dense_forward(tap, v["mid.fc.W"], v["mid.fc.b"])
+        feature, logits, mid_bn_cache, mid_cls_cache = top("mid", fuse(v_mid, v_pre, config.fusion))
+        mid_caches = (mid_fc_cache, mid_bn_cache, mid_cls_cache)
+    embedding, l2_cache = l2_normalize_forward(feature)
+    cache = (modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches, l2_cache)
+    return FeatureBundle(embedding, logits, backbone_logits, batch_stats), cache
 
 
 def zero_grads(params):
@@ -246,8 +245,9 @@ def encode_backward(params, config, cache, grads, out=None):
     Accumulates into `out` (a name -> array dict covering every trainable
     parameter) and returns it; the input gradient, which nothing reads, is
     not formed. Each shared array gets the visible matrix's gradient, then
-    the thermal's, as two one-stream calls add them."""
-    modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches = cache
+    the thermal's, as two one-stream calls add them. Without
+    `d_backbone_logits`, MFI's head classifier and batchnorm are skipped."""
+    modality, stage_caches, head_fc_cache, head_bn_cache, head_cls_cache, mid_caches, l2_cache = cache
     pair = modality == MODALITIES
     streams = MODALITIES if pair else (modality,)
     if out is None:
@@ -260,39 +260,32 @@ def encode_backward(params, config, cache, grads, out=None):
         else:
             out[names[0]] += grad
 
-    d_v_post, dw, db = dense_backward(head_cls_cache, grads.d_logits_backbone)
-    add(dw, "head.cls.W")
-    add(db, "head.cls.b")
-    d_v_post = d_v_post + grads.d_v_post
+    def top(branch, cls_cache, bn_cache, d_logits, d_post=0.0):
+        # a branch's classifier, then its batchnorm: the batchnorm input's gradient
+        d, dw, db = dense_backward(cls_cache, d_logits)
+        add(dw, f"{branch}.cls.W")
+        add(db, f"{branch}.cls.b")
+        d, dgamma, dbeta = batchnorm_backward(bn_cache, d + d_post)
+        add(dgamma, f"{branch}.bn.gamma")
+        add(dbeta, f"{branch}.bn.beta")
+        return d
 
+    d_feature = l2_normalize_backward(l2_cache, grads.d_embedding)
     d_tap = None
-    d_v_pre_extra = 0.0
-    if config.mfi_enabled:
-        if mid_caches is None:
-            raise ValueError("encode_backward: cache lacks skip-branch entries")
+    if not config.mfi_enabled:
+        d_v_pre = top("head", head_cls_cache, head_bn_cache, grads.d_logits, d_feature)
+    else:
         mid_fc_cache, mid_bn_cache, mid_cls_cache = mid_caches
-        d_fused_post, dw, db = dense_backward(mid_cls_cache, grads.d_logits_skip)
-        add(dw, "mid.cls.W")
-        add(db, "mid.cls.b")
-        if grads.d_v_fused_post is not None:
-            d_fused_post = d_fused_post + grads.d_v_fused_post
-        d_fused, dgamma, dbeta = batchnorm_backward(mid_bn_cache, d_fused_post)
-        add(dgamma, "mid.bn.gamma")
-        add(dbeta, "mid.bn.beta")
+        d_fused = top("mid", mid_cls_cache, mid_bn_cache, grads.d_logits, d_feature)
         if config.fusion == "sum":
-            d_v_mid = d_fused
-            d_v_pre_extra = d_fused
+            d_v_mid = d_v_pre = d_fused
         else:
-            d_v_mid = d_fused[..., :config.d]
-            d_v_pre_extra = d_fused[..., config.d:]
+            d_v_mid, d_v_pre = d_fused[..., :config.d], d_fused[..., config.d:]
         d_tap, dw, db = dense_backward(mid_fc_cache, d_v_mid)
         add(dw, "mid.fc.W")
         add(db, "mid.fc.b")
-
-    d_v_pre, dgamma, dbeta = batchnorm_backward(head_bn_cache, d_v_post)
-    add(dgamma, "head.bn.gamma")
-    add(dbeta, "head.bn.beta")
-    d_v_pre = d_v_pre + d_v_pre_extra
+        if grads.d_backbone_logits is not None:
+            d_v_pre = top("head", head_cls_cache, head_bn_cache, grads.d_backbone_logits) + d_v_pre
 
     d_h, dw, db = dense_backward(head_fc_cache, d_v_pre)
     add(dw, "head.fc.W")
@@ -310,7 +303,5 @@ def encode_backward(params, config, cache, grads, out=None):
 
 
 def test_feature(bundle, config):
-    """L2-normalized representation used for ranking and metric learning."""
-    sel = bundle.v_fused_post if config.mfi_enabled else bundle.v_post
-    normalized, _ = l2_normalize_forward(sel)
-    return normalized
+    """The bundle's embedding, which `encode` chose; `config` is not read."""
+    return bundle.embedding

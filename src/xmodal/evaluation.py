@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import ConfigError
 from .data import DataError
-from .encoder import encode, test_feature
+from .encoder import encode
 from .losses import THERMAL, VISIBLE
 from .numerics import DIST_BLOCK_BYTES, NonFiniteError
 
@@ -197,7 +197,7 @@ def _encode_features(dataset, params, config, modality_tag):
     feats = np.empty((picked.size, out_dim))
     for start, stop in zip(bounds, bounds[1:]):
         x = dataset.features[picked[start:stop]]
-        feats[start:stop] = test_feature(encode(params, config, x, stream, mode="eval")[0], config)
+        feats[start:stop] = encode(params, config, x, stream, mode="eval")[0].embedding
     return feats, dataset.identity[picked]
 
 

@@ -25,7 +25,6 @@ from .encoder import (
     encode_backward,
     init_encoder,
     param_shapes,
-    test_feature,
 )
 from .evaluation import EvalProtocol, run_protocol
 from .losses import LabeledBatch, LossConfig
@@ -562,7 +561,7 @@ def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     bundle, cache = encode(params, cfg, x.reshape(2, -1, x.shape[-1]), MODALITIES)
     # cache[1] holds one (dense cache, relu cache) pair per stage
     relu_margin = min(float(np.min(np.abs(relu_cache[0]))) for _, relu_cache in cache[1])
-    feats = test_feature(bundle, cfg).reshape(x.shape[0], -1)
+    feats = bundle.embedding.reshape(x.shape[0], -1)
     batch = LabeledBatch(features=feats, identity=labels, modality=L.pk_layout(P, K)[1], P=P, K=K)
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 

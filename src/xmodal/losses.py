@@ -20,7 +20,8 @@ The forward steps broadcast over leading stack axes, as the layers in
 feature matrices or of encoder outputs and return one loss per matrix,
 each bit-identical to its own unstacked call; `total_loss_forward` reads
 both streams' (..., 2, n, ·) outputs as the (..., 2n, ·) batch, a view.
-The gradient steps take one matrix.
+The gradient steps take one matrix. The full loss reads the bundle as it
+is (embedding, logits); the encoder config decides only the backbone term.
 
 Every loss mines in one place, `_certified_picks`. A loss's candidate
 pools are a stack of score offsets, a positive and a negative pool per
@@ -41,8 +42,6 @@ from .numerics import (
     NonFiniteError,
     gemm_score_bound,
     gemm_sq_distances,
-    l2_normalize_backward,
-    l2_normalize_forward,
     pair_distances,
     softmax_cross_entropy_backward,
     softmax_cross_entropy_forward,
@@ -335,12 +334,12 @@ def dual_modality_triplet(batch, config):
 
 @dataclass
 class BundleGrads:
-    """Gradients flowing back into one stream's encoder outputs, or the stream pair's."""
+    """Gradients flowing back into one stream's encoder outputs, or the stream
+    pair's; `d_backbone_logits` is None when no loss term reads those logits."""
 
-    d_v_post: np.ndarray
-    d_logits_backbone: np.ndarray
-    d_v_fused_post: np.ndarray | None = None
-    d_logits_skip: np.ndarray | None = None
+    d_embedding: np.ndarray
+    d_logits: np.ndarray
+    d_backbone_logits: np.ndarray | None = None
 
 
 @dataclass
@@ -391,35 +390,29 @@ def total_loss_forward(bundle, targets, config, enc_cfg):
     """Forward step of `total_loss`: (LossBreakdown, cache).
 
     `bundle` holds both streams' encoder outputs as (..., 2, n, ·) stacks,
-    visible first. Metric features for the triplet terms are the
-    L2-normalized selected features (skip branch when the encoder config
-    `enc_cfg` has MFI on, backbone otherwise); the softmax term uses the
-    matching classifier logits. The cache holds what `total_loss_backward`
+    visible first: the triplet terms read its embedding and the softmax
+    term its logits. The encoder config `enc_cfg` decides only the
+    auxiliary softmax term on the backbone logits, run when MFI and the
+    backbone loss are both on. The cache holds what `total_loss_backward`
     needs; a caller that wants the loss alone drops it. Axes ahead of the
     stream axis make the breakdown hold one value per matrix of the stack.
     """
-    if enc_cfg.mfi_enabled:
-        sel, logits = bundle.v_fused_post, bundle.logits_skip
-    else:
-        sel, logits = bundle.v_post, bundle.logits_backbone
     rows = targets.labels.size  # the visible labels, then as many thermal ones
-    if sel.shape[-3:-1] != (2, rows // 2):
-        raise ValueError(f"total_loss: streams of shape {sel.shape[-3:-1]} for "
+    if bundle.embedding.shape[-3:-1] != (2, rows // 2):
+        raise ValueError(f"total_loss: streams of shape {bundle.embedding.shape[-3:-1]} for "
                          f"{rows // 2} visible and {rows // 2} thermal labels")
 
     def batch(a):  # the streams' rows as one batch: a view
         return a.reshape(a.shape[:-3] + (rows, a.shape[-1]))
 
-    metric, norm_cache = l2_normalize_forward(batch(sel))
-    loss_sm, sm_cache = softmax_cross_entropy_forward(batch(logits), targets.labels)
+    loss_sm, sm_cache = softmax_cross_entropy_forward(batch(bundle.logits), targets.labels)
     loss_d, (loss_c, loss_i), dual_cache = _hinges_forward(
-        metric, targets.offsets, (1.0, config.lambda1), config.rho)
+        batch(bundle.embedding), targets.offsets, (1.0, config.lambda1), config.rho)
 
     total = loss_sm + config.lambda2 * loss_d
-    loss_bb = 0.0
-    bb_cache = None
+    loss_bb, bb_cache = 0.0, None
     if enc_cfg.mfi_enabled and enc_cfg.backbone_loss_enabled:
-        loss_bb, bb_cache = softmax_cross_entropy_forward(batch(bundle.logits_backbone), targets.labels)
+        loss_bb, bb_cache = softmax_cross_entropy_forward(batch(bundle.backbone_logits), targets.labels)
         total += loss_bb
     if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
         raise NonFiniteError(f"total_loss: non-finite loss {total}")
@@ -427,27 +420,21 @@ def total_loss_forward(bundle, targets, config, enc_cfg):
     breakdown = LossBreakdown(
         softmax=loss_sm, backbone=loss_bb, cross=loss_c, intra=loss_i,
         dual=loss_d, total=total)
-    return breakdown, (config, enc_cfg, bundle, norm_cache, sm_cache, dual_cache, bb_cache)
+    return breakdown, (config, bundle.embedding.shape[:-1], sm_cache, dual_cache, bb_cache)
 
 
 def total_loss_backward(cache):
     """Gradient step of `total_loss`: BundleGrads on the encoder outputs, in
     the bundle's (2, n, ·) stream stack."""
-    config, enc_cfg, bundle, norm_cache, sm_cache, dual_cache, bb_cache = cache
+    config, stream_rows, sm_cache, dual_cache, bb_cache = cache
 
     def streams(a):  # the batch's rows as the stream stack: a view
-        return a.reshape(bundle.v_post.shape[:-1] + a.shape[-1:])
+        return a.reshape(stream_rows + a.shape[-1:])
 
-    d_logits = streams(softmax_cross_entropy_backward(sm_cache))
-    d_sel = streams(l2_normalize_backward(norm_cache, config.lambda2 * _hinges_backward(dual_cache)))
-    if not enc_cfg.mfi_enabled:
-        return BundleGrads(d_v_post=d_sel, d_logits_backbone=d_logits)
-    if bb_cache is None:
-        d_bb = np.zeros_like(bundle.logits_backbone)
-    else:
-        d_bb = streams(softmax_cross_entropy_backward(bb_cache))
-    return BundleGrads(d_v_post=np.zeros_like(bundle.v_post), d_logits_backbone=d_bb,
-                       d_v_fused_post=d_sel, d_logits_skip=d_logits)
+    return BundleGrads(
+        d_embedding=streams(config.lambda2 * _hinges_backward(dual_cache)),
+        d_logits=streams(softmax_cross_entropy_backward(sm_cache)),
+        d_backbone_logits=None if bb_cache is None else streams(softmax_cross_entropy_backward(bb_cache)))
 
 
 def total_loss(bundle, labels, config, enc_cfg, P, K):

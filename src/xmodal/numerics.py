@@ -16,10 +16,10 @@ against the others' (a stacked vector parameter as (m, 1, d)). Each matrix
 of a stack comes out bit-identical to its own unstacked call, since every
 reduction runs along the same axis in the same order, and numpy's matmul
 makes one BLAS call per matrix of a stack. The backward steps of dense,
-relu and batchnorm broadcast the same way; a parameter's gradient comes
-back with the stack's axes, one gradient per matrix, and a caller that
-broadcast the parameter across the stack sums them. The other backward
-steps take one matrix.
+relu, batchnorm and l2-normalize broadcast the same way; a parameter's
+gradient comes back with the stack's axes, one gradient per matrix, and a
+caller that broadcast the parameter across the stack sums them. Only the
+softmax backward step takes one matrix.
 
 The oracle (`finite_diff_grad`, `finite_diff_entries`) takes a function of
 a stack of points: given an (m, *x.shape) array it returns the m values. A
@@ -159,8 +159,8 @@ def l2_normalize_backward(cache, g):
     g = np.asarray(g, dtype=np.float64)
     if g.shape != y.shape:
         raise ValueError("l2_normalize backward: shape mismatch")
-    dot = (g * y).sum(axis=1, keepdims=True)
-    dx = (g - y * dot) / norms[:, None]
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    dx = (g - y * dot) / norms[..., None]
     dx[small] = g[small]
     return dx
 

@@ -434,6 +434,20 @@ def check_full_model_reference(rng, mfi, **setup):
     return worst
 
 
+def batchnorm_inputs(params, cfg, cache):
+    """The input of each batchnorm of an encode, by layer, made again from
+    its cache's dense caches, each (input, weight), as the layers made them."""
+    from xmodal.encoder import fuse
+
+    v = params.values
+    head_x, head_w = cache[2]
+    inputs = {"head.bn": head_x @ head_w + v["head.fc.b"]}
+    if cfg.mfi_enabled:
+        tap, mid_w = cache[5][0]
+        inputs["mid.bn"] = fuse(tap @ mid_w + v["mid.fc.b"], inputs["head.bn"], cfg.fusion)
+    return inputs
+
+
 def running_stats_reference(params, cfg, xv, xt):
     """The running stats after one train step, made as a train-mode
     batchnorm that updates its running arrays in place would make them:
@@ -445,11 +459,8 @@ def running_stats_reference(params, cfg, xv, xt):
     state = {k: v.copy() for k, v in params.bn_state.items()}
     momentum = cfg.bn_momentum
     for x, modality in ((xv, "visible"), (xt, "thermal")):
-        bundle, _ = encode(params, cfg, x, modality, mode="eval")  # the inputs of the batchnorms
-        inputs = {"head.bn": bundle.v_pre}
-        if cfg.mfi_enabled:
-            inputs["mid.bn"] = bundle.v_fused
-        for layer, v in inputs.items():
+        _, cache = encode(params, cfg, x, modality, mode="eval")
+        for layer, v in batchnorm_inputs(params, cfg, cache).items():
             n = v.shape[0]
             mean = v.sum(axis=0) / n
             centered = v - mean
@@ -479,7 +490,7 @@ def stack_streams(bundle_v, bundle_t):
         a, b = getattr(bundle_v, field.name), getattr(bundle_t, field.name)
         if field.name != "batch_stats" and a is not None:
             stacked[field.name] = np.stack(np.broadcast_arrays(a, b), axis=-3)
-    return FeatureBundle(**{"v_pre": None, "v_post": None, "logits_backbone": None, **stacked})
+    return FeatureBundle(**stacked)
 
 
 def train_step_reference(params, cfg, loss_cfg, x, targets, out=None):

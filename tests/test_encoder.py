@@ -20,7 +20,7 @@ from xmodal.encoder import (
 from xmodal.losses import BundleGrads, LossConfig, loss_targets, total_loss_forward
 from xmodal.numerics import finite_diff_grad, max_relative_error, per_point
 
-from helpers import stack_streams, train_step_reference
+from helpers import batchnorm_inputs, stack_streams, train_step_reference
 
 
 def small_config(mfi=True, fusion="cat", backbone=True):
@@ -88,8 +88,9 @@ class TestEncode:
         x = np.random.default_rng(0).standard_normal((4, 5))
         bv, _ = encode(p, cfg, x, "visible", mode="eval")
         bt, _ = encode(p, cfg, x, "thermal", mode="eval")
-        np.testing.assert_array_equal(bv.v_post, bt.v_post)
-        np.testing.assert_array_equal(bv.logits_skip, bt.logits_skip)
+        np.testing.assert_array_equal(bv.backbone_logits, bt.backbone_logits)
+        np.testing.assert_array_equal(bv.logits, bt.logits)
+        np.testing.assert_array_equal(bv.embedding, bt.embedding)
 
     def test_stream_pair_takes_a_stack_of_two(self):
         # the pair's rows are a (2, n, D) stack; its matrices are the
@@ -99,7 +100,7 @@ class TestEncode:
         x = np.random.default_rng(0).standard_normal((2, 4, 5))
         pair, _ = encode(p, cfg, x, MODALITIES, mode="eval")
         for k, mod in enumerate(MODALITIES):
-            assert np.array_equal(pair.v_fused_post[k], encode(p, cfg, x[k], mod, mode="eval")[0].v_fused_post)
+            assert np.array_equal(pair.embedding[k], encode(p, cfg, x[k], mod, mode="eval")[0].embedding)
         for bad in (x.reshape(8, 5), np.concatenate([x, x])):
             with pytest.raises(ValueError, match="does not match"):
                 encode(p, cfg, bad, MODALITIES)
@@ -113,8 +114,9 @@ class TestEncode:
             if k.endswith((".W", ".b", ".beta")):
                 p.values[k][...] = 0.0
         x = np.random.default_rng(1).standard_normal((3, 5))
-        b, _ = encode(p, cfg, x, "visible", mode="eval")
-        np.testing.assert_array_equal(b.logits_backbone, np.zeros((3, 3)))
+        with pytest.warns(RuntimeWarning, match="near-zero"):  # every feature row is zero
+            b, _ = encode(p, cfg, x, "visible", mode="eval")
+        np.testing.assert_array_equal(b.backbone_logits, np.zeros((3, 3)))
 
     def test_eval_mode_is_pure(self):
         cfg = small_config()
@@ -122,7 +124,7 @@ class TestEncode:
         x = np.random.default_rng(2).standard_normal((4, 5))
         b1, _ = encode(p, cfg, x, "visible", mode="eval")
         b2, _ = encode(p, cfg, x, "visible", mode="eval")
-        np.testing.assert_array_equal(b1.v_fused_post, b2.v_fused_post)
+        np.testing.assert_array_equal(b1.embedding, b2.embedding)
         np.testing.assert_array_equal(p.bn_state["head.bn.running_mean"], np.zeros(4))
 
     def test_train_mode_returns_batch_stats_and_writes_nothing(self):
@@ -130,12 +132,13 @@ class TestEncode:
         cfg = small_config()
         p = init_encoder(cfg, 5)
         x = np.random.default_rng(2).standard_normal((4, 5))
-        b, _ = encode(p, cfg, x, "visible", mode="train")
+        b, cache = encode(p, cfg, x, "visible", mode="train")
         for name, v in p.bn_state.items():
             np.testing.assert_array_equal(v, init_encoder(cfg, 5).bn_state[name])
         assert set(b.batch_stats) == set(p.bn_state)
-        np.testing.assert_array_equal(b.batch_stats["head.bn.running_mean"], b.v_pre.mean(axis=0))
-        np.testing.assert_array_equal(b.batch_stats["mid.bn.running_var"], b.v_fused.var(axis=0))
+        inputs = batchnorm_inputs(p, cfg, cache)
+        np.testing.assert_array_equal(b.batch_stats["head.bn.running_mean"], inputs["head.bn"].mean(axis=0))
+        np.testing.assert_array_equal(b.batch_stats["mid.bn.running_var"], inputs["mid.bn"].var(axis=0))
         assert encode(p, cfg, x, "visible", mode="eval")[0].batch_stats is None
 
     def test_train_bn_batch_of_one_rejected(self):
@@ -162,10 +165,10 @@ class TestEncode:
             p = init_encoder(cfg, 0)
             x = np.random.default_rng(3).standard_normal((4, 5))
             b, _ = encode(p, cfg, x, "visible", mode="eval")
-            assert b.v_fused_post.shape == (4, dim)
+            assert b.embedding.shape == (4, dim)
 
 
-BUNDLE_FIELDS = ("v_pre", "v_post", "logits_backbone", "v_fused", "v_fused_post", "logits_skip")
+BUNDLE_FIELDS = ("embedding", "logits", "backbone_logits")
 LOSS_FIELDS = ("softmax", "backbone", "cross", "intra", "dual", "total")
 
 
@@ -241,28 +244,36 @@ def stream_of(pair, s):
     return FeatureBundle(**fields, batch_stats=stats or None)
 
 
+def set_features(cfg, features, x):
+    """The eval-mode bundle of rows x, under weights whose batchnorm of each
+    branch named in `features` outputs that feature for every row: gamma 0
+    and beta the feature."""
+    p = init_encoder(cfg, 0)
+    for branch, feature in features.items():
+        p.values[f"{branch}.bn.gamma"][...] = 0.0
+        p.values[f"{branch}.bn.beta"][...] = feature
+    return encode(p, cfg, x, "visible", mode="eval")[0]
+
+
 class TestTestFeature:
     def test_backbone_selection(self):
         cfg = small_config(mfi=False)
-        bundle = FeatureBundle(v_pre=None, v_post=np.array([[3.0, 4.0, 0.0, 0.0]]),
-                               logits_backbone=None)
+        bundle = set_features(cfg, {"head": [3.0, 4.0, 0.0, 0.0]}, np.ones((1, 5)))
         np.testing.assert_allclose(select_feature(bundle, cfg), [[0.6, 0.8, 0.0, 0.0]], atol=1e-12)
 
     def test_skip_selection_sentinel(self):
         cfg = small_config(mfi=True)
-        sentinel = np.zeros((1, 8))
-        sentinel[0, 0] = 2.0
-        bundle = FeatureBundle(v_pre=None, v_post=np.ones((1, 4)),
-                               logits_backbone=None, v_fused_post=sentinel)
+        sentinel = np.zeros(8)
+        sentinel[0] = 2.0
+        bundle = set_features(cfg, {"head": np.ones(4), "mid": sentinel}, np.ones((1, 5)))
         out = select_feature(bundle, cfg)
         assert out.shape == (1, 8)
         assert out[0, 0] == 1.0
 
     def test_unit_norm(self):
         cfg = small_config(mfi=False)
-        rng = np.random.default_rng(4)
-        bundle = FeatureBundle(v_pre=None, v_post=rng.standard_normal((10, 4)) + 0.3,
-                               logits_backbone=None)
+        x = np.random.default_rng(4).standard_normal((10, 5))
+        bundle, _ = encode(init_encoder(cfg, 0), cfg, x, "visible", mode="eval")
         np.testing.assert_allclose(np.linalg.norm(select_feature(bundle, cfg), axis=1), 1.0, atol=1e-9)
 
 
@@ -307,25 +318,26 @@ class TestSharedHeadAccumulation:
         def head_grads(x, modality):
             b, cache = encode(params, cfg, x, modality, mode="eval")
             g = BundleGrads(
-                d_v_post=np.ones_like(b.v_post),
-                d_logits_backbone=np.ones_like(b.logits_backbone),
-                d_v_fused_post=np.ones_like(b.v_fused_post),
-                d_logits_skip=np.ones_like(b.logits_skip),
+                d_embedding=np.ones_like(b.embedding),
+                d_logits=np.ones_like(b.logits),
+                d_backbone_logits=np.ones_like(b.backbone_logits),
             )
             return encode_backward(params, cfg, cache, g)
 
-        gv = head_grads(xv, "visible")
-        gt = head_grads(xt, "thermal")
-        combined = zero_grads(params)
-        for x, modality in ((xv, "visible"), (xt, "thermal")):
-            b, cache = encode(params, cfg, x, modality, mode="eval")
-            g = BundleGrads(
-                d_v_post=np.ones_like(b.v_post),
-                d_logits_backbone=np.ones_like(b.logits_backbone),
-                d_v_fused_post=np.ones_like(b.v_fused_post),
-                d_logits_skip=np.ones_like(b.logits_skip),
-            )
-            encode_backward(params, cfg, cache, g, out=combined)
+        # visible row 0 leaves the last stage, which is the tap, as zeros: a
+        # zero feature row, which the L2 layer passes unnormalized
+        with pytest.warns(RuntimeWarning, match="near-zero"):
+            gv = head_grads(xv, "visible")
+            gt = head_grads(xt, "thermal")
+            combined = zero_grads(params)
+            for x, modality in ((xv, "visible"), (xt, "thermal")):
+                b, cache = encode(params, cfg, x, modality, mode="eval")
+                g = BundleGrads(
+                    d_embedding=np.ones_like(b.embedding),
+                    d_logits=np.ones_like(b.logits),
+                    d_backbone_logits=np.ones_like(b.backbone_logits),
+                )
+                encode_backward(params, cfg, cache, g, out=combined)
         for name in combined:
             if name.startswith(("head.", "mid.")):
                 np.testing.assert_allclose(combined[name], gv[name] + gt[name], atol=1e-12)

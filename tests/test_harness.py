@@ -802,7 +802,7 @@ class TestGradcheck:
             return l2_normalize_backward(cache, g) * (1.0 + 1e-3)
 
         monkeypatch.setattr(harness, "l2_normalize_backward", skewed)
-        monkeypatch.setattr(losses, "l2_normalize_backward", skewed)
+        monkeypatch.setattr(encoder, "l2_normalize_backward", skewed)
         assert failing_components(monkeypatch) == {"l2_normalize", "full_model_mfi",
                                                    "full_model_backbone"}
 
@@ -954,31 +954,41 @@ def write_json(path, doc):
 
 
 # sha256 of `xmodal train`'s checkpoint and report for the tiny configuration
-# of the CI step "Installed command", by the MFI flag: the skip-branch arm and
-# the backbone arm. A change that moves trained bits updates them on purpose
-# and says so in CHANGES.md.
+# of the CI step "Installed command", with one encoder key set by arm: the
+# skip-branch arm, the backbone arm, the skip-branch arm without the backbone
+# loss, and the skip-branch arm fused by sum. A change that moves trained bits
+# updates them on purpose and says so in CHANGES.md.
 TRAINED_DIGESTS = {
-    True: ("8c1fb117fc87169a362a23532bd8cbb10c86a33b96f72cd2e3aea254ded28e6c",
+    True: ({"mfi_enabled": True},
+           "8c1fb117fc87169a362a23532bd8cbb10c86a33b96f72cd2e3aea254ded28e6c",
            "8b139aef30d7f2fe5f6440efb51568751f3ba8b208929270c42acbdfe13e75dc"),
-    False: ("0204ba114fa4e74253cee1f0ceb1547a8570a15cf6eec95cf0185a931291ec49",
+    False: ({"mfi_enabled": False},
+            "0204ba114fa4e74253cee1f0ceb1547a8570a15cf6eec95cf0185a931291ec49",
             "38d5b5d9ea893458b230fc49c89ab7ee88bbf83425ed38a718b91bf7e92f8e00"),
+    "no_backbone_loss": ({"backbone_loss_enabled": False},
+                         "57010e00c0ebb749e5498006715a5099931c86883a26e589ed6aac64f6032bd7",
+                         "20188b4c144edfe363184403df528f7496b843ab4986180393e4f61ad3144d24"),
+    "sum": ({"fusion": "sum"},
+            "ea78d2c6207995fd58ba7450dc44a2be8702d82ac4c469604542cdc5c0fdb1cd",
+            "97b8edc1ad00d35aeb11d1d70ec070fbc3ce525a1d9be2edad4b77a83aee594f"),
 }
 
 
-@pytest.mark.parametrize("mfi", [True, False])
-def test_trained_bytes_are_pinned(tmp_path, mfi):
+@pytest.mark.parametrize("arm", TRAINED_DIGESTS)
+def test_trained_bytes_are_pinned(tmp_path, arm):
     synth, config = tmp_path / "synth.json", tmp_path / "train.json"
     data, ckpt, report = tmp_path / "data.txt", tmp_path / "model.ckpt", tmp_path / "report.json"
+    keys, *want = TRAINED_DIGESTS[arm]
     write_json(synth, {"num_identities": 6, "per_identity_per_modality": 3, "input_dim": 6, "seed": 0})
     write_json(config, {"encoder": {"input_dim": 6, "num_classes": 0, "stage_dims": [8, 8],
-                                    "tap_stage": 1, "d": 5, "mfi_enabled": mfi},
+                                    "tap_stage": 1, "d": 5, **keys},
                         "P": 3, "K": 2, "epochs": 2, "freeze_stage_epochs": 1, "lr_decay_epoch": 1,
                         "seed": 0})
     assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
     assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt),
                      "--report", str(report)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, report))
-    assert digests == TRAINED_DIGESTS[mfi]
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, report)]
+    assert digests == want
 
 
 @pytest.fixture
@@ -1142,24 +1152,47 @@ class TestCli:
          "SynthConfig: noise_std must be a finite number, got NaN"),
         ("synth", lambda d: {**d, "train_fraction": "0.5"},
          'SynthConfig: train_fraction must be a finite number, got "0.5"'),
+        # sizes past the 2^47-byte user address space: numpy refuses them at
+        # once on any machine, so no test run ever fills memory
+        ("synth", lambda d: {**d, "num_identities": 10 ** 20},
+         "SynthConfig: its sizes cannot be allocated (Maximum allowed dimension exceeded)"),
+        ("synth", lambda d: {**d, "input_dim": 10 ** 15},
+         "SynthConfig: its sizes cannot be allocated (Unable to allocate 256. PiB for an array "
+         "with shape (36, 1000000000000000) and data type float64)"),
+        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 15], "tap_stage": 1}},
+         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 42.6 PiB for an array "
+         "with shape (6, 1000000000000000) and data type float64)"),
+        ("train", lambda d: {**d, "encoder": {**d["encoder"], "d": 10 ** 15}},
+         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 56.8 PiB for an array "
+         "with shape (8, 1000000000000000) and data type float64)"),
+        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 18], "tap_stage": 1}},
+         "EncoderConfig: its sizes cannot be allocated (array is too big; `arr.size * arr.dtype.itemsize` "
+         "is larger than the maximum possible size.)"),
+        ("ablation", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 15], "tap_stage": 1}},
+         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 42.6 PiB for an array "
+         "with shape (6, 1000000000000000) and data type float64)"),
     ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "learning_rate-nan", "rho-nan",
             "lambda2-inf", "bn_epsilon-nan", "lr_decay_factor-huge-int", "stage_dims-number",
             "train-array", "num_identities-string", "synth-array", "cluster_std-inf", "noise_std-nan",
-            "train_fraction-string"])
+            "train_fraction-string", "num_identities-oversized", "input_dim-oversized",
+            "stage_dims-oversized", "d-oversized", "stage_dims-past-numpy-limit", "ablation-oversized"])
     def test_config_value_of_the_wrong_type_is_named_and_exits_1(self, command, bad, message,
                                                                  workdir, capsys):
         data = workdir / "data.txt"
         assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        path = workdir / f"{command}.json"
+        path = workdir / f"{'train' if command == 'ablation' else command}.json"
         write_json(workdir / "bad.json", bad(json.loads(path.read_text())))
-        argv = {"train": ["train", "--data", str(data), "--out", str(workdir / "m.ckpt")],
-                "synth": ["synth", "--out", str(workdir / "other.txt")]}[command]
+        outputs = [workdir / name for name in ("m.ckpt", "other.txt", "r.json")]
+        argv = {"train": ["train", "--data", str(data), "--out", str(outputs[0])],
+                "synth": ["synth", "--out", str(outputs[1])],
+                "ablation": ["ablation", "--data-config", str(workdir / "synth.json"), "--seeds", "0",
+                             "--report", str(outputs[2])]}[command]
         capsys.readouterr()
         assert cli.main(argv + ["--config", str(workdir / "bad.json")]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {message}\n"
-        assert not (workdir / "m.ckpt").exists() and not (workdir / "other.txt").exists()
+        assert not any(path.exists() for path in outputs)
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["train", "--data", "x"]) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmodal.encoder import EncoderConfig
+from xmodal.encoder import EncoderConfig, FeatureBundle, encode, init_encoder
 from xmodal.losses import (
     LabeledBatch,
     LossConfig,
@@ -27,9 +27,11 @@ from xmodal.losses import (
     triplet_pools,
 )
 from xmodal.numerics import (
+    batchnorm_forward,
     finite_diff_entries,
     finite_diff_grad,
     gemm_score_bound,
+    l2_normalize_forward,
     max_relative_error,
     per_point,
 )
@@ -38,6 +40,7 @@ from helpers import (
     FOUR_POINT,
     TWO_POINT,
     batch_hard_oracle,
+    batchnorm_inputs,
     certified_picks_reference,
     cross_modality_oracle,
     finite_differences_reference,
@@ -54,7 +57,7 @@ RHO = 0.5
 
 
 def branch(mfi, backbone=True):
-    """An encoder config whose flags select the branch `total_loss` reads."""
+    """An encoder config whose flags decide `total_loss`'s backbone term."""
     return EncoderConfig(input_dim=4, num_classes=3, mfi_enabled=mfi,
                          backbone_loss_enabled=backbone)
 
@@ -304,18 +307,15 @@ class TestCertifiedMining:
 
 def loss_bundles(rng, mfi, num_classes=3, P=3, K=2, d=4):
     """Random encoder outputs of both streams, as the (2, n, ·) stack
-    `total_loss` reads, and the batch's class labels."""
-    from xmodal.encoder import FeatureBundle
-
+    `total_loss` reads, and the batch's class labels: unit embedding rows,
+    as wide as the fused skip feature and with backbone logits if `mfi`."""
     n = P * K
+    feature = rng.standard_normal((2, n, 2 * d if mfi else d))
     b = FeatureBundle(
-        v_pre=rng.standard_normal((2, n, d)),
-        v_post=rng.standard_normal((2, n, d)),
-        logits_backbone=rng.standard_normal((2, n, num_classes)),
+        embedding=l2_normalize_forward(feature)[0],
+        logits=rng.standard_normal((2, n, num_classes)),
+        backbone_logits=rng.standard_normal((2, n, num_classes)) if mfi else None,
     )
-    if mfi:
-        b.v_fused_post = rng.standard_normal((2, n, 2 * d))
-        b.logits_skip = rng.standard_normal((2, n, num_classes))
     return b, np.tile(np.repeat(np.arange(P), K), 2)
 
 
@@ -403,7 +403,7 @@ class TestForwardStep:
         bundle, labels = loss_bundles(rng, mfi)
         cfg = LossConfig(rho=RHO, lambda1=0.1, lambda2=2.0)
         targets = loss_targets(labels, 3, 2)
-        fields = ("v_fused_post", "logits_skip", "logits_backbone") if mfi else ("v_post", "logits_backbone")
+        fields = ("embedding", "logits", "backbone_logits") if mfi else ("embedding", "logits")
         for field in fields:
             original = getattr(bundle, field)
             for v in perturbations(original, rng):
@@ -688,19 +688,41 @@ class TestTotalLoss:
         assert abs(bd_on.total - (bd_off.total + bd_on.backbone)) < 1e-12
 
     def test_branch_selection(self):
-        # with MFI on, the softmax term reads the skip logits
+        # encode chooses the embedding: the L2-normalized skip feature with
+        # MFI on, the backbone feature with MFI off, each made again here
+        # from its batchnorm's input; the loss reads what it was given
         rng = np.random.default_rng(52)
+        for mfi in (True, False):
+            enc_cfg = EncoderConfig(input_dim=5, num_classes=3, stage_dims=(6, 5), tap_stage=1, d=4,
+                                    mfi_enabled=mfi, backbone_loss_enabled=False)
+            params = init_encoder(enc_cfg, 52)
+            for v in params.values.values():
+                v += 0.05 * rng.standard_normal(v.shape)
+            layer = "mid" if mfi else "head"
+            for mode in ("train", "eval"):
+                bundle, cache = encode(params, enc_cfg, rng.standard_normal((2, 6, 5)),
+                                       ("visible", "thermal"), mode=mode)
+                feature, _, _ = batchnorm_forward(
+                    batchnorm_inputs(params, enc_cfg, cache)[f"{layer}.bn"],
+                    params.values[f"{layer}.bn.gamma"], params.values[f"{layer}.bn.beta"],
+                    params.bn_state[f"{layer}.bn.running_mean"], params.bn_state[f"{layer}.bn.running_var"],
+                    eps=enc_cfg.bn_epsilon, train=mode == "train")
+                assert np.array_equal(bundle.embedding, l2_normalize_forward(feature)[0]), (mfi, mode)
+                assert bundle.embedding.shape[-1] == (enc_cfg.fused_dim if mfi else enc_cfg.d)
+                assert (bundle.backbone_logits is None) != mfi
+        # with MFI on, the softmax term reads the skip logits; without the
+        # backbone loss no gradient reaches the backbone logits
         bundle, labels = loss_bundles(rng, mfi=True)
         cfg = LossConfig(rho=RHO, lambda2=0.0)
         bd, grads = total_loss(bundle, labels, cfg, branch(True, backbone=False), 3, 2)
-        assert np.any(grads.d_logits_skip != 0.0)
-        np.testing.assert_array_equal(grads.d_logits_backbone, np.zeros_like(grads.d_logits_backbone))
+        assert np.any(grads.d_logits != 0.0)
+        assert grads.d_backbone_logits is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected(self, bad):
         rng = np.random.default_rng(53)
         bundle, labels = loss_bundles(rng, mfi=True)
-        bundle.logits_skip[1, 1, 0] = bad  # thermal row 1
+        bundle.logits[1, 1, 0] = bad  # thermal row 1
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="total_loss: non-finite loss"):
             total_loss(bundle, labels, LossConfig(rho=RHO), branch(True), 3, 2)

@@ -185,6 +185,10 @@ class TestLayerBackward:
         dz = relu_backward(relu_forward(z)[1], g)
         for k in range(2):
             assert np.array_equal(dz[k], relu_backward(relu_forward(z[k])[1], g[k]))
+        # the encoder's last layer: its stack's rows are normalized one by one
+        dy = l2_normalize_backward(l2_normalize_forward(z)[1], g)
+        for k in range(2):
+            assert np.array_equal(dy[k], l2_normalize_backward(l2_normalize_forward(z[k])[1], g[k]))
         if n < 2:  # train-mode batchnorm needs two rows
             return
         gamma, beta = 0.5 + rng.random(d_out), rng.standard_normal(d_out)
