@@ -168,8 +168,10 @@ def load_dataset(path):
         raise DataError(f"{path}:1: unparseable dimension in header") from None
     if dim < 1:
         raise DataError(f"{path}:1: dimension must be >= 1, got {dim}")
-    # a row holds dim + 2 commas, so the file's commas bound the row count
-    features = np.empty((min(len(lines) - 1, commas // (dim + 2)), dim))
+    try:  # a row holds dim + 2 commas, so the file's commas bound the row count
+        features = np.empty((min(len(lines) - 1, commas // (dim + 2)), dim))
+    except ValueError as exc:  # a dimension past numpy's limits, refused before any allocation
+        raise DataError(f"{path}:1: dimension {dim} is too large ({exc})") from None
     labels = []  # (identity, modality, sample_id) per row
     first_line = {}  # sample_id -> line that defined it
     for lineno, line in enumerate(lines[1:], start=2):

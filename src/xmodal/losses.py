@@ -266,10 +266,17 @@ def _hinges_backward(cache):
     return grad
 
 
-def _triplet(features, pools, rho):
+def _finite(owner, loss):
+    """`loss`, or NonFiniteError naming `owner` if it is NaN or infinite."""
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"{owner}: non-finite loss {loss}")
+    return loss
+
+
+def _triplet(owner, features, pools, rho):
     """(loss, grad) of the one hinge over `pools`: the forward step, then the gradient step."""
     loss, _, cache = _hinges_forward(np.asarray(features, dtype=np.float64), pools, (1.0,), rho)
-    return loss, _hinges_backward(cache)
+    return _finite(owner, loss), _hinges_backward(cache)
 
 
 def batch_hard_triplet(features, labels, rho):
@@ -279,17 +286,17 @@ def batch_hard_triplet(features, labels, rho):
         raise ValueError("batch_hard_triplet: one label per feature row required")
     if np.unique(labels).size < 2:
         raise ValueError("batch_hard_triplet: need at least 2 identities")
-    return _triplet(features, _pools(labels, True), rho)
+    return _triplet("batch_hard_triplet", features, _pools(labels, True), rho)
 
 
 def cross_modality_triplet(batch, rho):
     """Bi-directional cross-modality loss: anchors in one modality, pool in the other."""
-    return _triplet(batch.features, triplet_pools(batch, "cross"), rho)
+    return _triplet("cross_modality_triplet", batch.features, triplet_pools(batch, "cross"), rho)
 
 
 def intra_modality_triplet(batch, rho):
     """Per-modality batch-hard loss, summed over the two modalities."""
-    return _triplet(batch.features, triplet_pools(batch, "intra"), rho)
+    return _triplet("intra_modality_triplet", batch.features, triplet_pools(batch, "intra"), rho)
 
 
 def triplet_pools(batch, *kinds):
@@ -329,7 +336,7 @@ def dual_modality_triplet(batch, config):
     loss, (loss_c, loss_i), cache = _hinges_forward(
         np.asarray(batch.features, dtype=np.float64), triplet_pools(batch, "cross", "intra"),
         (1.0, config.lambda1), config.rho)
-    return loss, _hinges_backward(cache), loss_c, loss_i
+    return _finite("dual_modality_triplet", loss), _hinges_backward(cache), loss_c, loss_i
 
 
 @dataclass

@@ -1,7 +1,6 @@
-"""Training harness, checkpoint, ablation, gradcheck, and CLI tests."""
+"""Training harness, checkpoint, ablation and gradcheck tests; the CLI's are in test_cli.py."""
 
 import copy
-import hashlib
 import json
 import math
 import tracemalloc
@@ -19,7 +18,6 @@ from xmodal.data import (
     batches_per_epoch,
     generate_synthetic,
     sample_pk_batch,
-    save_dataset,
     split_identity_disjoint,
 )
 from xmodal.encoder import MODALITIES, EncoderConfig, init_encoder
@@ -425,38 +423,6 @@ class TestEvaluate:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FAULTS = {  # name -> (edit of the checkpoint document, key the error names)
-    "missing_bn_state": (lambda doc: doc.pop("bn_state"), "'bn_state'"),
-    "truncated_values": (lambda doc: doc["params"]["head.fc.W"]["values"].pop(),
-                         "params.head.fc.W"),
-    "nan_weight": (lambda doc: doc["params"]["visible.stage1.W"]["values"].__setitem__(
-        3, float("nan")), "params.visible.stage1.W"),
-    # JSON reads 8.0 as a float, which reshape does not take
-    "float_shape": (lambda doc: doc["params"]["head.fc.W"].__setitem__(
-        "shape", [float(v) for v in doc["params"]["head.fc.W"]["shape"]]), "params.head.fc.W"),
-    # numpy would parse "0.18" and read true as 1.0
-    "string_values": (lambda doc: doc["params"]["head.fc.W"].__setitem__(
-        "values", [True] + [str(v) for v in doc["params"]["head.fc.W"]["values"][1:]]),
-        "params.head.fc.W"),
-    "bool_value": (lambda doc: doc["params"]["thermal.stage1.b"]["values"].__setitem__(0, False),
-                   "params.thermal.stage1.b"),
-    "nan_encoder_config": (lambda doc: doc["encoder_config"].__setitem__("bn_epsilon", math.nan),
-                           "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
-    # a running variance is never negative: a corrupt file, not a diverged run
-    "negative_mid_running_var": (lambda doc: doc["bn_state"]["mid.bn.running_var"]["values"].__setitem__(
-        0, -1.0), "bn_state.mid.bn.running_var"),
-    "negative_head_running_var": (lambda doc: doc["bn_state"]["head.bn.running_var"]["values"].__setitem__(
-        2, -1e-300), "bn_state.head.bn.running_var"),
-    # JSON reads 10**400 as an int, which no float64 holds
-    "huge_int_value": (lambda doc: doc["params"]["head.fc.W"]["values"].__setitem__(0, 10 ** 400),
-                       "params.head.fc.W"),
-    # shapes no array can take: checked against the config before any array is made
-    "too_big_encoder_config": (lambda doc: doc["encoder_config"].update(
-        input_dim=10 ** 10, stage_dims=[10 ** 10, 8]),
-        "params.visible.stage1.W: shape [6, 8], the encoder config needs [10000000000, 10000000000]"),
-}
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset()
@@ -491,21 +457,6 @@ class TestCheckpoint:
         path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(ConfigError, match="parameter names"):
             load_checkpoint(path)
-
-    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
-    def test_faulty_checkpoint_rejected_at_load(self, tmp_path, capsys, fault):
-        edit, key = CHECKPOINT_FAULTS[fault]
-        data, ckpt = tmp_path / "data.txt", tmp_path / "model.ckpt"
-        save_dataset(tiny_dataset(), data)
-        enc = EncoderConfig(input_dim=6, num_classes=6, stage_dims=(8, 8), tap_stage=1, d=5)
-        save_checkpoint(init_encoder(enc, 0), enc, ckpt)
-        header, body = ckpt.read_text().split("\n", 1)
-        doc = json.loads(body)
-        edit(doc)
-        ckpt.write_text(header + "\n" + json.dumps(doc) + "\n")
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(ckpt) in err and key in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -943,550 +894,3 @@ class TestLossOnlySweep:
             assert len(estimates) == len(ref_estimates)
             assert all(np.array_equal(a, b) for a, b in zip(estimates, ref_estimates))
             estimates.clear()
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-def write_json(path, doc):
-    path.write_text(json.dumps(doc) + "\n")
-
-
-# sha256 of `xmodal train`'s checkpoint and report for the tiny configuration
-# of the CI step "Installed command", with one encoder key set by arm: the
-# skip-branch arm, the backbone arm, the skip-branch arm without the backbone
-# loss, and the skip-branch arm fused by sum. A change that moves trained bits
-# updates them on purpose and says so in CHANGES.md.
-TRAINED_DIGESTS = {
-    True: ({"mfi_enabled": True},
-           "8c1fb117fc87169a362a23532bd8cbb10c86a33b96f72cd2e3aea254ded28e6c",
-           "8b139aef30d7f2fe5f6440efb51568751f3ba8b208929270c42acbdfe13e75dc"),
-    False: ({"mfi_enabled": False},
-            "0204ba114fa4e74253cee1f0ceb1547a8570a15cf6eec95cf0185a931291ec49",
-            "38d5b5d9ea893458b230fc49c89ab7ee88bbf83425ed38a718b91bf7e92f8e00"),
-    "no_backbone_loss": ({"backbone_loss_enabled": False},
-                         "57010e00c0ebb749e5498006715a5099931c86883a26e589ed6aac64f6032bd7",
-                         "20188b4c144edfe363184403df528f7496b843ab4986180393e4f61ad3144d24"),
-    "sum": ({"fusion": "sum"},
-            "ea78d2c6207995fd58ba7450dc44a2be8702d82ac4c469604542cdc5c0fdb1cd",
-            "97b8edc1ad00d35aeb11d1d70ec070fbc3ce525a1d9be2edad4b77a83aee594f"),
-}
-
-
-@pytest.mark.parametrize("arm", TRAINED_DIGESTS)
-def test_trained_bytes_are_pinned(tmp_path, arm):
-    synth, config = tmp_path / "synth.json", tmp_path / "train.json"
-    data, ckpt, report = tmp_path / "data.txt", tmp_path / "model.ckpt", tmp_path / "report.json"
-    keys, *want = TRAINED_DIGESTS[arm]
-    write_json(synth, {"num_identities": 6, "per_identity_per_modality": 3, "input_dim": 6, "seed": 0})
-    write_json(config, {"encoder": {"input_dim": 6, "num_classes": 0, "stage_dims": [8, 8],
-                                    "tap_stage": 1, "d": 5, **keys},
-                        "P": 3, "K": 2, "epochs": 2, "freeze_stage_epochs": 1, "lr_decay_epoch": 1,
-                        "seed": 0})
-    assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
-    assert cli.main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt),
-                     "--report", str(report)]) == 0
-    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, report)]
-    assert digests == want
-
-
-@pytest.fixture
-def workdir(tmp_path):
-    synth = tmp_path / "synth.json"
-    write_json(synth, {"num_identities": 6, "per_identity_per_modality": 3,
-                       "input_dim": 6, "cluster_std": 0.3, "noise_std": 0.1,
-                       "seed": 0})
-    traincfg = tmp_path / "train.json"
-    write_json(traincfg, {
-        "encoder": {"input_dim": 6, "num_classes": 0, "stage_dims": [8, 8],
-                    "tap_stage": 1, "d": 5},
-        "loss": {"rho": 0.5, "lambda1": 0.1, "lambda2": 2.0},
-        "P": 3, "K": 2, "epochs": 2, "freeze_stage_epochs": 1,
-        "learning_rate": 1e-3, "lr_decay_epoch": 1, "seed": 0,
-    })
-    return tmp_path
-
-
-class TestCli:
-    def test_synth_train_eval_pipeline(self, workdir, capsys):
-        data = workdir / "data.txt"
-        ckpt = workdir / "model.ckpt"
-        report = workdir / "train_report.json"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"),
-                         "--out", str(data)]) == 0
-        assert data.exists()
-        assert cli.main(["train", "--data", str(data),
-                         "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt), "--report", str(report)]) == 0
-        assert ckpt.exists()
-        doc = json.loads(report.read_text())
-        assert len(doc["epochs"]) == 2
-        for modality in (VISIBLE, THERMAL):
-            code = cli.main(["eval", "--checkpoint", str(ckpt),
-                             "--data", str(data),
-                             "--query-modality", modality,
-                             "--trials", "2", "--single-shot"]) == 0
-            assert code
-        out = capsys.readouterr().out
-        assert '"map"' in out
-
-    def test_eval_report_file_matches_stdout(self, workdir, capsys):
-        data = workdir / "data.txt"
-        ckpt = workdir / "model.ckpt"
-        cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)])
-        cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                  "--out", str(ckpt)])
-        capsys.readouterr()
-        report = workdir / "eval.json"
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                         "--report", str(report)]) == 0
-        assert capsys.readouterr().out == report.read_text()
-
-    def test_ablation_command(self, workdir, capsys):
-        report = workdir / "ablation.json"
-        synth = workdir / "synth.json"
-        doc = json.loads(synth.read_text())
-        doc["train_fraction"] = 0.5
-        write_json(synth, doc)
-        assert cli.main(["ablation", "--data-config", str(synth),
-                         "--config", str(workdir / "train.json"),
-                         "--seeds", "0", "--report", str(report)]) == 0
-        table = json.loads(report.read_text())
-        assert set(table["arms"]) == set(ABLATION_ARMS)
-        out = capsys.readouterr().out
-        assert "EDFL" in out
-
-    def test_gradcheck_command_exit_codes(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "GRADCHECK_COMPONENTS",
-                            {"dense": harness.GRADCHECK_COMPONENTS["dense"]})
-        assert cli.main(["gradcheck", "--trials", "2"]) == 0
-        monkeypatch.setattr(harness, "GRADCHECK_COMPONENTS",
-                            {"broken": lambda rng: 1.0})
-        assert cli.main(["gradcheck", "--trials", "1"]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_gradcheck_without_trials_exits_1(self, trials, capsys):
-        assert cli.main(["gradcheck", "--trials", trials]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "trials must be >= 1" in err
-
-    @pytest.mark.parametrize("command", ["gradcheck", "eval", "train", "synth", "ablation"])
-    def test_negative_seed_is_named_and_exits_1(self, command, workdir, capsys):
-        synth, train_cfg = workdir / "synth.json", workdir / "train.json"
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
-                         "--out", str(ckpt)]) == 0
-        for path, seed in ((synth, -3), (train_cfg, -1)):
-            doc = json.loads(path.read_text())
-            doc["seed"] = seed
-            write_json(workdir / f"bad_{path.name}", doc)
-        capsys.readouterr()
-        argv, message = {
-            "gradcheck": (["gradcheck", "--seed", "-1"], "gradcheck: seed must be >= 0, got -1"),
-            "eval": (["eval", "--checkpoint", str(ckpt), "--data", str(data), "--seed", "-2"],
-                     "EvalProtocol: seed must be >= 0, got -2"),
-            "train": (["train", "--data", str(data), "--config", str(workdir / "bad_train.json"),
-                       "--out", str(workdir / "other.ckpt")],
-                      "TrainConfig: seed must be >= 0, got -1"),
-            "synth": (["synth", "--config", str(workdir / "bad_synth.json"),
-                       "--out", str(workdir / "other.txt")],
-                      "SynthConfig: seed must be >= 0, got -3"),
-            "ablation": (["ablation", "--data-config", str(synth), "--config", str(train_cfg),
-                          "--seeds", "-1"],
-                         "run_ablation: seed must be >= 0, got -1"),
-        }[command]
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: {message}\n"
-
-    def test_ablation_seed_that_is_not_an_integer_is_named(self, workdir, capsys):
-        assert cli.main(["ablation", "--data-config", str(workdir / "synth.json"),
-                         "--config", str(workdir / "train.json"), "--seeds", "0,x"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "config error: --seeds: 'x' is not an integer\n"
-
-    @pytest.mark.parametrize("flag", ["mfi_enabled", "backbone_loss_enabled"])
-    def test_branch_flag_in_the_loss_section_exits_1(self, flag, workdir, capsys):
-        # the branch flags belong to the encoder section alone; the config
-        # is read before the data, so the absent data file is never opened
-        doc = json.loads((workdir / "train.json").read_text())
-        doc["loss"][flag] = False
-        write_json(workdir / "flagged.json", doc)
-        assert cli.main(["train", "--data", str(workdir / "absent.txt"),
-                         "--config", str(workdir / "flagged.json"),
-                         "--out", str(workdir / "m.ckpt")]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: LossConfig: unknown keys ['{flag}']\n"
-
-    @pytest.mark.parametrize("command, bad, message", [
-        ("train", lambda d: {**d, "loss": None}, "TrainConfig: loss must be a JSON object, got null"),
-        ("train", lambda d: {**d, "encoder": 5}, "TrainConfig: encoder must be a JSON object, got 5"),
-        ("train", lambda d: {**d, "P": "3"}, 'TrainConfig: P must be an integer, got "3"'),
-        ("train", lambda d: {**d, "loss": {"rho": "x"}}, 'LossConfig: rho must be a finite number, got "x"'),
-        ("train", lambda d: {**d, "learning_rate": math.nan},
-         "TrainConfig: learning_rate must be a finite number, got NaN"),
-        ("train", lambda d: {**d, "loss": {"rho": math.nan}}, "LossConfig: rho must be a finite number, got NaN"),
-        ("train", lambda d: {**d, "loss": {"lambda2": math.inf}},
-         "LossConfig: lambda2 must be a finite number, got Infinity"),
-        ("train", lambda d: {**d, "encoder": {**d["encoder"], "bn_epsilon": math.nan}},
-         "EncoderConfig: bn_epsilon must be a finite number, got NaN"),
-        ("train", lambda d: {**d, "lr_decay_factor": 10 ** 400},
-         "TrainConfig: lr_decay_factor must be a finite number, got 1" + "0" * 36 + "..."),
-        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": 8}},
-         "EncoderConfig: stage_dims must be a list of integers, got 8"),
-        ("train", lambda d: [1, 2], "TrainConfig: expected a JSON object, got [1, 2]"),
-        ("synth", lambda d: {**d, "num_identities": "6"},
-         'SynthConfig: num_identities must be an integer, got "6"'),
-        ("synth", lambda d: [1, 2], "SynthConfig: expected a JSON object, got [1, 2]"),
-        ("synth", lambda d: {**d, "cluster_std": math.inf},
-         "SynthConfig: cluster_std must be a finite number, got Infinity"),
-        ("synth", lambda d: {**d, "noise_std": math.nan},
-         "SynthConfig: noise_std must be a finite number, got NaN"),
-        ("synth", lambda d: {**d, "train_fraction": "0.5"},
-         'SynthConfig: train_fraction must be a finite number, got "0.5"'),
-        # sizes past the 2^47-byte user address space: numpy refuses them at
-        # once on any machine, so no test run ever fills memory
-        ("synth", lambda d: {**d, "num_identities": 10 ** 20},
-         "SynthConfig: its sizes cannot be allocated (Maximum allowed dimension exceeded)"),
-        ("synth", lambda d: {**d, "input_dim": 10 ** 15},
-         "SynthConfig: its sizes cannot be allocated (Unable to allocate 256. PiB for an array "
-         "with shape (36, 1000000000000000) and data type float64)"),
-        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 15], "tap_stage": 1}},
-         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 42.6 PiB for an array "
-         "with shape (6, 1000000000000000) and data type float64)"),
-        ("train", lambda d: {**d, "encoder": {**d["encoder"], "d": 10 ** 15}},
-         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 56.8 PiB for an array "
-         "with shape (8, 1000000000000000) and data type float64)"),
-        ("train", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 18], "tap_stage": 1}},
-         "EncoderConfig: its sizes cannot be allocated (array is too big; `arr.size * arr.dtype.itemsize` "
-         "is larger than the maximum possible size.)"),
-        ("ablation", lambda d: {**d, "encoder": {**d["encoder"], "stage_dims": [10 ** 15], "tap_stage": 1}},
-         "EncoderConfig: its sizes cannot be allocated (Unable to allocate 42.6 PiB for an array "
-         "with shape (6, 1000000000000000) and data type float64)"),
-    ], ids=["loss-null", "encoder-number", "P-string", "rho-string", "learning_rate-nan", "rho-nan",
-            "lambda2-inf", "bn_epsilon-nan", "lr_decay_factor-huge-int", "stage_dims-number",
-            "train-array", "num_identities-string", "synth-array", "cluster_std-inf", "noise_std-nan",
-            "train_fraction-string", "num_identities-oversized", "input_dim-oversized",
-            "stage_dims-oversized", "d-oversized", "stage_dims-past-numpy-limit", "ablation-oversized"])
-    def test_config_value_of_the_wrong_type_is_named_and_exits_1(self, command, bad, message,
-                                                                 workdir, capsys):
-        data = workdir / "data.txt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        path = workdir / f"{'train' if command == 'ablation' else command}.json"
-        write_json(workdir / "bad.json", bad(json.loads(path.read_text())))
-        outputs = [workdir / name for name in ("m.ckpt", "other.txt", "r.json")]
-        argv = {"train": ["train", "--data", str(data), "--out", str(outputs[0])],
-                "synth": ["synth", "--out", str(outputs[1])],
-                "ablation": ["ablation", "--data-config", str(workdir / "synth.json"), "--seeds", "0",
-                             "--report", str(outputs[2])]}[command]
-        capsys.readouterr()
-        assert cli.main(argv + ["--config", str(workdir / "bad.json")]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: {message}\n"
-        assert not any(path.exists() for path in outputs)
-
-    def test_usage_error_exits_1(self, capsys):
-        assert cli.main(["train", "--data", "x"]) == 1
-        assert "usage error" in capsys.readouterr().err
-
-    # JSON text is UTF-8: other bytes are invalid JSON, not a UnicodeDecodeError
-    @pytest.mark.parametrize("command, content", [
-        ("synth", b"{not json\n"),
-        ("synth", b"\xff\xfe{}\n"),
-        ("eval", b"xmodal-checkpoint v1\n\xff\n"),
-    ], ids=["synth-not-json", "synth-not-utf8", "checkpoint-not-utf8"])
-    def test_bad_config_exits_1(self, command, content, workdir, capsys):
-        bad = workdir / "bad.json"
-        bad.write_bytes(content)
-        argv = {"synth": ["synth", "--config", str(bad), "--out", str(workdir / "d.txt")],
-                "eval": ["eval", "--checkpoint", str(bad), "--data", str(workdir / "absent.txt")]}[command]
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}: invalid JSON ("), err
-
-    # the dataset format is UTF-8 text: other bytes are a data error, not a UnicodeDecodeError
-    @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"# xmodal-dataset v1 dim=1\n\xff,0,V,1.0\n"],
-                             ids=["absent", "not-utf8", "row-not-utf8"])
-    def test_missing_data_file_exits_2(self, content, workdir, capsys):
-        data = workdir / "data.txt"
-        if content is not None:
-            data.write_bytes(content)
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(workdir / "m.ckpt")]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: cannot read {data}: ")
-        assert not (workdir / "m.ckpt").exists()
-
-    @pytest.mark.parametrize("content", [b"\xff\xfe", b"# xmodal-dataset v1 dim=6\n\xff,0,V,1,2,3,4,5,6\n"],
-                             ids=["not-utf8", "row-not-utf8"])
-    def test_eval_data_not_utf8_exits_2(self, content, workdir, capsys):
-        data, ckpt, report = workdir / "data.txt", workdir / "model.ckpt", workdir / "r.json"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        data.write_bytes(content)
-        capsys.readouterr()
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                         "--report", str(report)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"data error: cannot read {data}: ") and err.count("\n") == 1, err
-        assert not report.exists()
-
-    @pytest.mark.parametrize("dim", ["0", "-1"])
-    def test_dimension_below_one_exits_2(self, dim, workdir, capsys):
-        data = workdir / "bad.txt"
-        fields = ",1.0" * max(int(dim), 0)
-        data.write_text(f"# xmodal-dataset v1 dim={dim}\n0,0,V{fields}\n1,0,T{fields}\n")
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(workdir / "m.ckpt")]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"data error: {data}:1: dimension must be >= 1, got {dim}\n"
-
-    @pytest.mark.parametrize("query", [VISIBLE, THERMAL])
-    def test_eval_without_thermal_rows_exits_2(self, query, workdir, capsys):
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        lines = data.read_text().splitlines(keepends=True)
-        visible_only = workdir / "visible.txt"
-        visible_only.write_text("".join(line for line in lines if ",T," not in line))
-        capsys.readouterr()
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(visible_only),
-                         "--query-modality", query]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "data error: evaluation: the dataset has no samples with modality T\n"
-
-    @pytest.mark.parametrize("query", [VISIBLE, THERMAL])
-    def test_eval_without_a_cross_modality_match_exits_2(self, query, workdir, capsys):
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        # thermal rows move to identities that no visible row has
-        lines = data.read_text().splitlines(keepends=True)
-        for i, line in enumerate(lines):
-            fields = line.split(",")
-            if fields[2:3] == ["T"]:
-                fields[1] = str(int(fields[1]) + 1000)
-                lines[i] = ",".join(fields)
-        unmatched = workdir / "unmatched.txt"
-        unmatched.write_text("".join(lines))
-        capsys.readouterr()
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(unmatched),
-                         "--query-modality", query]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "data error: evaluation: every query lacked a gallery match\n"
-
-    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
-    def test_unwritable_output_path_is_a_usage_error(self, command, workdir, capsys):
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        missing = workdir / "missing" / "out.txt"
-        argv = {
-            "synth": ["synth", "--config", str(workdir / "synth.json"), "--out", str(missing)],
-            "train": ["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                      "--out", str(missing)],
-            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--report", str(missing)],
-        }[command]
-        capsys.readouterr()
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"usage error: cannot write {missing}: No such file or directory\n"
-
-    @pytest.mark.parametrize("command, flag, path, reason", [
-        ("train", "--out", "missing/dir/m.ckpt", "No such file or directory"),
-        ("train", "--report", "missing/dir/r.json", "No such file or directory"),
-        ("train", "--out", ".", "Is a directory"),
-        ("ablation", "--report", "missing/dir/a.json", "No such file or directory"),
-    ])
-    def test_unwritable_output_path_is_found_before_the_run(self, command, flag, path, reason,
-                                                            workdir, monkeypatch, capsys):
-        # a typo in an output path must not cost a whole run, nor leave the
-        # other output behind
-        def run(*args, **kwargs):
-            raise AssertionError(f"{command} ran before its output paths were checked")
-
-        monkeypatch.chdir(workdir)
-        assert cli.main(["synth", "--config", "synth.json", "--out", "data.txt"]) == 0
-        monkeypatch.setattr(cli, "train", run)
-        monkeypatch.setattr(cli, "run_ablation", run)
-        outputs = {"--out": "m.ckpt", "--report": "r.json", flag: path}
-        argv = {
-            "train": ["train", "--data", "data.txt", "--config", "train.json",
-                      "--out", outputs["--out"], "--report", outputs["--report"]],
-            "ablation": ["ablation", "--data-config", "synth.json", "--config", "train.json",
-                         "--seeds", "0", "--report", outputs["--report"]],
-        }[command]
-        before = sorted(p.name for p in workdir.iterdir())
-        capsys.readouterr()
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"usage error: cannot write {path}: {reason}\n"
-        assert sorted(p.name for p in workdir.iterdir()) == before
-
-    @pytest.mark.parametrize("report", ["m.ckpt", "./m.ckpt"])
-    def test_report_over_the_checkpoint_is_found_before_the_run(self, report, workdir,
-                                                                monkeypatch, capsys):
-        # the report would replace the model it was written after
-        def run(*args, **kwargs):
-            raise AssertionError("train ran before its output paths were checked")
-
-        monkeypatch.chdir(workdir)
-        assert cli.main(["synth", "--config", "synth.json", "--out", "data.txt"]) == 0
-        monkeypatch.setattr(cli, "train", run)
-        before = sorted(p.name for p in workdir.iterdir())
-        capsys.readouterr()
-        assert cli.main(["train", "--data", "data.txt", "--config", "train.json",
-                         "--out", "m.ckpt", "--report", report]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("usage error: --out and --report name one file, m.ckpt: "
-                       "the report would replace the model\n")
-        assert sorted(p.name for p in workdir.iterdir()) == before
-
-    @pytest.mark.parametrize("num_identities, P", [(1, 3), (6, 8)])
-    def test_too_few_identities_for_P_is_named(self, num_identities, P, workdir, capsys):
-        synth = workdir / "few.json"
-        write_json(synth, {**json.loads((workdir / "synth.json").read_text()),
-                           "num_identities": num_identities})
-        train_cfg = workdir / "p.json"
-        write_json(train_cfg, {**json.loads((workdir / "train.json").read_text()), "P": P})
-        data = workdir / "data.txt"
-        assert cli.main(["synth", "--config", str(synth), "--out", str(data)]) == 0
-        capsys.readouterr()
-        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
-                         "--out", str(workdir / "m.ckpt")]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"config error: P {P} exceeds the {num_identities} training identities "
-                       "with rows in both modalities\n")
-        assert not (workdir / "m.ckpt").exists()
-
-    @pytest.mark.parametrize("K", [13, 100000])
-    def test_P_times_K_above_the_row_count_is_named(self, K, workdir, capsys):
-        # 36 rows; at K = 100000 the loss's pool masks alone would need 335 GiB
-        train_cfg = workdir / "k.json"
-        write_json(train_cfg, {**json.loads((workdir / "train.json").read_text()), "K": K})
-        data = workdir / "data.txt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        capsys.readouterr()
-        assert cli.main(["train", "--data", str(data), "--config", str(train_cfg),
-                         "--out", str(workdir / "m.ckpt")]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: P 3 times K {K} exceeds the 36 rows of the dataset\n"
-        assert not (workdir / "m.ckpt").exists()
-
-    def test_eval_on_data_of_another_dimension_is_named(self, workdir, capsys):
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        synth5 = workdir / "synth5.json"
-        write_json(synth5, {**json.loads((workdir / "synth.json").read_text()), "input_dim": 5})
-        data5 = workdir / "data5.txt"
-        assert cli.main(["synth", "--config", str(synth5), "--out", str(data5)]) == 0
-        capsys.readouterr()
-        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data5)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "config error: input_dim 6 does not match dataset dim 5\n"
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("train_fraction", 1.5, "split: train_fraction must lie in (0, 1)"),
-        ("num_identities", 1, "split: need at least 2 identities"),
-    ])
-    def test_ablation_split_fault_is_named(self, key, value, message, workdir, capsys):
-        synth = workdir / "bad_synth.json"
-        write_json(synth, {**json.loads((workdir / "synth.json").read_text()), key: value})
-        assert cli.main(["ablation", "--data-config", str(synth),
-                         "--config", str(workdir / "train.json"), "--seeds", "0"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: {message}\n"
-
-    def test_plain_value_error_propagates(self, workdir, monkeypatch):
-        # a ValueError that is no config or data fault is a bug: it must
-        # show as a traceback, not as "config error"
-        def broken(dataset, config):
-            raise ValueError("a bug in training")
-
-        data = workdir / "data.txt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        monkeypatch.setattr(cli, "train", broken)
-        with pytest.raises(ValueError, match="a bug in training"):
-            cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                      "--out", str(workdir / "m.ckpt")])
-
-    def test_a_diverged_run_exits_4(self, workdir, capsys):
-        # a finite but huge learning rate overflows the parameters, so the
-        # next loss is NaN: a numeric error that names the cause, not a
-        # traceback, and no checkpoint
-        data, ckpt = workdir / "data.txt", workdir / "model.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        doc = json.loads((workdir / "train.json").read_text())
-        doc["learning_rate"] = 1e300
-        write_json(workdir / "huge_lr.json", doc)
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(["train", "--data", str(data), "--config", str(workdir / "huge_lr.json"),
-                             "--out", str(ckpt)])
-        assert code == 4
-        # the numeric error line alone: numpy's overflow warnings stay silent
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        out, err = capsys.readouterr()
-        assert out == "" and not ckpt.exists()
-        assert err == ("numeric error: total_loss: non-finite loss nan: the run diverged, "
-                       "or its inputs are too large for float64\n")
-
-    def test_eval_of_overflowing_weights_exits_4(self, workdir, capsys):
-        # finite stage weights scaled by 1e200 overflow the test features
-        data, ckpt, huge = workdir / "data.txt", workdir / "model.ckpt", workdir / "huge.ckpt"
-        assert cli.main(["synth", "--config", str(workdir / "synth.json"), "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--config", str(workdir / "train.json"),
-                         "--out", str(ckpt)]) == 0
-        params, enc_cfg = load_checkpoint(ckpt)
-        for name, v in params.values.items():
-            if ".stage" in name:
-                v *= 1e200
-        save_checkpoint(params, enc_cfg, huge)
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(["eval", "--checkpoint", str(huge), "--data", str(data)])
-        assert code == 4
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("numeric error: evaluation: non-finite query feature: the run diverged, "
-                       "or its inputs are too large for float64\n")
-
-    # the corpus's cross-modality transform is drawn from its seed: no key sets it
-    @pytest.mark.parametrize("key, value", [("pixels", 9), ("modality_transform", [[1, 0], [0, 1]]),
-                                            ("modality_offset", [0, 0])],
-                             ids=["pixels", "modality_transform", "modality_offset"])
-    def test_unknown_synth_key_exits_1(self, key, value, workdir, capsys):
-        bad = workdir / "synth_bad.json"
-        write_json(bad, {"num_identities": 6, key: value})
-        assert cli.main(["synth", "--config", str(bad),
-                         "--out", str(workdir / "d.txt")]) == 1
-        assert capsys.readouterr().err == f"config error: SynthConfig: unknown keys ['{key}']\n"
-        assert not (workdir / "d.txt").exists()

@@ -27,6 +27,7 @@ from xmodal.losses import (
     triplet_pools,
 )
 from xmodal.numerics import (
+    NonFiniteError,
     batchnorm_forward,
     finite_diff_entries,
     finite_diff_grad,
@@ -726,6 +727,26 @@ class TestTotalLoss:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="total_loss: non-finite loss"):
             total_loss(bundle, labels, LossConfig(rho=RHO), branch(True), 3, 2)
+
+
+PUBLIC_TRIPLET_LOSSES = {
+    "batch_hard_triplet": lambda b: batch_hard_triplet(b.features, b.identity, RHO),
+    "cross_modality_triplet": lambda b: cross_modality_triplet(b, RHO),
+    "intra_modality_triplet": lambda b: intra_modality_triplet(b, RHO),
+    "dual_modality_triplet": lambda b: dual_modality_triplet(b, LossConfig(rho=RHO)),
+}
+
+
+# a NaN feature, or features whose distances overflow: the public losses
+# raise where a fold by max would drop the NaN
+@pytest.mark.parametrize("name", PUBLIC_TRIPLET_LOSSES)
+@pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "overflow"])
+def test_triplet_loss_of_non_finite_features_rejected(name, bad):
+    batch = random_pk_batch(np.random.default_rng(54), 3, 2, 4)
+    batch.features[1, 0] = bad
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match=f"^{name}: non-finite loss"):
+        PUBLIC_TRIPLET_LOSSES[name](batch)
 
 
 class TestHingeScatter:
