@@ -8,8 +8,8 @@ finite-difference and brute-force verification built in.
 
 from .data import Dataset, Sample, SynthConfig, generate_synthetic, load_dataset, sample_pk_batch, save_dataset, split_identity_disjoint
 from .encoder import EncoderConfig, EncoderParams, FeatureBundle, encode, encode_backward, fuse, init_encoder, param_shapes, test_feature
-from .evaluation import EvalProtocol, RankingResult, average_precision, cmc_curve, rank_gallery, run_protocol
-from .harness import RunReport, TrainConfig, evaluate, gradcheck, load_checkpoint, run_ablation, save_checkpoint, train
+from .evaluation import EvalProtocol, RankingResult, average_precision, cmc_curve, evaluate, rank_gallery
+from .harness import RunReport, TrainConfig, gradcheck, load_checkpoint, run_ablation, save_checkpoint, train
 from .losses import (
     LabeledBatch,
     LossConfig,

@@ -14,11 +14,10 @@ import numpy as np
 
 from .config import ConfigError, build_config, json_text, read_json
 from .data import DataError, SynthConfig, generate_synthetic, load_dataset, save_dataset
-from .evaluation import EvalProtocol
+from .evaluation import EvalProtocol, evaluate
 from .harness import (
     TrainConfig,
     ablation_text,
-    evaluate,
     gradcheck,
     gradcheck_text,
     load_checkpoint,
@@ -53,11 +52,22 @@ def _write(path, save, *args):
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _check_writable(*paths):
-    """The usage error `_write` would raise for each given path, found
-    before a long run and without creating a file: the path's directory
-    must exist and take writes, and the path must not be a directory."""
-    for path in filter(None, paths):
+def _check_paths(args):
+    """Usage errors found before any work, creating no file: an output path
+    that names an input or another output by `os.path.realpath` (a symlink
+    or another spelling counts), or one `_write` would fail on, whose
+    directory is missing or read-only, or which is a directory."""
+    paths = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in args.inputs + args.outputs}
+    seen = {}  # real path -> the first flag that names it
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen and flag in args.outputs:
+            first = seen[real]
+            raise _UsageError(f"{first} and {flag} name one file, {paths[first]}: {flag} would write over {first}")
+        seen.setdefault(real, flag)
+    for path in filter(None, map(paths.get, args.outputs)):
         folder = os.path.dirname(path) or "."
         code = (errno.ENOENT if not os.path.exists(folder)
                 else errno.ENOTDIR if not os.path.isdir(folder)
@@ -77,9 +87,6 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
-        raise _UsageError(f"--out and --report name one file, {args.out}: the report would replace the model")
-    _check_writable(args.out, args.report)
     config = build_config(TrainConfig, read_json(args.config))
     dataset = load_dataset(args.data)
     params, enc_cfg, report = train(dataset, config)
@@ -91,7 +98,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    params, enc_cfg, = load_checkpoint(args.checkpoint)
+    params, enc_cfg = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     query = args.query_modality
     protocol = EvalProtocol(
@@ -101,8 +108,7 @@ def _cmd_eval(args):
         single_shot=args.single_shot,
         seed=args.seed,
     )
-    fragment = evaluate(params, enc_cfg, dataset, protocol)
-    text = json_text(fragment)
+    text = json_text(evaluate(params, enc_cfg, dataset, protocol))
     if args.report:
         _write(args.report, _save_text, text)
     print(text, end="")
@@ -110,7 +116,6 @@ def _cmd_eval(args):
 
 
 def _cmd_ablation(args):
-    _check_writable(args.report)
     synth_cfg, train_fraction = build_config(SynthConfig, read_json(args.data_config), train_fraction=0.5)
     base = build_config(TrainConfig, read_json(args.config))
     seeds = []
@@ -140,14 +145,14 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic two-modality dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, inputs=("--config",), outputs=("--out",))
 
     p = sub.add_parser("train", help="train an encoder on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, inputs=("--data", "--config"), outputs=("--out", "--report"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--checkpoint", required=True)
@@ -157,19 +162,19 @@ def build_parser():
     p.add_argument("--single-shot", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("--checkpoint", "--data"), outputs=("--report",))
 
     p = sub.add_parser("ablation", help="run the four-arm ablation over seeds")
     p.add_argument("--data-config", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_ablation)
+    p.set_defaults(func=_cmd_ablation, inputs=("--data-config", "--config"), outputs=("--report",))
 
     p = sub.add_parser("gradcheck", help="verify all backward paths by finite differences")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
+    p.set_defaults(func=_cmd_gradcheck, inputs=(), outputs=())
 
     return parser
 
@@ -178,6 +183,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_paths(args)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except _UsageError as exc:

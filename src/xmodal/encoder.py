@@ -148,8 +148,6 @@ def init_encoder(config, seed):
 def fuse(v_mid, v_pre, mode):
     """sum: elementwise addition of equal-shaped matrices; cat:
     concatenation with the mid feature first. Leading stack axes broadcast."""
-    v_mid = np.asarray(v_mid, dtype=np.float64)
-    v_pre = np.asarray(v_pre, dtype=np.float64)
     if mode == "sum":
         if v_mid.shape[-2:] != v_pre.shape[-2:]:
             raise ValueError("fuse: sum requires equal dims")

@@ -34,10 +34,6 @@ class EvalProtocol:
         if self.seed < 0:
             raise ConfigError(f"EvalProtocol: seed must be >= 0, got {self.seed}")
 
-    def describe(self):
-        names = {VISIBLE: "Visible", THERMAL: "Thermal"}
-        return f"{names[self.query_modality]} to {names[self.gallery_modality]}"
-
 
 @dataclass
 class RankingResult:
@@ -225,14 +221,18 @@ def evaluate_features(query_feats, query_labels, gallery_feats, gallery_labels,
     )
 
 
-def run_protocol(test_dataset, params, config, protocol):
-    """CMC and mAP means, and the skipped-query sum, over `protocol.trials`
-    trials, added up in trial order. A multi-shot gallery, every row of the
-    gallery modality, is the same in each trial, so it is scored once.
-    A single-shot trial (SYSU-MM01's) keeps one row per identity: for each
-    identity in ascending order, `rng.integers(len(rows))` picks one of its
-    rows in index order, with one generator seeded by `protocol.seed`.
+def evaluate(params, config, test_dataset, protocol):
+    """The report of `protocol`, one query direction: CMC and mAP means,
+    and the skipped-query sum, over `protocol.trials` trials, added up in
+    trial order. A multi-shot gallery, every row of the gallery modality,
+    is the same in each trial, so it is scored once. A single-shot trial
+    (SYSU-MM01's) keeps one row per identity: one `rng.integers(counts)`
+    draw, from a generator seeded by `protocol.seed`, picks each identity's
+    row among its rows in index order, identities in ascending order.
     """
+    if config.input_dim != test_dataset.input_dim:
+        raise ConfigError(
+            f"input_dim {config.input_dim} does not match dataset dim {test_dataset.input_dim}")
     query_feats, query_labels = _encode_features(test_dataset, params, config, protocol.query_modality)
     gallery_feats, gallery_labels = _encode_features(test_dataset, params, config, protocol.gallery_modality)
 
@@ -246,20 +246,22 @@ def run_protocol(test_dataset, params, config, protocol):
         # each identity's rows, in index order, are by_label[start:start + count]
         by_label = np.argsort(gallery_labels, kind="stable")
         _, starts, counts = np.unique(gallery_labels[by_label], return_index=True, return_counts=True)
-        groups = list(zip(starts.tolist(), counts.tolist()))
-        results = (score(np.sort(by_label[[start + rng.integers(count) for start, count in groups]]))
-                   for _ in range(t))
+        results = (score(np.sort(by_label[starts + rng.integers(counts)])) for _ in range(t))
     else:
         results = itertools.repeat(score(slice(None)), t)
-    cmc_acc = {int(r): 0.0 for r in protocol.ranks_reported}
-    map_acc, skipped = 0.0, 0
+    cmc = dict.fromkeys(sorted({int(r) for r in protocol.ranks_reported}), 0.0)
+    map_score, skipped = 0.0, 0
     for result in results:
-        for r in cmc_acc:
-            cmc_acc[r] += result.cmc[r]
-        map_acc += result.map_score
+        for r in cmc:
+            cmc[r] += result.cmc[r]
+        map_score += result.map_score
         skipped += result.skipped_queries
-    return RankingResult(
-        cmc={r: v / t for r, v in cmc_acc.items()},
-        map_score=map_acc / t,
-        skipped_queries=skipped,
-    )
+    names = {VISIBLE: "Visible", THERMAL: "Thermal"}
+    return {
+        "protocol": f"{names[protocol.query_modality]} to {names[protocol.gallery_modality]}",
+        "cmc": {str(r): v / t for r, v in cmc.items()},
+        "map": map_score / t,
+        "trials": t,
+        "seed": protocol.seed,
+        "skipped_queries": skipped,
+    }

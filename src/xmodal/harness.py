@@ -26,7 +26,7 @@ from .encoder import (
     init_encoder,
     param_shapes,
 )
-from .evaluation import EvalProtocol, run_protocol
+from .evaluation import EvalProtocol, evaluate
 from .losses import LabeledBatch, LossConfig
 from .numerics import (
     DIST_BLOCK_BYTES,
@@ -209,22 +209,6 @@ def train(dataset, config):
     return params, enc_cfg, report
 
 
-def evaluate(params, enc_cfg, test_dataset, protocol):
-    """Metrics fragment of `protocol`, one query direction."""
-    if enc_cfg.input_dim != test_dataset.input_dim:
-        raise ConfigError(
-            f"input_dim {enc_cfg.input_dim} does not match dataset dim {test_dataset.input_dim}")
-    result = run_protocol(test_dataset, params, enc_cfg, protocol)
-    return {
-        "protocol": protocol.describe(),
-        "cmc": {str(r): v for r, v in sorted(result.cmc.items())},
-        "map": result.map_score,
-        "trials": protocol.trials,
-        "seed": protocol.seed,
-        "skipped_queries": result.skipped_queries,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -334,9 +318,8 @@ def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5):
         for arm in ABLATION_ARMS:
             cfg = replace(arm_config(base_config, arm), seed=seed)
             params, enc_cfg, _ = train(train_ds, cfg)
-            protocol = EvalProtocol(query_modality=L.VISIBLE, gallery_modality=L.THERMAL,
-                                    trials=1, single_shot=False, seed=seed)
-            metrics = evaluate(params, enc_cfg, test_ds, protocol)
+            # the defaults: visible queries, a thermal multi-shot gallery, one trial
+            metrics = evaluate(params, enc_cfg, test_ds, EvalProtocol(seed=seed))
             rank1 = metrics["cmc"]["1"]
             arms[arm]["rank1"].append(rank1)
             arms[arm]["map"].append(metrics["map"])

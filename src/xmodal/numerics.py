@@ -1,6 +1,10 @@
 """Differentiable dense kernels, distances, flat-vector Adam, and a finite-difference oracle.
 
-All arithmetic is float64. Every *_forward returns (output, cache), and
+The layers compute in the dtype they are given. Float64 is fixed once,
+where arrays enter: `encoder.encode` casts its input rows, the triplet
+losses and `mining_margins` their features, evaluation its query and
+gallery features, and the finite-difference oracle its point and its
+function values. Every *_forward returns (output, cache), and
 train-mode `batchnorm_forward` its batch statistics as well; the matching
 *_backward consumes the cache and an upstream gradient and returns exact
 analytic gradients. No forward step writes to its arguments. The layers do
@@ -58,7 +62,6 @@ class NonFiniteError(ValueError):
 
 def dense_forward(x, w, b):
     """y = x @ w + b, with w of shape (in_dim, out_dim)."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != w.shape[-2]:
         raise ValueError(f"dense: input shape {x.shape} incompatible with weight {w.shape}")
     y = x @ w + b
@@ -67,20 +70,18 @@ def dense_forward(x, w, b):
 
 def dense_backward(cache, g):
     dw, db = dense_param_grads(cache, g)
-    return np.asarray(g, dtype=np.float64) @ cache[1].swapaxes(-1, -2), dw, db
+    return g @ cache[1].swapaxes(-1, -2), dw, db
 
 
 def dense_param_grads(cache, g):
     """(dw, db) of `dense_backward`: a first layer's, whose input gradient nothing reads."""
     x, w = cache
-    g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape[:-1] + w.shape[-1:]:
         raise ValueError(f"dense backward: upstream shape {g.shape} expected {x.shape[:-1] + w.shape[-1:]}")
     return x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
 
 def relu_forward(x):
-    x = np.asarray(x, dtype=np.float64)
     y = np.maximum(x, 0.0)
     return y, (x,)
 
@@ -100,7 +101,6 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, eps=1e-5, tr
     running statistics. Eval mode normalizes by the running statistics and
     returns None for them. Neither mode writes to the running arrays.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != gamma.shape[-1]:
         raise ValueError(f"batchnorm: input shape {x.shape} incompatible with dim {gamma.shape[-1]}")
     n = x.shape[-2]
@@ -126,7 +126,6 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, eps=1e-5, tr
 def batchnorm_backward(cache, g):
     """Differentiates through the batch statistics in train mode."""
     xhat, inv_std, gamma, train, n = cache
-    g = np.asarray(g, dtype=np.float64)
     if g.shape != xhat.shape:
         raise ValueError("batchnorm backward: shape mismatch")
     dgamma = (g * xhat).sum(axis=-2)
@@ -142,7 +141,6 @@ def batchnorm_backward(cache, g):
 
 def l2_normalize_forward(x):
     """Row-wise L2 normalization; (near-)zero rows pass through unchanged."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("l2_normalize expects rows: an array of 2 or more dims")
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
@@ -156,7 +154,6 @@ def l2_normalize_forward(x):
 
 def l2_normalize_backward(cache, g):
     y, norms, small = cache
-    g = np.asarray(g, dtype=np.float64)
     if g.shape != y.shape:
         raise ValueError("l2_normalize backward: shape mismatch")
     dot = (g * y).sum(axis=-1, keepdims=True)
@@ -248,7 +245,6 @@ def gemm_score_bound(norm_sum, dim):
 
 def softmax_cross_entropy_forward(logits, labels):
     """Mean negative log-likelihood of the labels: (loss, cache)."""
-    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n, c = logits.shape[-2:]
     if n == 0:

@@ -235,7 +235,7 @@ def cannot_allocate(owner, size, shape):
 
 # id -> (argv, edit of the working copy or None, exit code, exact stderr).
 # Every case runs in a fresh copy of `base`'s files, must print nothing to
-# stdout and must leave the directory as it found it.
+# stdout and must leave the directory as it found it, each file's bytes too.
 ERRORS = {
     "gradcheck-trials-0": ("gradcheck --trials 0", None, 1,
                            "config error: gradcheck: trials must be >= 1, got 0\n"),
@@ -386,6 +386,25 @@ ERRORS = {
         ("train", "train --data data.txt --config train.json --out", "missing/dir/m.ckpt"),
         ("eval", EVAL_ARGV + " --report", "missing/dir/r.json"),
     ]},
+    # an output path that names an input or another output, by any spelling
+    # or a symlink, is refused before any work, and the file is left as it was
+    **{name: (argv, edit, 1, f"usage error: {first} and {flag} name one file, {shown}: "
+                             f"{flag} would write over {first}\n")
+       for name, argv, edit, first, flag, shown in [
+        ("eval-report-over-data", EVAL_ARGV + " --report data.txt", None, "--data", "--report", "data.txt"),
+        ("eval-report-over-checkpoint", EVAL_ARGV + " --report ./model.ckpt", None, "--checkpoint",
+         "--report", "model.ckpt"),
+        ("eval-report-over-data-symlink", EVAL_ARGV + " --report link.txt",
+         lambda: os.symlink("data.txt", "link.txt"), "--data", "--report", "data.txt"),
+        ("train-out-over-data", "train --data data.txt --config train.json --out data.txt", None, "--data",
+         "--out", "data.txt"),
+        ("train-report-over-config", TRAIN_ARGV + " --report train.json", None, "--config", "--report",
+         "train.json"),
+        ("synth-out-over-config", "synth --config synth.json --out synth.json", None, "--config", "--out",
+         "synth.json"),
+        ("ablation-report-over-data-config", ABLATION_ARGV + " --report synth.json", None, "--data-config",
+         "--report", "synth.json"),
+    ]},
     # faults of the checkpoint, found at load before any array is made
     **{f"eval-checkpoint-{name}": (EVAL_ARGV, edit_checkpoint(change), 1,
                                    f"config error: model.ckpt: {message}\n") for name, change, message in [
@@ -428,11 +447,16 @@ def test_error_case(case, workdir, capsys):
     argv, edit, code, err = ERRORS[case]
     if edit:
         edit()
-    before = sorted(workdir.rglob("*"))
+    before = directory_bytes(workdir)
     capsys.readouterr()
     assert cli.main(argv.split()) == code
     assert capsys.readouterr() == ("", err)
-    assert sorted(workdir.rglob("*")) == before
+    assert directory_bytes(workdir) == before
+
+
+def directory_bytes(folder):
+    """Every path under `folder`, with a file's bytes (through a symlink)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in folder.rglob("*")}
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +542,7 @@ def test_report_over_the_checkpoint_is_found_before_the_run(report, workdir, mon
     assert cli.main(TRAIN_ARGV.split() + ["--report", report]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("usage error: --out and --report name one file, m.ckpt: "
-                   "the report would replace the model\n")
+    assert err == "usage error: --out and --report name one file, m.ckpt: --report would write over --out\n"
     assert sorted(p.name for p in workdir.iterdir()) == before
 
 

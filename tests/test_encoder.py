@@ -60,10 +60,10 @@ class TestInit:
 
 class TestFuse:
     def test_sum(self):
-        np.testing.assert_array_equal(fuse([1.0, 2.0], [3.0, 4.0], "sum"), [4.0, 6.0])
+        np.testing.assert_array_equal(fuse(np.array([1.0, 2.0]), np.array([3.0, 4.0]), "sum"), [4.0, 6.0])
 
     def test_cat_mid_first(self):
-        np.testing.assert_array_equal(fuse([1.0, 2.0], [3.0, 4.0], "cat"), [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(fuse(np.array([1.0, 2.0]), np.array([3.0, 4.0]), "cat"), [1.0, 2.0, 3.0, 4.0])
 
     def test_sum_identity_element(self):
         v = np.array([1.5, -2.5])

@@ -14,9 +14,9 @@ from xmodal.evaluation import (
     _ranked_blocks,
     average_precision,
     cmc_curve,
+    evaluate,
     evaluate_features,
     rank_gallery,
-    run_protocol,
 )
 from xmodal.harness import train, TrainConfig
 from xmodal.numerics import DIST_BLOCK_BYTES
@@ -539,7 +539,7 @@ class TestBlockedEncode:
         assert peak < 16 * DIST_BLOCK_BYTES + feats.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
-class TestRunProtocol:
+class TestEvaluate:
     def _setup(self):
         cfg = SynthConfig(num_identities=8, per_identity_per_modality=4, input_dim=6,
                           cluster_std=0.1, noise_std=0.0, seed=0)
@@ -553,20 +553,20 @@ class TestRunProtocol:
         ds, params, enc = self._setup()
         p1 = EvalProtocol(query_modality="V", gallery_modality="T", trials=1, seed=0)
         p3 = EvalProtocol(query_modality="V", gallery_modality="T", trials=3, seed=0)
-        r1 = run_protocol(ds, params, enc, p1)
-        r3 = run_protocol(ds, params, enc, p3)
+        r1 = evaluate(params, enc, ds, p1)
+        r3 = evaluate(params, enc, ds, p3)
         # without single-shot every trial sees the full gallery
-        assert abs(r1.map_score - r3.map_score) < 1e-12
-        assert r1.cmc == r3.cmc
+        assert abs(r1["map"] - r3["map"]) < 1e-12
+        assert r1["cmc"] == r3["cmc"]
 
     def test_single_shot_deterministic(self):
         ds, params, enc = self._setup()
         proto = EvalProtocol(query_modality="T", gallery_modality="V", trials=10,
                              single_shot=True, seed=42)
-        a = run_protocol(ds, params, enc, proto)
-        b = run_protocol(ds, params, enc, proto)
-        assert a.map_score == b.map_score
-        assert a.cmc == b.cmc
+        a = evaluate(params, enc, ds, proto)
+        b = evaluate(params, enc, ds, proto)
+        assert a["map"] == b["map"]
+        assert a["cmc"] == b["cmc"]
 
     def test_same_modality_rejected(self):
         with pytest.raises(ConfigError):
@@ -583,7 +583,7 @@ class TestRunProtocol:
             return evaluate_features(q, ql, g, gl, ranks)
 
         monkeypatch.setattr(evaluation, "evaluate_features", spy)
-        run_protocol(ds, params, enc, EvalProtocol(trials=trials, single_shot=single_shot))
+        evaluate(params, enc, ds, EvalProtocol(trials=trials, single_shot=single_shot))
         # 8 identities with 4 thermal rows each; single-shot keeps one of each
         assert galleries == [8 if single_shot else 32] * calls
 
@@ -599,7 +599,7 @@ class TestRunProtocol:
                                      single_shot=single_shot, seed=seed)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    got = run_protocol(ds, params, enc, proto)
+                    got = evaluate(params, enc, ds, proto)
                     cmc, map_score, skipped = run_protocol_reference(ds, params, enc, proto)
-                assert got.cmc == cmc and got.map_score == map_score
-                assert got.skipped_queries == skipped
+                assert got["cmc"] == {str(r): v for r, v in cmc.items()} and got["map"] == map_score
+                assert got["skipped_queries"] == skipped

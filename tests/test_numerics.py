@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xmodal.encoder import EncoderConfig, init_encoder
+from xmodal.encoder import EncoderConfig, fuse, init_encoder
 from xmodal.numerics import (
     DIST_BLOCK_BYTES,
     AdamState,
@@ -200,6 +200,30 @@ class TestLayerBackward:
                 _, cache, _ = batchnorm_forward(z[k], gamma, beta, mean, var, train=train)
                 for got, want in zip(stacked, batchnorm_backward(cache, g[k])):
                     assert np.array_equal(got[k], want), train
+
+
+def test_layers_compute_in_the_dtype_they_are_given():
+    # float64 is fixed where arrays enter: the layers cast nothing, so
+    # float32 inputs and parameters give float32 outputs and gradients
+    f32 = np.dtype(np.float32)
+    rng = np.random.default_rng(0)
+    x, g = (rng.standard_normal((4, 3)).astype(f32) for _ in range(2))
+    w, b = rng.standard_normal((3, 3)).astype(f32), rng.standard_normal(3).astype(f32)
+    gamma, beta = (0.5 + rng.random(3)).astype(f32), rng.standard_normal(3).astype(f32)
+    mean, var = rng.standard_normal(3).astype(f32), (0.5 + rng.random(3)).astype(f32)
+    y, cache = dense_forward(x, w, b)
+    outputs = {"dense": (y, *dense_backward(cache, g), *dense_param_grads(cache, g))}
+    y, cache = relu_forward(x)
+    outputs["relu"] = (y, relu_backward(cache, g))
+    for train in (True, False):
+        y, cache, stats = batchnorm_forward(x, gamma, beta, mean, var, train=train)
+        outputs[f"batchnorm train={train}"] = (y, *batchnorm_backward(cache, g), *(stats or ()))
+    y, cache = l2_normalize_forward(x)
+    outputs["l2_normalize"] = (y, l2_normalize_backward(cache, g))
+    outputs["softmax_cross_entropy"] = softmax_cross_entropy(x, np.array([0, 1, 2, 0]))
+    outputs["fuse"] = tuple(fuse(x, g, mode) for mode in ("sum", "cat"))
+    for layer, arrays in outputs.items():
+        assert [a.dtype for a in arrays] == [f32] * len(arrays), layer
 
 
 def full_index(n):
