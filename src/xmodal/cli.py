@@ -54,19 +54,24 @@ def _write(path, save, *args):
 
 def _check_paths(args):
     """Usage errors found before any work, creating no file: an output path
-    that names an input or another output by `os.path.realpath` (a symlink
-    or another spelling counts), or one `_write` would fail on, whose
+    that names an input or another output (a file that exists by its device
+    and inode, so a hard link, a symlink or another spelling counts; a new
+    one by `os.path.realpath`), or one `_write` would fail on, whose
     directory is missing or read-only, or which is a directory."""
     paths = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in args.inputs + args.outputs}
-    seen = {}  # real path -> the first flag that names it
+    seen = {}  # file -> the first flag that names it
     for flag, path in paths.items():
         if path is None:
             continue
-        real = os.path.realpath(path)
-        if real in seen and flag in args.outputs:
-            first = seen[real]
+        try:
+            info = os.stat(path)
+            key = (info.st_dev, info.st_ino)
+        except OSError:  # not there yet
+            key = os.path.realpath(path)
+        if key in seen and flag in args.outputs:
+            first = seen[key]
             raise _UsageError(f"{first} and {flag} name one file, {paths[first]}: {flag} would write over {first}")
-        seen.setdefault(real, flag)
+        seen.setdefault(key, flag)
     for path in filter(None, map(paths.get, args.outputs)):
         folder = os.path.dirname(path) or "."
         code = (errno.ENOENT if not os.path.exists(folder)

@@ -73,20 +73,23 @@ def _shown(value, limit=40):
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-def json_fields(cls, d, **extra):
-    """A copy of the JSON object `d` whose keys are fields of the dataclass
-    `cls`, or keys of `extra` (name -> annotation), checked before `cls` is
-    built.
+def build_config(cls, d, **extra):
+    """The config `cls` built from its JSON object `d`, checked before `cls`
+    is built: every key a field of `cls` or a keyword of `extra`, every
+    field without a default present, and every value of the JSON type its
+    annotation names. A nested config must be an object and is built the
+    same way; a tuple field is made a tuple. Raises ConfigError naming
+    `cls` and the field at fault.
 
-    Every field without a default must be present, and every value of the
-    JSON type its annotation names; a nested config must be an object.
-    Raises ConfigError naming `cls` and the field at fault.
+    Each keyword of `extra` names a key `d` may hold beside the fields of
+    `cls`, and gives its default, whose type is the key's JSON type; the
+    result is then (config, *the values of those keys).
     """
     name = cls.__name__
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: expected a JSON object, got {_shown(d)}")
     fields = dataclasses.fields(cls)
-    types = {f.name: f.type for f in fields} | extra
+    types = {f.name: f.type for f in fields} | {key: type(default) for key, default in extra.items()}
     unknown = set(d) - set(types)
     if unknown:
         raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
@@ -99,21 +102,9 @@ def json_fields(cls, d, **extra):
         what, ok = _OBJECT if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind]
         if not ok(value):
             raise ConfigError(f"{name}: {key} must be {what}, got {_shown(value)}")
-    return dict(d)
-
-
-def build_config(cls, d, **extra):
-    """The config `cls` built from its JSON object `d`, checked by
-    `json_fields`: a nested config is built the same way, and a tuple field
-    is made a tuple.
-
-    Each keyword of `extra` names a key `d` may hold beside the fields of
-    `cls`, and gives its default, whose type is the key's JSON type; the
-    result is then (config, *the values of those keys).
-    """
-    d = json_fields(cls, d, **{key: type(default) for key, default in extra.items()})
+    d = dict(d)
     values = [d.pop(key, default) for key, default in extra.items()]
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name in d and dataclasses.is_dataclass(f.type):
             d[f.name] = build_config(f.type, d[f.name])
         elif f.name in d and f.type is tuple:

@@ -308,7 +308,6 @@ def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5):
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"run_ablation: seed must be >= 0, got {seed}")
-    arms = {arm: {"rank1": [], "map": []} for arm in ABLATION_ARMS}
     per_seed = []
     for seed in seeds:
         scfg = replace(synth_cfg, seed=seed)
@@ -320,21 +319,13 @@ def run_ablation(synth_cfg, base_config, seeds, train_fraction=0.5):
             params, enc_cfg, _ = train(train_ds, cfg)
             # the defaults: visible queries, a thermal multi-shot gallery, one trial
             metrics = evaluate(params, enc_cfg, test_ds, EvalProtocol(seed=seed))
-            rank1 = metrics["cmc"]["1"]
-            arms[arm]["rank1"].append(rank1)
-            arms[arm]["map"].append(metrics["map"])
-            seed_rec["arms"][arm] = {"rank1": rank1, "map": metrics["map"]}
+            seed_rec["arms"][arm] = {"rank1": metrics["cmc"]["1"], "map": metrics["map"]}
         per_seed.append(seed_rec)
-    table = {
-        "arms": {arm: {
-            "mean_rank1": float(np.mean(v["rank1"])),
-            "mean_map": float(np.mean(v["map"])),
-            "per_seed_rank1": v["rank1"],
-            "per_seed_map": v["map"],
-        } for arm, v in arms.items()},
-        "seeds": list(seeds),
-        "per_seed": per_seed,
-    }
+    table = {"arms": {}, "seeds": list(seeds), "per_seed": per_seed}
+    for arm in ABLATION_ARMS:  # each arm's lists, in seed order, read off per_seed
+        rank1, maps = ([rec["arms"][arm][key] for rec in per_seed] for key in ("rank1", "map"))
+        table["arms"][arm] = {"mean_rank1": float(np.mean(rank1)), "mean_map": float(np.mean(maps)),
+                              "per_seed_rank1": rank1, "per_seed_map": maps}
     return table
 
 
@@ -375,23 +366,31 @@ def _stacked(points, like):
     return points[:, None] if like.ndim == 1 else points
 
 
+def _sweep_error(names, values, grads, loss):
+    """Worst error, over the arrays values[name] in `names` order, of their
+    gradients grads[name] against finite differences of loss(name, stack),
+    the loss at a stack of values of that one array, the others as given."""
+    worst = 0.0
+    for name in names:  # each sweep is made before the next name binds
+        v = values[name]
+        worst = max(worst, _gradient_error(grads[name], lambda points: loss(name, _stacked(points, v)), v))
+    return worst
+
+
 def _layer_error(forward, backward, args, proj):
     """Worst error, over the arguments of a layer, of its analytic gradient
     of sum(forward(*args)[0] * proj) against finite differences. Each sweep
     calls `forward` once on a stack of values of one argument."""
     _, cache = forward(*args)
     grads = backward(cache, proj)
-    grads = grads if len(args) > 1 else (grads,)
-    errs = []
-    for i, (arg, grad) in enumerate(zip(args, grads)):
-        def f(points, i=i, arg=arg):
-            trial = list(args)
-            trial[i] = _stacked(points, arg)
-            # each point's sum runs over its own contiguous block
-            return (forward(*trial)[0] * proj).reshape(len(points), -1).sum(axis=1)
 
-        errs.append(_gradient_error(grad, f, arg))
-    return max(errs)
+    def loss(i, stack):
+        trial = list(args)
+        trial[i] = stack
+        # each point's sum runs over its own contiguous block
+        return (forward(*trial)[0] * proj).reshape(len(stack), -1).sum(axis=1)
+
+    return _sweep_error(range(len(args)), args, grads if len(args) > 1 else (grads,), loss)
 
 
 def _check_dense(rng):
@@ -443,12 +442,18 @@ def _stable_pk_features(rng, P, K, dim, rho):
     terms and mining selections sit safely away from kinks, so finite
     differences are trustworthy."""
     idents, mods = L.pk_layout(P, K)
+    return _kink_free(lambda: LabeledBatch(features=rng.standard_normal((2 * P * K, dim)),
+                                           identity=idents, modality=mods, P=P, K=K),
+                      lambda batch: L.mining_margins(batch, rho), 1e-3, "triplet batch")
+
+
+def _kink_free(draw, margin, tol, what):
+    """draw(), drawn again, up to 50 times, until margin(it) > tol."""
     for _ in range(50):
-        feats = rng.standard_normal((2 * P * K, dim))
-        batch = LabeledBatch(features=feats, identity=idents, modality=mods, P=P, K=K)
-        if L.mining_margins(batch, rho) > 1e-3:
-            return batch
-    raise RuntimeError("could not build a kink-free triplet batch")
+        instance = draw()
+        if margin(instance) > tol:
+            return instance
+    raise RuntimeError(f"could not build a kink-free {what}")
 
 
 def _check_triplet(rng, kind):
@@ -538,7 +543,7 @@ def _array_bytes(tree):
     return sum(found.values())
 
 
-def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
+def _metric_margins(cfg, params, loss_cfg, x, labels, P, K):
     """Smallest distance of a model instance from a kink: of any ReLU input
     from zero, or of the mined triplets (see `mining_margins`)."""
     bundle, cache = encode(params, cfg, x.reshape(2, -1, x.shape[-1]), MODALITIES)
@@ -549,30 +554,20 @@ def _metric_margins(params, cfg, loss_cfg, x, labels, P, K):
     return min(relu_margin, L.mining_margins(batch, loss_cfg.rho))
 
 
-def _kink_free_model(rng, mfi, tol, **setup):
-    """`_full_model_setup`, resampled until the ReLU inputs and mined
-    triplets are more than `tol` away from kinks."""
-    for _ in range(50):
-        cfg, params, loss_cfg, x, labels, P, K = _full_model_setup(rng, mfi, **setup)
-        if _metric_margins(params, cfg, loss_cfg, x, labels, P, K) > tol:
-            return cfg, params, loss_cfg, x, labels, P, K
-    raise RuntimeError("could not build a kink-free model instance")
+def _full_model_instance(rng, mfi, tol, **setup):
+    """A `_full_model_setup` instance, drawn again until its ReLU inputs and
+    mined triplets are more than `tol` away from kinks: its parameters, the
+    gradient of each by `_train_step`, and its `_loss_sweep`."""
+    cfg, params, loss_cfg, x, labels, P, K = _kink_free(
+        lambda: _full_model_setup(rng, mfi, **setup), lambda inst: _metric_margins(*inst), tol, "model instance")
+    targets = L.loss_targets(labels, P, K)
+    _, grads = _train_step(params, cfg, loss_cfg, x, targets)
+    return params, grads, _loss_sweep(params, cfg, loss_cfg, x, targets)
 
 
 def _check_full_model(rng, mfi, **setup):
-    cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(rng, mfi, 1e-3, **setup)
-    targets = L.loss_targets(labels, P, K)
-    _, grads = _train_step(params, cfg, loss_cfg, x, targets)
-    loss = _loss_sweep(params, cfg, loss_cfg, x, targets)
-    worst = 0.0
-    for name in sorted(params.values):
-        v = params.values[name]
-
-        def f(points, name=name, v=v):
-            return loss({name: _stacked(points, v)})
-
-        worst = max(worst, _gradient_error(grads[name], f, v))
-    return worst
+    params, grads, loss = _full_model_instance(rng, mfi, 1e-3, **setup)
+    return _sweep_error(sorted(params.values), params.values, grads, lambda name, stack: loss({name: stack}))
 
 
 # Kink margin of the directional check's instances. Its farthest stencil
@@ -592,11 +587,8 @@ def _check_directional(rng, fusion="cat"):
     same ReLU and mining kink guard. Each direction's points theta + t u
     are evaluated as one stack.
     """
-    cfg, params, loss_cfg, x, labels, P, K = _kink_free_model(
+    params, grads, loss = _full_model_instance(
         rng, True, DIRECTIONAL_KINK_TOL, fusion=fusion, **REFERENCE_MODEL)
-    targets = L.loss_targets(labels, P, K)
-    _, grads = _train_step(params, cfg, loss_cfg, x, targets)
-    loss = _loss_sweep(params, cfg, loss_cfg, x, targets)
     names = sorted(params.values)
     worst = 0.0
     for _ in range(3):

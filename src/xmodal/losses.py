@@ -59,7 +59,7 @@ class LossConfig:
 
     def __post_init__(self):
         # a chained comparison fails for NaN and for +inf, which a config
-        # built in code (not read through json_fields) can hold
+        # built in code (not read through build_config) can hold
         for name in ("rho", "lambda1", "lambda2"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"LossConfig: {name} must be a finite number >= 0, "

@@ -417,7 +417,7 @@ def check_full_model_reference(rng, mfi, **setup):
 
     for _ in range(50):
         cfg, params, loss_cfg, x, labels, P, K = harness._full_model_setup(rng, mfi, **setup)
-        if harness._metric_margins(params, cfg, loss_cfg, x, labels, P, K) > 1e-3:
+        if harness._metric_margins(cfg, params, loss_cfg, x, labels, P, K) > 1e-3:
             break
     else:
         raise RuntimeError("could not build a kink-free model instance")

@@ -386,8 +386,8 @@ ERRORS = {
         ("train", "train --data data.txt --config train.json --out", "missing/dir/m.ckpt"),
         ("eval", EVAL_ARGV + " --report", "missing/dir/r.json"),
     ]},
-    # an output path that names an input or another output, by any spelling
-    # or a symlink, is refused before any work, and the file is left as it was
+    # an output path that names an input or another output, by any spelling,
+    # a symlink or a hard link, is refused before any work, and the file is left as it was
     **{name: (argv, edit, 1, f"usage error: {first} and {flag} name one file, {shown}: "
                              f"{flag} would write over {first}\n")
        for name, argv, edit, first, flag, shown in [
@@ -396,6 +396,10 @@ ERRORS = {
          "--report", "model.ckpt"),
         ("eval-report-over-data-symlink", EVAL_ARGV + " --report link.txt",
          lambda: os.symlink("data.txt", "link.txt"), "--data", "--report", "data.txt"),
+        ("eval-report-over-data-hardlink", EVAL_ARGV + " --report hard.txt",
+         lambda: os.link("data.txt", "hard.txt"), "--data", "--report", "data.txt"),
+        ("train-out-over-data-hardlink", "train --data data.txt --config train.json --out hard.txt",
+         lambda: os.link("data.txt", "hard.txt"), "--data", "--out", "data.txt"),
         ("train-out-over-data", "train --data data.txt --config train.json --out data.txt", None, "--data",
          "--out", "data.txt"),
         ("train-report-over-config", TRAIN_ARGV + " --report train.json", None, "--config", "--report",

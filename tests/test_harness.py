@@ -494,15 +494,23 @@ class TestAblation:
     def test_run_ablation_table_structure(self):
         synth = SynthConfig(num_identities=6, per_identity_per_modality=3,
                             input_dim=6, cluster_std=0.3, noise_std=0.1, seed=0)
-        table = run_ablation(synth, tiny_config(), seeds=[0])
+        table = run_ablation(synth, tiny_config(), seeds=[0, 1])
         assert set(table["arms"]) == set(ABLATION_ARMS)
         for rec in table["arms"].values():
             assert 0.0 <= rec["mean_rank1"] <= 1.0
             assert 0.0 <= rec["mean_map"] <= 1.0
-            assert len(rec["per_seed_rank1"]) == 1
-        assert table["seeds"] == [0]
-        assert table["per_seed"][0]["split_hash"] == table["per_seed"][0]["split_hash"]
-        assert set(table["per_seed"][0]["arms"]) == set(ABLATION_ARMS)
+        assert table["seeds"] == [0, 1]
+        assert [rec["seed"] for rec in table["per_seed"]] == [0, 1]
+        seed0_train = split_identity_disjoint(generate_synthetic(synth), 0.5, seed=0)[0]
+        assert table["per_seed"][0]["split_hash"] == split_hash(seed0_train)
+        # each arm's lists and means are read off the per-seed records, in seed order
+        for arm in ABLATION_ARMS:
+            rec = table["arms"][arm]
+            assert rec["per_seed_rank1"] == [s["arms"][arm]["rank1"] for s in table["per_seed"]]
+            assert rec["per_seed_map"] == [s["arms"][arm]["map"] for s in table["per_seed"]]
+            assert rec["mean_rank1"] == float(np.mean(rec["per_seed_rank1"]))
+            assert rec["mean_map"] == float(np.mean(rec["per_seed_map"]))
+        assert all(set(s["arms"]) == set(ABLATION_ARMS) for s in table["per_seed"])
         text = harness.ablation_text(table)
         for arm in ABLATION_ARMS:
             assert arm in text
